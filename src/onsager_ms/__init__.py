@@ -37,6 +37,7 @@ from .quadrature import (
     SphereParams,
     SphereQuadrature,
     WeightedQuadrature,
+    build_orthant_quadrature,
     build_sphere_quadrature,
     build_weighted_quadrature,
     integrate_mu,

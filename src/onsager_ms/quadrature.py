@@ -11,7 +11,8 @@ nodes integrate it with spectral accuracy for every admissible (n, k),
 including the half-integer exponents of the axisymmetric case k = 1.
 Sphere integrals use a product rule over recursive spherical angles, each
 angle carrying a symmetric Gauss-Jacobi rule, bottoming out at the two
-point set S^0.
+point set S^0.  Integrands even in every coordinate can use the positive
+orthant of the same product rule instead.
 
 Rule objects are immutable after construction (arrays are marked
 read-only) and safe to share between threads.
@@ -156,41 +157,77 @@ class SphereQuadrature:
         return self.points.shape[0]
 
 
-def _sphere_nodes(d: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _both_signs(c: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return c, w
+
+
+def _positive_half(c: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The 1-d rules are symmetric under c -> -c with equal weights, so the
+    # half c > 0 counts twice; a c = 0 node (odd orders) is its own mirror.
+    half = c >= 0.0
+    return c[half], np.where(c[half] > 0.0, 2.0 * w[half], w[half])
+
+
+def _sphere_nodes(d: int, order: int, keep) -> tuple[np.ndarray, np.ndarray]:
+    """Recursive product rule on S^(d-1).
+
+    ``keep`` maps each symmetric 1-d factor, S^0 included, to the nodes
+    and weights the rule uses.
+    """
     if d == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    sub_pts, sub_w = _sphere_nodes(d - 1, order)
+        c, w = keep(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
+        return c[:, None], w
+    sub_pts, sub_w = _sphere_nodes(d - 1, order, keep)
     mu = 0.5 * (d - 3)
-    c, w = roots_jacobi(order, mu, mu)
+    c, w = keep(*roots_jacobi(order, mu, mu))
     s = np.sqrt(1.0 - c * c)
     m = sub_pts.shape[0]
-    pts = np.empty((order * m, d))
+    pts = np.empty((c.size * m, d))
     pts[:, 0] = np.repeat(c, m)
-    pts[:, 1:] = np.repeat(s, m)[:, None] * np.tile(sub_pts, (order, 1))
-    return pts, np.repeat(w, m) * np.tile(sub_w, order)
+    pts[:, 1:] = np.repeat(s, m)[:, None] * np.tile(sub_pts, (c.size, 1))
+    return pts, np.repeat(w, m) * np.tile(sub_w, c.size)
 
 
-def build_sphere_quadrature(d: int, order: int) -> SphereQuadrature:
-    """Deterministic product rule on S^(d-1) for 2 <= d <= 8.
-
-    Beyond d = 8 the node count of a product rule is impractical; callers
-    needing higher dimensions should switch to Monte Carlo sampling.
-    """
-    if not 2 <= d <= MAX_SPHERE_DIM:
+def _product_rule(d: int, order: int, keep) -> SphereQuadrature:
+    if not 1 <= d <= MAX_SPHERE_DIM:
         raise ValueError(
-            f"product rule supports 2 <= d <= {MAX_SPHERE_DIM}, got d={d}; "
+            f"product rule supports 1 <= d <= {MAX_SPHERE_DIM}, got d={d}; "
             "use Monte Carlo sampling beyond that"
         )
     if order < 2:
         raise ValueError(f"need order >= 2, got {order}")
+    # Counted on the full rule, so the orthant fold accepts the same orders.
     if 2 * order ** (d - 1) > _MAX_SPHERE_NODES:
         raise ValueError(
             f"product rule with order={order} in dimension {d} exceeds the "
             f"node budget of {_MAX_SPHERE_NODES}"
         )
-    pts, w = _sphere_nodes(d, order)
+    pts, w = _sphere_nodes(d, order, keep)
     _freeze(pts, w)
     return SphereQuadrature(d, pts, w)
+
+
+def build_sphere_quadrature(d: int, order: int) -> SphereQuadrature:
+    """Deterministic product rule on S^(d-1) for 1 <= d <= 8.
+
+    S^0 is the two-point set {+1, -1}.  Beyond d = 8 the node count of a
+    product rule is impractical; callers needing higher dimensions should
+    switch to Monte Carlo sampling.
+    """
+    return _product_rule(d, order, _both_signs)
+
+
+def build_orthant_quadrature(d: int, order: int) -> SphereQuadrature:
+    """The product rule of the same (d, order) folded onto the positive orthant.
+
+    The product rule's node set and weights are symmetric under
+    m_i -> -m_i for every coordinate, so for integrands even in every
+    coordinate the nodes with all coordinates >= 0, each weighted by 2 per
+    nonzero coordinate, give the full rule's value with about 2^d times fewer
+    nodes.  Zero coordinates occur only at odd orders.  Weights still sum
+    to the surface area.
+    """
+    return _product_rule(d, order, _positive_half)
 
 
 @lru_cache(maxsize=8)

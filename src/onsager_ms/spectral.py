@@ -311,7 +311,11 @@ def gap_estimate(
     # and equals the surface-area prefactor times A_0 e^{-eta}.
     bound = min(a0_scaled, np.exp(eta) * min(lam_xi, lam_theta, lam_b))
     if not bound > 0.0:
-        raise RuntimeError("gap bound did not come out positive; increase grid_size")
+        raise RuntimeError(
+            f"gap bound did not come out positive at (n, eta) = ({params.n}, {eta:g}): "
+            "the certificate has decayed below floating-point resolution there, "
+            "and a larger grid_size does not help"
+        )
     return surface_area(1) * surface_area(params.complement) * float(bound)
 
 

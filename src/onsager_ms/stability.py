@@ -24,6 +24,7 @@ decomposed form value is verified to be strictly negative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -59,6 +60,13 @@ GAMMA_BY_FAMILY = {OMEGA_A: 1, OMEGA_B: 1, XI_A: 2, XI_B: 2, THETA: 0}
 
 # Full-sphere product-rule order used by the direct form, per dimension.
 _DIRECT_FORM_ORDER = {3: 24, 4: 24, 5: 20, 6: 14}
+
+# Largest exponent whose exp is a finite float.
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
+
+# Points per block when an assembled perturbation is evaluated: 128 KiB
+# per array, so one block's temporaries stay in cache.
+_PHI_BLOCK = 1 << 14
 
 # Degree of the random polynomial profiles, per dimension (kept low at
 # n = 6 so the product quadrature stays exact for the assembled phi).
@@ -126,18 +134,20 @@ def basis_indices(params: SphereParams) -> tuple[BasisIndex, ...]:
     return tuple(out)
 
 
+def _a_value(vec: np.ndarray, j: int) -> np.ndarray:
+    # Summed column by column: a strided reduction over the last axis is slow.
+    lower = sum(vec[..., l] ** 2 for l in range(j))
+    return (j * vec[..., j] ** 2 - lower) / np.sqrt(2.0 * j * (j + 1))
+
+
 def _basis_values(idx: BasisIndex, omega: np.ndarray, xi: np.ndarray) -> np.ndarray:
     i, j = idx.indices
     if idx.family == OMEGA_A:
-        return (j * omega[..., j] ** 2 - np.sum(omega[..., :j] ** 2, axis=-1)) / np.sqrt(
-            2.0 * j * (j + 1)
-        )
+        return _a_value(omega, j)
     if idx.family == OMEGA_B:
         return omega[..., i - 1] * omega[..., j - 1]
     if idx.family == XI_A:
-        return (j * xi[..., j] ** 2 - np.sum(xi[..., :j] ** 2, axis=-1)) / np.sqrt(
-            2.0 * j * (j + 1)
-        )
+        return _a_value(xi, j)
     if idx.family == XI_B:
         return xi[..., i - 1] * xi[..., j - 1]
     return omega[..., i - 1] * xi[..., j - 1]
@@ -176,21 +186,15 @@ def gram_matrix(params: SphereParams) -> np.ndarray:
     return np.diag([_gram_constant(params, idx.family) for idx in basis_indices(params)])
 
 
-def _component_rule(d: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    # S^0 is the two-point sphere; the product rule builder starts at d = 2.
-    if d == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    rule = sphere_rule(d, order)
-    return rule.points, rule.weights
-
-
 def gram_matrix_quadrature(params: SphereParams, order: int = 16) -> np.ndarray:
     """Quadrature evaluation of the Gram matrix (same conventions)."""
     if params.n > MAX_FULL_SPHERE_DIM:
         raise ValueError(f"quadrature verification needs n <= {MAX_FULL_SPHERE_DIM}")
     idxs = basis_indices(params)
-    om_pts, om_w = _component_rule(params.k, order)
-    xi_pts, xi_w = _component_rule(params.complement, order)
+    om_rule = sphere_rule(params.k, order)
+    xi_rule = sphere_rule(params.complement, order)
+    om_pts, om_w = om_rule.points, om_rule.weights
+    xi_pts, xi_w = xi_rule.points, xi_rule.weights
     ones_om = np.ones(len(om_pts))
     ones_xi = np.ones(len(xi_pts))
 
@@ -318,7 +322,8 @@ def d_quantities(
     D2 (cosine analogue) carries the sign of eta;
     D3 (mean-zero block) carries the sign of eta (eta - eta_k^*).
     With ``scaled`` the common factor e^{max(eta,0)} is dropped, which
-    keeps the triple finite at any eta the quadrature resolves.
+    keeps the triple finite at any eta the quadrature resolves; without
+    it, an eta whose factor overflows raises ValueError.
     """
     vals, shift = scaled_moments(params, eta, 4, order)
     a0, a2, a4 = (float(x) for x in vals)
@@ -333,8 +338,14 @@ def d_quantities(
     d3 = a0 - n * alpha * (a0 * a4 - a2 * a2) / (k * nk * a0)
     if scaled:
         return (d1, d2, d3)
-    factor = float(np.exp(shift))
-    return (d1 * factor, d2 * factor, d3 * factor)
+    factor = float(np.exp(shift)) if shift <= _LOG_FLOAT_MAX else math.inf
+    out = (d1 * factor, d2 * factor, d3 * factor)
+    if not all(map(math.isfinite, out)):
+        raise ValueError(
+            f"D quantities overflow at eta={eta}; d_quantities(..., scaled=True) "
+            "gives them without the factor e^eta"
+        )
+    return out
 
 
 @dataclass(frozen=True)
@@ -404,16 +415,24 @@ class PerturbationTop:
         )
 
 
-def _split_sphere_points(pts: np.ndarray, k: int):
-    s2 = np.sum(pts[..., :k] ** 2, axis=-1)
+def _polar_angles(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """theta, sin(theta) and cos(theta) of points m = (sin(theta) omega, cos(theta) xi)."""
+    s2 = sum(x * x for x in pts[:, :k].T)
     if np.any(s2 <= 0.0) or np.any(s2 >= 1.0):
         raise ValueError(
             "a point has a vanishing coordinate block; even-order product rules avoid this"
         )
     s = np.sqrt(s2)
-    c = np.sqrt(1.0 - s2)
-    theta = np.arcsin(np.clip(s, 0.0, 1.0))
-    return theta, pts[..., :k] / s[..., None], pts[..., k:] / c[..., None]
+    return np.arcsin(np.clip(s, 0.0, 1.0)), s, np.sqrt(1.0 - s2)
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct entries of a 1-d array, and each entry's index among them."""
+    # Product rules list nodes of equal theta in runs: collapsing the runs
+    # first leaves a short sort.  The NaN opens the first run.
+    starts = np.flatnonzero(np.diff(values, prepend=np.nan) != 0.0)
+    distinct, inverse = np.unique(values[starts], return_inverse=True)
+    return distinct, np.repeat(inverse, np.diff(np.append(starts, values.size)))
 
 
 def assemble_sphere_function(p: PerturbationTop) -> Callable:
@@ -429,12 +448,24 @@ def assemble_sphere_function(p: PerturbationTop) -> Callable:
     k = p.params.k
 
     def phi(pts):
-        theta, omega, xi = _split_sphere_points(np.atleast_2d(np.asarray(pts, float)), k)
+        pts = np.atleast_2d(np.asarray(pts, float))
+        theta, s, c = _polar_angles(pts, k)
+        # Profiles depend on theta alone: evaluate each once per distinct value.
+        distinct, where = _distinct(theta)
+        profiles = [(idx, np.asarray(f(distinct), dtype=float)) for idx, f in funcs.items()]
+        b_vals = None if b_func is None else np.asarray(b_func(distinct), dtype=float)
         out = np.zeros(theta.shape)
-        for idx, func in funcs.items():
-            out += np.asarray(func(theta), dtype=float) * _basis_values(idx, omega, xi)
-        if b_func is not None:
-            out += np.asarray(b_func(theta), dtype=float)
+        # Cache-sized blocks keep the per-slot passes out of main memory;
+        # coordinate-major omega and xi keep each component contiguous.
+        for start in range(0, theta.size, _PHI_BLOCK):
+            block = slice(start, start + _PHI_BLOCK)
+            omega = (pts[block, :k].T / s[block]).T
+            xi = (pts[block, k:].T / c[block]).T
+            at = where[block]
+            for idx, vals in profiles:
+                out[block] += vals[at] * _basis_values(idx, omega, xi)
+            if b_vals is not None:
+                out[block] += b_vals[at]
         return out
 
     return phi

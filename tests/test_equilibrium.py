@@ -17,8 +17,9 @@ from onsager_ms.equilibrium import (
     log_density,
     solve_fixed_point,
     sphere_order_for,
+    _lambda_step,
 )
-from onsager_ms.quadrature import SphereParams, sphere_rule
+from onsager_ms.quadrature import SphereParams, build_orthant_quadrature, sphere_rule
 from onsager_ms.sigma import sigma_value
 
 
@@ -145,6 +146,24 @@ def test_axial_branch_is_fixed_point():
     t = OrderTensor.axial(params, eta)
     image = fixed_point_map(t, alpha)
     assert np.allclose(image.entries, t.entries, atol=1e-10)
+
+
+@pytest.mark.parametrize("order", [7, 8])
+@pytest.mark.parametrize("n", range(3, 7))
+def test_picard_step_on_orthant_matches_full_rule(n, order):
+    """The Picard kernel reads only m_i^2, so the orthant fold changes
+    nothing but the summation order."""
+    tensor = OrderTensor(n, 4.0 * OrderTensor.random_unit(n, np.random.default_rng(n)).entries)
+    alpha = 25.0
+    lam, frame = np.linalg.eigh(tensor.entries)
+    full = sphere_rule(n, order)
+    half = build_orthant_quadrature(n, order)
+    want = _lambda_step(lam, alpha, full.points**2, full.weights)
+    scale = float(np.max(np.abs(want)))
+    got = _lambda_step(lam, alpha, half.points**2, half.weights)
+    assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+    image = fixed_point_map(tensor, alpha, order=order)
+    assert float(np.max(np.abs(image.entries - (frame * want) @ frame.T))) <= 1e-12 * scale
 
 
 def test_solve_fixed_point_subcritical_reaches_zero():

@@ -7,6 +7,7 @@ from scipy import special
 from onsager_ms.quadrature import (
     DEFAULT_ORDER,
     SphereParams,
+    build_orthant_quadrature,
     build_sphere_quadrature,
     build_weighted_quadrature,
     integrate_mu,
@@ -143,6 +144,26 @@ def test_build_sphere_quadrature_dimension_cap():
     assert float(np.sum(rule.weights)) == pytest.approx(surface_area(5), rel=1e-12)
     with pytest.raises(ValueError):
         build_sphere_quadrature(9, 4)
+    s0 = build_sphere_quadrature(1, 4)
+    assert s0.points.tolist() == [[1.0], [-1.0]]
+    assert s0.weights.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("order", [7, 10])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_orthant_rule_folds_the_product_rule(d, order):
+    """Even integrands see the same values on the orthant as on the full rule."""
+    full = build_sphere_quadrature(d, order)
+    half = build_orthant_quadrature(d, order)
+    assert half.count == ((order + 1) // 2) ** (d - 1)
+    assert np.all(half.points >= 0.0)
+    assert float(np.sum(half.weights)) == pytest.approx(surface_area(d), rel=1e-12)
+    rng = np.random.default_rng(d * order)
+    for _ in range(5):
+        powers = 2 * rng.integers(0, 4, size=d)
+        want = float(np.sum(full.weights * np.prod(full.points**powers, axis=1)))
+        got = float(np.sum(half.weights * np.prod(half.points**powers, axis=1)))
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_default_order_value():

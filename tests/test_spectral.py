@@ -143,6 +143,15 @@ def test_gap_estimate_preconditions():
         gap_estimate(params, star - 0.5)
 
 
+def test_gap_estimate_reports_decayed_certificate():
+    # At large n the certificate underflows; no grid can bring it back.
+    params = SphereParams(14, 1)
+    star = find_eta_star(params).eta_star
+    with pytest.raises(RuntimeError, match="below floating-point resolution") as info:
+        gap_estimate(params, star + 24.0)
+    assert "increase grid_size" not in str(info.value)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_isotropic_threshold(n):
     got = isotropic_threshold(n, tol=1e-8)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,14 @@ from hypothesis import strategies as st
 
 from onsager_ms.equilibrium import critical_point, isotropic_point
 from onsager_ms.moments import moment
-from onsager_ms.quadrature import SphereParams, surface_area, theta_rule
+from onsager_ms.quadrature import SphereParams, sphere_rule, surface_area, theta_rule
 from onsager_ms.sigma import find_eta_star, sigma_value
 from onsager_ms.stability import (
     FAMILIES,
     MARGINAL,
     STABLE,
     UNSTABLE,
+    _DIRECT_FORM_ORDER,
     BasisIndex,
     PerturbationTop,
     assemble_sphere_function,
@@ -28,6 +31,7 @@ from onsager_ms.stability import (
     quadratic_form_direct,
     random_smooth_perturbation,
     wx_functionals,
+    _basis_values,
 )
 
 PAIRS = [(n, k) for n in range(3, 7) for k in range(1, n)]
@@ -188,6 +192,12 @@ def test_d_sign_laws(pair, eta):
 def test_d_quantities_scaled_stays_finite():
     vals = d_quantities(SphereParams(3, 1), 650.0, scaled=True)
     assert all(np.isfinite(v) for v in vals)
+    # Past exp overflow the unscaled triple raises and points to scaled=True.
+    assert all(np.isfinite(v) for v in d_quantities(SphereParams(5, 2), 2000.0, scaled=True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="scaled=True"):
+            d_quantities(SphereParams(5, 2), 2000.0)
 
 
 def test_perturbation_top_validation():
@@ -226,6 +236,24 @@ def test_assemble_matches_manual_evaluation():
     xi = pt[2:] / np.cos(theta)
     expected = np.sin(theta) ** 2 * basis_eval(idx, omega, xi)
     assert phi(pt)[0] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,k", PAIRS)
+def test_assemble_matches_nodewise_evaluation(n, k):
+    """Profiles evaluated once per distinct theta give bitwise the values of
+    evaluating them at every node of the direct form's rule."""
+    params = SphereParams(n, k)
+    top = random_smooth_perturbation(params, 1.5, np.random.default_rng(10 * n + k))
+    pts = sphere_rule(n, _DIRECT_FORM_ORDER[n]).points
+    s2 = np.sum(pts[:, :k] ** 2, axis=-1)
+    theta = np.arcsin(np.sqrt(s2))
+    omega = pts[:, :k] / np.sqrt(s2)[:, None]
+    xi = pts[:, k:] / np.sqrt(1.0 - s2)[:, None]
+    want = np.zeros(theta.shape)
+    for idx, func in top.coefficient_functions.items():
+        want += func(theta) * _basis_values(idx, omega, xi)
+    want += top.b_function(theta)
+    assert np.array_equal(assemble_sphere_function(top)(pts), want)
 
 
 def test_decomposed_matches_direct_form():
