@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,25 +24,6 @@ from .stability import branch_tag, classify
 from .verify import VerifyConfig, run_all
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation; fields not used by a command stay at defaults."""
-
-    command: str
-    n: int | None = None
-    k: int | None = None
-    eta: float | None = None
-    alpha: float | None = None
-    quad_order: int = DEFAULT_ORDER
-    grid: int = 64
-    seed: int = 0
-    out: str | None = None
-    eta_min: float = -10.0
-    eta_max: float = 30.0
-    samples: int = 401
-    tol: float | None = None
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -52,35 +32,35 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _require(cfg: RunConfig, *names: str) -> None:
-    missing = [name for name in names if getattr(cfg, name) is None]
+def _require(args: argparse.Namespace, *names: str) -> None:
+    missing = [name for name in names if getattr(args, name) is None]
     if missing:
         flags = ", ".join("--" + name.replace("_", "-") for name in missing)
-        raise ValueError(f"{cfg.command} requires {flags}")
+        raise ValueError(f"{args.command} requires {flags}")
 
 
-def _eta_grid(cfg: RunConfig) -> np.ndarray:
-    if cfg.samples < 1:
+def _eta_grid(args: argparse.Namespace) -> np.ndarray:
+    if args.samples < 1:
         raise ValueError("samples must be at least 1")
-    if not cfg.eta_min <= cfg.eta_max:
+    if not args.eta_min <= args.eta_max:
         raise ValueError("eta-min must not exceed eta-max")
-    return np.linspace(cfg.eta_min, cfg.eta_max, cfg.samples)
+    return np.linspace(args.eta_min, args.eta_max, args.samples)
 
 
-def cmd_sigma(cfg: RunConfig) -> str:
-    _require(cfg, "n", "k")
-    params = SphereParams(cfg.n, cfg.k)
+def cmd_sigma(args: argparse.Namespace) -> str:
+    _require(args, "n", "k")
+    params = SphereParams(args.n, args.k)
     lines = ["eta,sigma,sigma_prime,stable"]
-    for eta in _eta_grid(cfg):
-        point = sample(params, float(eta), cfg.quad_order)
-        tag = branch_tag(params, float(eta), cfg.quad_order)
+    for eta in _eta_grid(args):
+        point = sample(params, float(eta), args.quad_order)
+        tag = branch_tag(params, float(eta), args.quad_order)
         lines.append(f"{_fmt(point.eta)},{_fmt(point.sigma)},{_fmt(point.sigma_prime)},{tag}")
     return "\n".join(lines) + "\n"
 
 
-def cmd_phase_diagram(cfg: RunConfig) -> str:
-    _require(cfg, "n")
-    diagram = phase_diagram(cfg.n, _eta_grid(cfg), cfg.quad_order)
+def cmd_phase_diagram(args: argparse.Namespace) -> str:
+    _require(args, "n")
+    diagram = phase_diagram(args.n, _eta_grid(args), args.quad_order)
     lines = ["k,eta,alpha,stability"]
     for branch in diagram.branches:
         for point, tag in zip(branch.samples, branch.tags):
@@ -89,20 +69,20 @@ def cmd_phase_diagram(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_eta_star(cfg: RunConfig) -> str:
-    _require(cfg, "n", "k")
-    star = find_eta_star(SphereParams(cfg.n, cfg.k), cfg.quad_order)
+def cmd_eta_star(args: argparse.Namespace) -> str:
+    _require(args, "n", "k")
+    star = find_eta_star(SphereParams(args.n, args.k), args.quad_order)
     return _json(
-        {"n": cfg.n, "k": cfg.k, "eta_star": star.eta_star, "alpha_star": star.alpha_star}
+        {"n": args.n, "k": args.k, "eta_star": star.eta_star, "alpha_star": star.alpha_star}
     )
 
 
-def cmd_classify(cfg: RunConfig) -> str:
-    _require(cfg, "n", "k", "eta")
-    report = classify(SphereParams(cfg.n, cfg.k), cfg.eta, cfg.alpha, cfg.quad_order)
+def cmd_classify(args: argparse.Namespace) -> str:
+    _require(args, "n", "k", "eta")
+    report = classify(SphereParams(args.n, args.k), args.eta, args.alpha, args.quad_order)
     payload = {
-        "n": cfg.n,
-        "k": cfg.k,
+        "n": args.n,
+        "k": args.k,
         "eta": report.eta,
         "alpha": report.alpha,
         "classification": report.classification,
@@ -123,14 +103,14 @@ def cmd_classify(cfg: RunConfig) -> str:
     return _json(payload)
 
 
-def cmd_spectrum(cfg: RunConfig) -> str:
-    _require(cfg, "n", "k", "eta")
+def cmd_spectrum(args: argparse.Namespace) -> str:
+    _require(args, "n", "k", "eta")
     report = full_spectrum(
-        SphereParams(cfg.n, cfg.k), cfg.eta, cfg.grid, cfg.alpha, cfg.quad_order
+        SphereParams(args.n, args.k), args.eta, args.grid, args.alpha, args.quad_order
     )
     payload = {
-        "n": cfg.n,
-        "k": cfg.k,
+        "n": args.n,
+        "k": args.k,
         "eta": report.eta,
         "alpha": report.alpha,
         "grid_size": report.grid_size,
@@ -152,17 +132,17 @@ def cmd_spectrum(cfg: RunConfig) -> str:
     return _json(payload)
 
 
-def cmd_solve_m(cfg: RunConfig) -> str:
-    _require(cfg, "n", "alpha")
-    rng = np.random.default_rng(cfg.seed)
-    initial = OrderTensor.random_unit(cfg.n, rng)
-    tol = 1e-10 if cfg.tol is None else cfg.tol
-    result = solve_fixed_point(cfg.n, cfg.alpha, initial, tol=tol)
+def cmd_solve_m(args: argparse.Namespace) -> str:
+    _require(args, "n", "alpha")
+    rng = np.random.default_rng(args.seed)
+    initial = OrderTensor.random_unit(args.n, rng)
+    tol = 1e-10 if args.tol is None else args.tol
+    result = solve_fixed_point(args.n, args.alpha, initial, tol=tol)
     clusters = eigenvalue_structure(result.tensor)
     payload = {
-        "n": cfg.n,
-        "alpha": cfg.alpha,
-        "seed": cfg.seed,
+        "n": args.n,
+        "alpha": args.alpha,
+        "seed": args.seed,
         "converged": result.converged,
         "iterations": result.iterations,
         "residual": result.residual,
@@ -179,8 +159,8 @@ def cmd_solve_m(cfg: RunConfig) -> str:
     return _json(payload)
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
-    results = run_all(VerifyConfig(quad_order=cfg.quad_order, tol=cfg.tol, seed=cfg.seed))
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    results = run_all(VerifyConfig(quad_order=args.quad_order, tol=args.tol, seed=args.seed))
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -244,27 +224,12 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        n=args.n,
-        k=args.k,
-        eta=args.eta,
-        alpha=args.alpha,
-        quad_order=args.quad_order,
-        grid=args.grid,
-        seed=args.seed,
-        out=args.out,
-        eta_min=args.eta_min,
-        eta_max=args.eta_max,
-        samples=args.samples,
-        tol=args.tol,
-    )
     try:
-        if cfg.command == "verify":
-            text, code = cmd_verify(cfg)
-            _write(text, cfg.out)
+        if args.command == "verify":
+            text, code = cmd_verify(args)
+            _write(text, args.out)
             return code
-        _write(_HANDLERS[cfg.command](cfg), cfg.out)
+        _write(_HANDLERS[args.command](args), args.out)
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

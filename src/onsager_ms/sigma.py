@@ -33,13 +33,21 @@ from .quadrature import DEFAULT_ORDER, SphereParams
 _BRACKET_LIMIT = 2.0**16
 
 
+def _branch_alpha(params: SphereParams, moments) -> float:
+    """k (n-k) A_0 / (2 (A_2 - A_4)) from moments (A_0, A_2, A_4, ...).
+
+    The ratio is scale-free, so rescaled moments give the same value.
+    """
+    gap = moments[1] - moments[2]
+    if gap <= 0:
+        raise RuntimeError("A_2 - A_4 <= 0; quadrature cannot resolve this eta")
+    return float(params.k * params.complement * moments[0] / (2.0 * gap))
+
+
 def sigma_value(params: SphereParams, eta: float, order: int = DEFAULT_ORDER) -> float:
     """Interaction strength alpha = sigma_k(eta) carrying the k-branch."""
     a, _ = scaled_moments(params, eta, 4, order)
-    gap = a[1] - a[2]
-    if gap <= 0:
-        raise RuntimeError("A_2 - A_4 <= 0; quadrature cannot resolve this eta")
-    return float(params.k * params.complement * a[0] / (2.0 * gap))
+    return _branch_alpha(params, a)
 
 
 def sigma_prime(params: SphereParams, eta: float, order: int = DEFAULT_ORDER) -> float:
@@ -55,9 +63,8 @@ def sigma_prime(params: SphereParams, eta: float, order: int = DEFAULT_ORDER) ->
     cancels between numerator and denominator.
     """
     a, _ = scaled_moments(params, eta, 6, order)
+    _branch_alpha(params, a)  # the shared guard on the moment gap
     gap = a[1] - a[2]
-    if gap <= 0:
-        raise RuntimeError("A_2 - A_4 <= 0; quadrature cannot resolve this eta")
     num = a[1] * gap - a[0] * (a[2] - a[3])
     return float(params.k * params.complement * num / (2.0 * gap * gap))
 
@@ -98,6 +105,9 @@ class EtaStar:
 @lru_cache(maxsize=128)
 def _eta_star_cached(n: int, k: int, order: int) -> EtaStar:
     params = SphereParams(n, k)
+    if 2 * k == n:
+        # sigma_k(eta) = sigma_{n-k}(-eta) makes this branch even in eta.
+        return EtaStar(params, 0.0, sigma_value(params, 0.0, order))
 
     def dphi(e: float) -> float:
         return sigma_prime(params, e, order)
@@ -109,37 +119,17 @@ def _eta_star_cached(n: int, k: int, order: int) -> EtaStar:
         span *= 2.0
         if span > _BRACKET_LIMIT:
             raise RuntimeError("failed to bracket the fold of the intensity curve")
-    lo, hi = -span, span
-    flo = dphi(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = dphi(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, abs(mid)):
-            break
-    est = 0.5 * (lo + hi)
-    # Newton polish on sigma' with finite-difference curvature; keep a
-    # step only if it actually reduces |sigma'|.
-    for _ in range(2):
-        d = dphi(est)
-        h = 1e-6 * (1.0 + abs(est))
-        curv = (dphi(est + h) - dphi(est - h)) / (2.0 * h)
-        if curv == 0.0:
-            break
-        cand = est - d / curv
-        if abs(dphi(cand)) < abs(d):
-            est = cand
+    est = brentq(dphi, -span, span, xtol=1e-13, rtol=4 * np.finfo(float).eps)
     return EtaStar(params, float(est), sigma_value(params, est, order))
 
 
 def find_eta_star(params: SphereParams, order: int = DEFAULT_ORDER) -> EtaStar:
-    """Locate the unique zero of sigma_k' (bracket, bisect, polish)."""
+    """Locate the unique zero of sigma_k' by Brent's method on the analytic
+    derivative, inside a bracket doubled outward from +-8.
+
+    On the symmetric branch k = n/2 the curve is even in eta, and the fold
+    is returned as exactly eta* = 0.
+    """
     return _eta_star_cached(params.n, params.k, order)
 
 

@@ -35,11 +35,12 @@ from .quadrature import (
     surface_area,
     theta_rule,
 )
-from .sigma import find_eta_star, sigma_value
+from .sigma import _branch_alpha, find_eta_star
 from .stability import (
     FAMILIES,
     GAMMA_BY_FAMILY,
     THETA,
+    _block_low,
     _profile,
     _rank_one_coefficient,
     basis_indices,
@@ -95,6 +96,22 @@ def _family_exists(params: SphereParams, family: str) -> bool:
     return True
 
 
+def _rank_one_block(
+    diagonal: np.ndarray,
+    coefficient: float,
+    direction: np.ndarray,
+    constraint: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """diag(diagonal) - coefficient * q q^T, restricted to the null space of
+    ``constraint`` when one is given; also returns that space's orthonormal
+    basis (None when unrestricted), which maps eigenvectors back to the grid."""
+    mat = np.diag(diagonal) - coefficient * np.outer(direction, direction)
+    if constraint is None:
+        return mat, None
+    basis = null_space(constraint[None, :])
+    return basis.T @ mat @ basis, basis
+
+
 def block_spectrum(
     params: SphereParams,
     eta: float,
@@ -117,14 +134,11 @@ def block_spectrum(
         raise ValueError(f"grid_size must be at least {MIN_GRID}")
     eta = float(eta)
     gamma = 3 if family == "b" else GAMMA_BY_FAMILY[family]
-    k, nk = params.k, params.complement
     vals, shift = scaled_moments(params, eta, 4, order)
     a0, a2, a4 = (float(x) for x in vals)
-    gap = a2 - a4
-    if gap <= 0:
-        raise RuntimeError("A_2 - A_4 <= 0; quadrature cannot resolve this eta")
+    branch_alpha = _branch_alpha(params, vals)
     if alpha is None:
-        alpha = k * nk * a0 / (2.0 * gap)
+        alpha = branch_alpha
     else:
         alpha = float(alpha)
         if not np.isfinite(alpha) or alpha <= 0:
@@ -133,23 +147,17 @@ def block_spectrum(
     rule = theta_rule(params.n, params.k, grid_size)
     w, t = rule.weights, rule.sin2
     growth = np.exp(eta * t - shift)
-    q = np.sqrt(w * growth) * _profile(gamma, t)
-    m = a0 * np.eye(w.size) - (_rank_one_coefficient(gamma, params) * alpha) * np.outer(q, q)
-
-    if gamma == 3:
-        mean_direction = np.sqrt(w * growth)
-        projector = null_space(mean_direction[None, :])
-        evals, evecs_proj = np.linalg.eigh(projector.T @ m @ projector)
-        evecs = projector @ evecs_proj
-        low = a0 - params.n * alpha * (a0 * a4 - a2 * a2) / (k * nk * a0)
-    else:
-        evals, evecs = np.linalg.eigh(m)
-        if gamma == 0:
-            low = a0 - 2.0 * alpha * gap / (k * nk)
-        elif gamma == 1:
-            low = a0 - 2.0 * alpha * a4 / (k * (k + 2))
-        else:
-            low = a0 - 2.0 * alpha * (a0 - 2.0 * a2 + a4) / (nk * (nk + 2))
+    root_mass = np.sqrt(w * growth)
+    mat, basis = _rank_one_block(
+        np.full(w.size, a0),
+        _rank_one_coefficient(gamma, params) * alpha,
+        root_mass * _profile(gamma, t),
+        root_mass if gamma == 3 else None,
+    )
+    evals, evecs = np.linalg.eigh(mat)
+    if basis is not None:
+        evecs = basis @ evecs
+    low = _block_low(gamma, params, a0, a2, a4, alpha)
     closed = np.concatenate(([low], np.full(evals.size - 1, a0)))
     closed.sort()
 
@@ -284,8 +292,8 @@ def gap_estimate(
     if not eta > star:
         raise ValueError("k = 1 equilibria are stable only for eta > eta_1^*")
 
-    alpha = sigma_value(params, eta, order)
-    vals, _ = scaled_moments(params, eta, 0, order)
+    vals, _ = scaled_moments(params, eta, 4, order)
+    alpha = _branch_alpha(params, vals)
     a0_scaled = float(vals[0])
     rule = theta_rule(params.n, 1, grid_size)
     w, t = rule.weights, rule.sin2
@@ -295,12 +303,12 @@ def gap_estimate(
     # All quantities carry a uniform factor e^{-eta}; it cancels in the
     # final assembly except where restored explicitly.
     def block_minimum(gamma: int, constraint: np.ndarray | None) -> float:
-        s = sqw * _profile(gamma, t)
-        mat = a0_scaled * np.diag(decay)
-        mat -= (_rank_one_coefficient(gamma, params) * alpha * np.exp(-eta)) * np.outer(s, s)
-        if constraint is not None:
-            projector = null_space(constraint[None, :])
-            mat = projector.T @ mat @ projector
+        mat, _ = _rank_one_block(
+            a0_scaled * decay,
+            _rank_one_coefficient(gamma, params) * alpha * np.exp(-eta),
+            sqw * _profile(gamma, t),
+            constraint,
+        )
         return float(np.linalg.eigvalsh(mat)[0])
 
     kernel_direction = sqw * equality_attainer(params, eta, 0, grid_size)

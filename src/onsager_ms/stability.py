@@ -42,7 +42,7 @@ from .quadrature import (
     surface_area,
     theta_rule,
 )
-from .sigma import find_eta_star, sigma_value
+from .sigma import _branch_alpha, find_eta_star, sigma_value
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
@@ -167,13 +167,16 @@ def basis_eval(idx: BasisIndex, omega, xi):
     return float(vals) if np.ndim(vals) == 0 else vals
 
 
-def _gram_constant(params: SphereParams, family: str) -> float:
+def _slot_denominator(gamma: int, params: SphereParams) -> int:
+    """Normalizing constant d_gamma of functional I_gamma's basis slots."""
     k, nk = params.k, params.complement
-    if family in (OMEGA_A, OMEGA_B):
-        return surface_area(k) / (k * (k + 2))
-    if family in (XI_A, XI_B):
-        return surface_area(nk) / (nk * (nk + 2))
-    return surface_area(k) * surface_area(nk) / (k * nk)
+    return (k * nk, k * (k + 2), nk * (nk + 2), k * nk)[gamma]
+
+
+def _gram_constant(params: SphereParams, family: str) -> float:
+    gamma = GAMMA_BY_FAMILY[family]
+    area_k, area_nk = surface_area(params.k), surface_area(params.complement)
+    return (area_k * area_nk, area_k, area_nk)[gamma] / _slot_denominator(gamma, params)
 
 
 def gram_matrix(params: SphereParams) -> np.ndarray:
@@ -264,14 +267,20 @@ def _profile(gamma: int, t: np.ndarray) -> np.ndarray:
 
 
 def _rank_one_coefficient(gamma: int, params: SphereParams) -> float:
-    k, nk = params.k, params.complement
-    if gamma == 0:
-        return 2.0 / (k * nk)
-    if gamma == 1:
-        return 2.0 / (k * (k + 2))
-    if gamma == 2:
-        return 2.0 / (nk * (nk + 2))
-    return float(params.n) / (k * nk)
+    numerator = params.n if gamma == 3 else 2.0
+    return numerator / _slot_denominator(gamma, params)
+
+
+def _block_low(
+    gamma: int, params: SphereParams, a0: float, a2: float, a4: float, alpha: float
+) -> float:
+    """Closed-form lowest eigenvalue of block gamma, from moments at one scale:
+    D1, D2, D3 for gamma = 1, 2, 3, and zero on the branch for gamma = 0."""
+    denominator = _slot_denominator(gamma, params)
+    if gamma == 3:
+        return a0 - params.n * alpha * (a0 * a4 - a2 * a2) / (denominator * a0)
+    norm = (a2 - a4, a4, a0 - 2.0 * a2 + a4)[gamma]
+    return a0 - 2.0 * alpha * norm / denominator
 
 
 def functional_I(
@@ -327,19 +336,13 @@ def d_quantities(
     """
     vals, shift = scaled_moments(params, eta, 4, order)
     a0, a2, a4 = (float(x) for x in vals)
-    k, nk, n = params.k, params.complement, params.n
-    gap = a2 - a4
-    if gap <= 0:
-        raise RuntimeError("A_2 - A_4 <= 0; quadrature cannot resolve this eta")
-    if alpha is None:
-        alpha = k * nk * a0 / (2.0 * gap)
-    d1 = a0 - 2.0 * alpha * a4 / (k * (k + 2))
-    d2 = a0 - 2.0 * alpha * (a0 - 2.0 * a2 + a4) / (nk * (nk + 2))
-    d3 = a0 - n * alpha * (a0 * a4 - a2 * a2) / (k * nk * a0)
+    branch_alpha = _branch_alpha(params, vals)  # checked even when alpha is given
+    alpha = branch_alpha if alpha is None else alpha
+    dq = tuple(_block_low(gamma, params, a0, a2, a4, alpha) for gamma in (1, 2, 3))
     if scaled:
-        return (d1, d2, d3)
+        return dq
     factor = float(np.exp(shift)) if shift <= _LOG_FLOAT_MAX else math.inf
-    out = (d1 * factor, d2 * factor, d3 * factor)
+    out = tuple(d * factor for d in dq)
     if not all(map(math.isfinite, out)):
         raise ValueError(
             f"D quantities overflow at eta={eta}; d_quantities(..., scaled=True) "
@@ -477,15 +480,13 @@ def quadratic_form_decomposed(spec: CriticalPointSpec, p: PerturbationTop) -> fl
         raise ValueError("perturbation and spec parameters differ")
     params = spec.params
     order = p.rule.order
-    k, nk = params.k, params.complement
-    denominators = {0: k * nk, 1: k * (k + 2), 2: nk * (nk + 2)}
     total = 0.0
     for idx, vals in p.coefficients.items():
         gamma = GAMMA_BY_FAMILY[idx.family]
         term = functional_I(gamma, params, spec.eta, vals, alpha=spec.alpha, order=order)
-        total += term / denominators[gamma]
+        total += term / _slot_denominator(gamma, params)
     total += functional_I(3, params, spec.eta, p.b, alpha=spec.alpha, order=order)
-    return (surface_area(k) * surface_area(nk)) ** 2 * total
+    return (surface_area(params.k) * surface_area(params.complement)) ** 2 * total
 
 
 def quadratic_form_direct(spec: CriticalPointSpec, phi: Callable, order: int | None = None) -> float:
@@ -535,12 +536,8 @@ def equality_attainer(
     rule = theta_rule(params.n, params.k, order)
     t = rule.sin2
     base = np.exp(eta * t - max(float(eta), 0.0))
-    if gamma == 0:
-        return base * np.sqrt(t * (1.0 - t))
-    if gamma == 1:
-        return base * t
-    if gamma == 2:
-        return base * (1.0 - t)
+    if gamma != 3:
+        return base * _profile(gamma, t)
     scaled, _ = scaled_moments(params, eta, 2, order)
     return base * (scaled[1] / scaled[0] - t)
 
@@ -591,6 +588,17 @@ def _classify_isotropic(params: SphereParams, alpha: float, order: int) -> Stabi
     return _unstable_report(spec, dq, 0, order)
 
 
+def _branch_verdict(params: SphereParams, eta: float, order: int) -> str:
+    """The theorem's verdict on the anisotropic k-branch at eta (see ``classify``)."""
+    n, k = params.n, params.k
+    if 2 <= k <= n - 2:
+        return UNSTABLE
+    star = find_eta_star(params, order).eta_star
+    if abs(eta - star) <= 1e-9:
+        return MARGINAL
+    return STABLE if ((eta > star) if k == 1 else (eta < star)) else UNSTABLE
+
+
 def classify(
     params: SphereParams,
     eta: float,
@@ -619,16 +627,13 @@ def classify(
     # Branch alpha at full accuracy; `order` governs only the stability quadrature.
     spec = critical_point(params, eta, order=max(order, DEFAULT_ORDER))
     dq = d_quantities(params, eta, order=order)
-    if 2 <= k <= n - 2:
-        return _unstable_report(spec, dq, 1 if eta > 0 else 2, order)
-    star = find_eta_star(params, order).eta_star
-    if abs(eta - star) <= 1e-9:
-        return StabilityReport(params, eta, spec.alpha, MARGINAL, dq)
-    if (eta > star) if k == 1 else (eta < star):
-        return StabilityReport(params, eta, spec.alpha, STABLE, dq)
-    # Only k = 1 and k = n-1 reach this point.  The Xi witness needs
-    # n-k >= 2 and the Omega witness k >= 2; between the fold and zero
-    # the mean-zero block is the one that goes negative.
+    verdict = _branch_verdict(params, eta, order)
+    if verdict != UNSTABLE:
+        return StabilityReport(params, eta, spec.alpha, verdict, dq)
+    # The Omega witness (D1 < 0 for eta > 0) needs k >= 2 and the Xi
+    # witness (D2 < 0 for eta < 0) needs n-k >= 2; on k = 1 and k = n-1
+    # between the fold and zero the mean-zero block is the one that goes
+    # negative.
     if eta > 0 and k > 1:
         gamma = 1
     elif eta < 0 and k < n - 1:
@@ -646,15 +651,7 @@ def branch_tag(params: SphereParams, eta: float, order: int = DEFAULT_ORDER) -> 
     the isotropic point there, where the theorem's branch clauses are
     silent).
     """
-    n, k = params.n, params.k
-    if 2 <= k <= n - 2:
-        return "unstable"
-    star = find_eta_star(params, order).eta_star
-    if abs(eta - star) <= 1e-9:
-        return "marginal"
-    if k == 1:
-        return "stable" if eta > star else "unstable"
-    return "stable" if eta < star else "unstable"
+    return _branch_verdict(params, eta, order).lower()
 
 
 def _polynomial_profile(gamma: int, coeffs: np.ndarray, eta: float, offset: float = 0.0) -> Callable:

@@ -21,7 +21,7 @@ from scipy.special import beta as beta_fn
 from .equilibrium import OrderTensor, critical_point, eigenvalue_structure, solve_fixed_point
 from .moments import moment, moment_vector, validate_moment_vector
 from .quadrature import DEFAULT_ORDER, SphereParams, sphere_rule, surface_area, theta_rule
-from .sigma import find_eta_star, sigma_prime, sigma_value
+from .sigma import find_eta_star, sigma_prime, sigma_prime_fd, sigma_value
 from .spectral import full_spectrum
 from .stability import (
     MARGINAL,
@@ -191,15 +191,11 @@ def _check_sigma_reflection(cfg: VerifyConfig) -> CheckResult:
 
 def _check_sigma_derivative(cfg: VerifyConfig) -> CheckResult:
     cap = cfg.eta_cap
-    h = 1e-5
     worst = 0.0
     params = SphereParams(4, 1)
     for eta in (-0.8 * cap, 0.4 * cap):
         analytic = sigma_prime(params, float(eta), cfg.quad_order)
-        fd = (
-            sigma_value(params, float(eta) + h, cfg.quad_order)
-            - sigma_value(params, float(eta) - h, cfg.quad_order)
-        ) / (2.0 * h)
+        fd = sigma_prime_fd(params, float(eta), order=cfg.quad_order)
         scale = max(1.0, abs(analytic))
         worst = max(worst, abs(analytic - fd) / scale)
     return _result("sigma_derivative", cfg, worst, 1e-4)

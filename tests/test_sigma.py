@@ -117,6 +117,15 @@ def test_symmetric_branch_fold_at_zero():
     assert star.alpha_star == pytest.approx(12.0, rel=1e-10)
 
 
+@pytest.mark.parametrize("n", range(4, 39, 2))
+def test_symmetric_branch_fold_is_exactly_zero(n):
+    # sigma_k(eta) = sigma_{n-k}(-eta) makes k = n/2 even in eta.
+    params = SphereParams(n, n // 2)
+    star = find_eta_star(params)
+    assert star.eta_star == 0.0
+    assert star.alpha_star == sigma_value(params, 0.0)
+
+
 def test_eta_star_reflection():
     up = find_eta_star(SphereParams(5, 1))
     down = find_eta_star(SphereParams(5, 4))

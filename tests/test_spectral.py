@@ -44,6 +44,20 @@ def test_block_low_eigenvalues_match_sign_scalars():
     assert b.eigenvalues[0] == pytest.approx(d3, rel=1e-9)
 
 
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(3, 7) for k in range(1, n)])
+def test_block_closed_form_low_is_d_quantity(n, k):
+    params = SphereParams(n, k)
+    for eta in (-2.5, 0.8, 3.0):
+        d1, d2, d3 = d_quantities(params, eta)
+        expected = {"b": d3}
+        if k >= 2:
+            expected["Omega_A"] = d1
+        if n - k >= 2:
+            expected["Xi_A"] = d2
+        for family, d in expected.items():
+            assert block_spectrum(params, eta, family).closed_form[0] == d
+
+
 def test_block_bulk_is_a0():
     params = SphereParams(4, 1)
     eta = 2.0

@@ -347,3 +347,10 @@ def test_branch_tag_is_lowercase_and_continuous_at_zero():
     star = find_eta_star(SphereParams(3, 1)).eta_star
     assert branch_tag(SphereParams(3, 1), star + 1.0) == "stable"
     assert branch_tag(SphereParams(3, 1), star) == "marginal"
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(3, 9) for k in range(1, n)])
+def test_branch_tag_matches_classify(n, k):
+    params = SphereParams(n, k)
+    for eta in (-6.0, -1.5, 0.7, 4.0, 9.0):
+        assert branch_tag(params, eta) == classify(params, eta).classification.lower()
