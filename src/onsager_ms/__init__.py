@@ -22,16 +22,7 @@ from .equilibrium import (
     solve_fixed_point,
     sphere_order_for,
 )
-from .moments import (
-    ETA_MAX,
-    MomentCheck,
-    MomentVector,
-    moment,
-    moment_vector,
-    recurrence_residual,
-    scaled_moments,
-    validate_moment_vector,
-)
+from .moments import ETA_MAX, moment, recurrence_residual, scaled_moments
 from .quadrature import (
     DEFAULT_ORDER,
     SphereParams,

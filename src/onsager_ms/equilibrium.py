@@ -184,7 +184,7 @@ def _log_density_values(spec: CriticalPointSpec, mat: np.ndarray, order: int) ->
     params = spec.params
     rotated = mat @ spec.rotation.T
     s2 = np.einsum("ij,ij->i", rotated[:, : params.k], rotated[:, : params.k])
-    scaled, shift = scaled_moments(params, spec.eta, 0, order)
+    scaled, shift = scaled_moments(params, spec.eta, order=order)
     log_z = shift + np.log(
         surface_area(params.k) * surface_area(params.complement) * scaled[0]
     )

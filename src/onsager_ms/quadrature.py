@@ -80,6 +80,8 @@ class WeightedQuadrature:
     to 2*order - 1.
 
     ``sin2`` caches sin^2(nodes); most integrands are functions of it.
+    ``sin2_powers`` holds the rows sin2**j for j = 0..4, the polynomial
+    factors of the moments A_0 .. A_8.
     """
 
     params: SphereParams
@@ -87,6 +89,7 @@ class WeightedQuadrature:
     weights: np.ndarray
     order: int
     sin2: np.ndarray
+    sin2_powers: np.ndarray
 
     @property
     def total_mass(self) -> float:
@@ -110,8 +113,9 @@ def build_weighted_quadrature(
     nodes = np.arcsin(np.sqrt(t))
     # Jacobi weight on [-1, 1] maps to the t-interval with factor 2^(-n/2).
     weights = w * 2.0 ** (-0.5 * params.n)
-    _freeze(nodes, weights, t)
-    return WeightedQuadrature(params, nodes, weights, order, t)
+    powers = t[None, :] ** np.arange(5)[:, None]
+    _freeze(nodes, weights, t, powers)
+    return WeightedQuadrature(params, nodes, weights, order, t, powers)
 
 
 @lru_cache(maxsize=128)

@@ -16,7 +16,8 @@ the (n-k)-branch at -eta, giving sigma_k(eta) = sigma_{n-k}(-eta); tests
 lean on that identity heavily.
 
 All formulas here are ratios of moments, so they are evaluated from the
-rescaled moments and remain finite for any eta the quadrature resolves.
+rescaled moments; eta is confined to the moment domain |eta| <= ETA_MAX,
+and the brackets of the fold search and of the inversion end at its edge.
 """
 
 from __future__ import annotations
@@ -27,10 +28,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
-from .moments import scaled_moments
+from .moments import ETA_MAX, scaled_moments
 from .quadrature import DEFAULT_ORDER, SphereParams
-
-_BRACKET_LIMIT = 2.0**16
 
 
 def _branch_alpha(params: SphereParams, moments) -> float:
@@ -46,7 +45,7 @@ def _branch_alpha(params: SphereParams, moments) -> float:
 
 def sigma_value(params: SphereParams, eta: float, order: int = DEFAULT_ORDER) -> float:
     """Interaction strength alpha = sigma_k(eta) carrying the k-branch."""
-    a, _ = scaled_moments(params, eta, 4, order)
+    a, _ = scaled_moments(params, eta, order=order)
     return _branch_alpha(params, a)
 
 
@@ -62,7 +61,7 @@ def sigma_prime(params: SphereParams, eta: float, order: int = DEFAULT_ORDER) ->
     Evaluated from rescaled moments: the common exponential factor
     cancels between numerator and denominator.
     """
-    a, _ = scaled_moments(params, eta, 6, order)
+    a, _ = scaled_moments(params, eta, order=order)
     _branch_alpha(params, a)  # the shared guard on the moment gap
     gap = a[1] - a[2]
     num = a[1] * gap - a[0] * (a[2] - a[3])
@@ -102,6 +101,18 @@ class EtaStar:
     alpha_star: float
 
 
+def _outward(origin: float, direction: float):
+    """Bracket ends origin + direction * span for span = 8, 16, ..., clamped
+    to the moment domain and ending with the first end on its edge."""
+    span = 8.0
+    while True:
+        end = min(max(origin + direction * span, -ETA_MAX), ETA_MAX)
+        yield end
+        if abs(end) == ETA_MAX:
+            return
+        span *= 2.0
+
+
 @lru_cache(maxsize=128)
 def _eta_star_cached(n: int, k: int, order: int) -> EtaStar:
     params = SphereParams(n, k)
@@ -114,18 +125,21 @@ def _eta_star_cached(n: int, k: int, order: int) -> EtaStar:
 
     # Bracket the sign change of sigma', doubling outward from +-8.  The
     # asymptotic slopes have opposite signs so this terminates quickly.
-    span = 8.0
-    while dphi(-span) * dphi(span) > 0:
-        span *= 2.0
-        if span > _BRACKET_LIMIT:
-            raise RuntimeError("failed to bracket the fold of the intensity curve")
+    for span in _outward(0.0, 1.0):
+        if dphi(-span) * dphi(span) <= 0:
+            break
+    else:
+        raise ValueError(
+            f"the fold of the intensity curve lies outside the moment domain |eta| <= {ETA_MAX}"
+        )
     est = brentq(dphi, -span, span, xtol=1e-13, rtol=4 * np.finfo(float).eps)
     return EtaStar(params, float(est), sigma_value(params, est, order))
 
 
 def find_eta_star(params: SphereParams, order: int = DEFAULT_ORDER) -> EtaStar:
     """Locate the unique zero of sigma_k' by Brent's method on the analytic
-    derivative, inside a bracket doubled outward from +-8.
+    derivative, inside a bracket doubled outward from +-8 up to the edge of
+    the moment domain.
 
     On the symmetric branch k = n/2 the curve is even in eta, and the fold
     is returned as exactly eta* = 0.
@@ -140,7 +154,9 @@ def invert_alpha(
 
     Returns [] below the fold value alpha^*, the single fold point inside
     a relative band of 1e-9 around alpha^*, and the two transversal roots
-    (one on each monotone side of eta_k^*) above it.
+    (one on each monotone side of eta_k^*) above it.  Both roots must lie
+    in the moment domain |eta| <= ETA_MAX; an alpha whose root is beyond
+    it raises ValueError.
     """
     alpha = float(alpha)
     if not np.isfinite(alpha) or alpha <= 0:
@@ -156,12 +172,15 @@ def invert_alpha(
 
     roots = []
     for direction in (-1.0, 1.0):
-        span = 8.0
-        while g(star.eta_star + direction * span) < 0:
-            span *= 2.0
-            if span > _BRACKET_LIMIT:
-                raise RuntimeError("failed to bracket an intensity root")
-        a, b = sorted((star.eta_star, star.eta_star + direction * span))
+        for end in _outward(star.eta_star, direction):
+            if g(end) >= 0:
+                break
+        else:
+            raise ValueError(
+                f"alpha = {alpha} needs an intensity root outside the moment domain "
+                f"|eta| <= {ETA_MAX}"
+            )
+        a, b = sorted((star.eta_star, end))
         roots.append(brentq(g, a, b, xtol=1e-12, rtol=4 * np.finfo(float).eps))
     return sorted(float(r) for r in roots)
 

@@ -134,8 +134,8 @@ def block_spectrum(
         raise ValueError(f"grid_size must be at least {MIN_GRID}")
     eta = float(eta)
     gamma = 3 if family == "b" else GAMMA_BY_FAMILY[family]
-    vals, shift = scaled_moments(params, eta, 4, order)
-    a0, a2, a4 = (float(x) for x in vals)
+    vals, shift = scaled_moments(params, eta, order=order)
+    a0, a2, a4 = (float(x) for x in vals[:3])
     branch_alpha = _branch_alpha(params, vals)
     if alpha is None:
         alpha = branch_alpha
@@ -292,7 +292,7 @@ def gap_estimate(
     if not eta > star:
         raise ValueError("k = 1 equilibria are stable only for eta > eta_1^*")
 
-    vals, _ = scaled_moments(params, eta, 4, order)
+    vals, _ = scaled_moments(params, eta, order=order)
     alpha = _branch_alpha(params, vals)
     a0_scaled = float(vals[0])
     rule = theta_rule(params.n, 1, grid_size)

@@ -330,12 +330,12 @@ def d_quantities(
     D1 = A0 - 2 alpha A4 / (k(k+2)) carries the sign of -eta;
     D2 (cosine analogue) carries the sign of eta;
     D3 (mean-zero block) carries the sign of eta (eta - eta_k^*).
-    With ``scaled`` the common factor e^{max(eta,0)} is dropped, which
-    keeps the triple finite at any eta the quadrature resolves; without
-    it, an eta whose factor overflows raises ValueError.
+    With ``scaled`` the common factor e^{max(eta,0)} is dropped; without
+    it, an eta whose factor overflows raises ValueError.  Either way eta
+    must lie in the moment domain |eta| <= ETA_MAX.
     """
-    vals, shift = scaled_moments(params, eta, 4, order)
-    a0, a2, a4 = (float(x) for x in vals)
+    vals, shift = scaled_moments(params, eta, order=order)
+    a0, a2, a4 = (float(x) for x in vals[:3])
     branch_alpha = _branch_alpha(params, vals)  # checked even when alpha is given
     alpha = branch_alpha if alpha is None else alpha
     dq = tuple(_block_low(gamma, params, a0, a2, a4, alpha) for gamma in (1, 2, 3))
@@ -511,7 +511,7 @@ def quadratic_form_direct(spec: CriticalPointSpec, phi: Callable, order: int | N
         raise ValueError("phi must have zero mean over the sphere")
     rotated = pts @ spec.rotation.T
     s2 = np.einsum("ij,ij->i", rotated[:, : params.k], rotated[:, : params.k])
-    scaled, shift = scaled_moments(params, spec.eta, 0, DEFAULT_ORDER)
+    scaled, shift = scaled_moments(params, spec.eta)
     inv_f0 = (
         surface_area(params.k)
         * surface_area(params.complement)
@@ -538,7 +538,7 @@ def equality_attainer(
     base = np.exp(eta * t - max(float(eta), 0.0))
     if gamma != 3:
         return base * _profile(gamma, t)
-    scaled, _ = scaled_moments(params, eta, 2, order)
+    scaled, _ = scaled_moments(params, eta, order=order)
     return base * (scaled[1] / scaled[0] - t)
 
 
@@ -613,10 +613,11 @@ def classify(
     k = 1 is stable exactly for eta > eta_1^*; k = n-1 is its mirror
     image, stable exactly for eta < eta_{n-1}^* = -eta_1^*.  Verdicts
     within 1e-9 of a boundary are Marginal.
+
+    eta must lie in the moment domain, finite |eta| <= ETA_MAX = 700;
+    outside it the moments' ValueError is raised.
     """
     eta = float(eta)
-    if not np.isfinite(eta):
-        raise ValueError("eta must be finite")
     n, k = params.n, params.k
     if eta == 0.0:
         if alpha is None:

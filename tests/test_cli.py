@@ -178,6 +178,17 @@ def test_verify_order_eight_with_loose_tol(tmp_path):
     assert "19/19 checks passed" in raw.decode()
 
 
+def test_classify_outside_the_domain_exits_2(capsys):
+    messages = []
+    for eta in ("10000", "-10000"):
+        assert main(["classify", "--n", "5", "--k", "1", "--eta", eta]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        messages.append(captured.err)
+    assert messages[0] == messages[1]
+    assert "moment domain" in messages[0]
+
+
 def test_stdout_when_no_out(capsys):
     code = main(["eta-star", "--n", "3", "--k", "1"])
     assert code == 0

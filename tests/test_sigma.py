@@ -161,6 +161,21 @@ def test_invert_alpha_round_trip(excess):
         assert sigma_value(params, eta) == pytest.approx(alpha, rel=1e-8)
 
 
+@pytest.mark.parametrize("alpha", [3e3, 1e5])
+def test_invert_alpha_past_the_domain_raises(alpha):
+    """A root beyond |eta| = 700 is reported, not bracketed outside the
+    range where the moments are accurate."""
+    with pytest.raises(ValueError, match="moment domain"):
+        invert_alpha(SphereParams(4, 1), alpha)
+
+
+def test_invert_alpha_round_trip_near_the_edge():
+    params = SphereParams(4, 1)
+    roots = invert_alpha(params, sigma_value(params, 650.0))
+    assert len(roots) == 2
+    assert roots[1] == pytest.approx(650.0, abs=1e-10)
+
+
 def test_sample_bundles_value_and_slope():
     params = SphereParams(4, 2)
     s = sample(params, 1.5)

@@ -192,12 +192,13 @@ def test_d_sign_laws(pair, eta):
 def test_d_quantities_scaled_stays_finite():
     vals = d_quantities(SphereParams(3, 1), 650.0, scaled=True)
     assert all(np.isfinite(v) for v in vals)
-    # Past exp overflow the unscaled triple raises and points to scaled=True.
-    assert all(np.isfinite(v) for v in d_quantities(SphereParams(5, 2), 2000.0, scaled=True))
+    # Past the moment domain both forms raise rather than return a value the
+    # quadrature does not resolve.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="scaled=True"):
-            d_quantities(SphereParams(5, 2), 2000.0)
+        for scaled in (False, True):
+            with pytest.raises(ValueError, match="moment domain"):
+                d_quantities(SphereParams(5, 2), 2000.0, scaled=scaled)
 
 
 def test_perturbation_top_validation():
