@@ -32,6 +32,7 @@ from .quadrature import (
     build_sphere_quadrature,
     build_weighted_quadrature,
     integrate_mu,
+    polar_rule,
     sphere_rule,
     surface_area,
     theta_rule,

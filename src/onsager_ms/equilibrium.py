@@ -13,7 +13,8 @@ initial tensor; each step needs only axis second moments of a product
 quadrature on the sphere.  Those integrands depend on m only through the
 squares m_i^2, so the step runs on the positive orthant of the product
 rule (``build_orthant_quadrature``), about 2^n times fewer nodes than the full
-sphere.
+sphere.  The Euler-Lagrange residual's integrand is even under m -> -m,
+so it runs on the antipodal half of the full rule.
 
 Axially symmetric solutions have exactly two eigenvalue clusters,
 eta(n-k)/n with multiplicity k and -eta k/n with multiplicity n-k, and
@@ -28,7 +29,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .moments import scaled_moments
 from .quadrature import (
@@ -174,7 +174,7 @@ def _validated_points(spec: CriticalPointSpec, m) -> tuple[np.ndarray, bool]:
     mat = np.atleast_2d(pts)
     if mat.ndim != 2 or mat.shape[1] != spec.params.n:
         raise ValueError(f"points must have {spec.params.n} components")
-    norms = np.linalg.norm(mat, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", mat, mat))
     if float(np.max(np.abs(norms - 1.0))) > 1e-12:
         raise ValueError("points must lie on the unit sphere")
     return mat, single
@@ -206,6 +206,8 @@ def density(spec: CriticalPointSpec, m, order: int = DEFAULT_ORDER):
 
 def _unit_probes(n: int, count: int, seed: int) -> np.ndarray:
     """Deterministic quasi-random unit vectors (scrambled Sobol -> Gaussian)."""
+    from scipy.stats import qmc  # deferred: about half a second of import
+
     sampler = qmc.Sobol(d=n, scramble=True, seed=seed)
     exponent = max(int(np.ceil(np.log2(max(count, 2)))), 1)
     u = sampler.random_base2(m=exponent)[:count]
@@ -230,7 +232,8 @@ def euler_lagrange_residual(
 
     Sampled at quasi-random unit vectors; zero (to quadrature accuracy)
     exactly when the point is a genuine critical point.  Passing an
-    explicit alpha probes a deliberately inconsistent intensity.
+    explicit alpha probes a deliberately inconsistent intensity.  The
+    integrals run on the antipodal half of ``sphere_rule(n, order)``.
     """
     n = spec.params.n
     if n > MAX_FULL_SPHERE_DIM:
@@ -240,9 +243,14 @@ def euler_lagrange_residual(
     if order is None:
         order = sphere_order_for(n, spec.alpha)
     rule = sphere_rule(n, order)
-    f_vals = density(spec, rule.points)
-    weighted = rule.weights * f_vals
-    second = (rule.points * weighted[:, None]).T @ rule.points
+    # f and m m^T are even under m -> -m in any frame, and the rule's first
+    # coordinate ascends: the rows from 0 on, mirrored weights doubled, give
+    # the full rule's sums (rows with first coordinate 0 mirror each other).
+    start = int(np.searchsorted(rule.points[:, 0], 0.0))
+    pts = rule.points[start:]
+    weights = np.where(pts[:, 0] > 0.0, 2.0 * rule.weights[start:], rule.weights[start:])
+    weighted = weights * density(spec, pts)
+    second = (pts * weighted[:, None]).T @ pts
     probes = _unit_probes(n, probe_count, seed)
     g = log_density(spec, probes) - alpha * np.einsum(
         "ij,jk,ik->i", probes, second, probes

@@ -36,6 +36,14 @@ from .quadrature import DEFAULT_ORDER, SphereParams, theta_rule
 ETA_MAX = 700.0
 
 
+def _checked_eta(eta: float) -> float:
+    """eta as a float; ValueError unless it is finite with |eta| <= ETA_MAX."""
+    eta = float(eta)
+    if not abs(eta) <= ETA_MAX:
+        raise ValueError(f"eta is outside the moment domain: need finite |eta| <= {ETA_MAX}")
+    return eta
+
+
 def scaled_moments(
     params: SphereParams, eta: float, *, order: int = DEFAULT_ORDER
 ) -> tuple[np.ndarray, float]:
@@ -47,9 +55,7 @@ def scaled_moments(
     and strictly decreasing in l (sin^2 < 1 on the open interval); a
     violation signals a broken quadrature rule and raises RuntimeError.
     """
-    eta = float(eta)
-    if not abs(eta) <= ETA_MAX:
-        raise ValueError(f"eta is outside the moment domain: need finite |eta| <= {ETA_MAX}")
+    eta = _checked_eta(eta)
     rule = theta_rule(params.n, params.k, order)
     shift = max(eta, 0.0)
     values = rule.sin2_powers @ (rule.weights * np.exp(eta * rule.sin2 - shift))

@@ -12,7 +12,13 @@ including the half-integer exponents of the axisymmetric case k = 1.
 Sphere integrals use a product rule over recursive spherical angles, each
 angle carrying a symmetric Gauss-Jacobi rule, bottoming out at the two
 point set S^0.  Integrands even in every coordinate can use the positive
-orthant of the same product rule instead.
+orthant of the same product rule instead.  For d >= 2 the product rule
+lists its first coordinate in ascending order, so for integrands even
+under m -> -m the rows from the first coordinate 0 on, mirrored weights
+doubled, are the antipodal half of the rule.  Integrands of low degree in
+the block directions omega and xi of m = (sin(theta) omega, cos(theta) xi)
+use the polar rule: the polar Gauss rule in theta times two small product
+rules on S^(k-1) and S^(n-k-1).
 
 Rule objects are immutable after construction (arrays are marked
 read-only) and safe to share between threads.
@@ -238,3 +244,30 @@ def build_orthant_quadrature(d: int, order: int) -> SphereQuadrature:
 def sphere_rule(d: int, order: int) -> SphereQuadrature:
     """Cached accessor for :func:`build_sphere_quadrature`."""
     return build_sphere_quadrature(d, order)
+
+
+@lru_cache(maxsize=32)
+def polar_rule(n: int, k: int, theta_order: int, factor_order: int) -> SphereQuadrature:
+    """Polar product rule on S^(n-1) at the points m = (sin(theta) omega, cos(theta) xi).
+
+    The surface measure is sin^(k-1) cos^(n-k-1) dtheta domega dxi, so the
+    weights are those of ``theta_rule(n, k, theta_order)`` times those of the
+    product rules of ``factor_order`` on S^(k-1) and S^(n-k-1).  The rule is
+    exact for integrands of degree up to 2*factor_order - 1 in omega and in
+    xi times a polynomial in sin^2(theta) of degree up to 2*theta_order - 1.
+    Points are listed theta-major, so nodes of equal theta form runs.
+    """
+    params = SphereParams(n, k)
+    theta = theta_rule(n, k, theta_order)
+    # Built directly, not through sphere_rule: its small cache holds the
+    # large full-sphere rules, which these factors must not evict.
+    omega = build_sphere_quadrature(k, factor_order)
+    xi = build_sphere_quadrature(params.complement, factor_order)
+    s, c = np.sqrt(theta.sin2), np.sqrt(1.0 - theta.sin2)
+    pts = np.empty((theta.nodes.size, omega.count, xi.count, n))
+    pts[..., :k] = s[:, None, None, None] * omega.points[None, :, None, :]
+    pts[..., k:] = c[:, None, None, None] * xi.points[None, None, :, :]
+    w = theta.weights[:, None, None] * omega.weights[None, :, None] * xi.weights[None, None, :]
+    pts, w = pts.reshape(-1, n), w.reshape(-1)
+    _freeze(pts, w)
+    return SphereQuadrature(n, pts, w)

@@ -20,6 +20,12 @@ k = n-1 mirrors it under eta -> -eta.
 Unstable verdicts carry an explicit witness: the Cauchy-Schwarz equality
 profile of the violated functional, placed in a single basis slot, whose
 decomposed form value is verified to be strictly negative.
+
+The direct form, the decomposition's oracle, integrates the undecomposed
+second variation on the polar product rule (``quadrature.polar_rule``):
+phi^2 and phi m m^T have degree 4 in omega and in xi, so order-3 factor
+rules are exact there, and a theta order other than the blocks' leaves
+the two forms no shared nodes.
 """
 
 from __future__ import annotations
@@ -32,12 +38,13 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .equilibrium import MAX_FULL_SPHERE_DIM, CriticalPointSpec, critical_point
-from .moments import moment, scaled_moments
+from .moments import _checked_eta, moment, scaled_moments
 from .quadrature import (
     DEFAULT_ORDER,
     SphereParams,
     WeightedQuadrature,
     _freeze,
+    polar_rule,
     sphere_rule,
     surface_area,
     theta_rule,
@@ -58,8 +65,10 @@ FAMILIES = (OMEGA_A, OMEGA_B, XI_A, XI_B, THETA)
 # Functional index served by each basis family in the decomposition.
 GAMMA_BY_FAMILY = {OMEGA_A: 1, OMEGA_B: 1, XI_A: 2, XI_B: 2, THETA: 0}
 
-# Full-sphere product-rule order used by the direct form, per dimension.
-_DIRECT_FORM_ORDER = {3: 24, 4: 24, 5: 20, 6: 14}
+# Polar-rule orders of the direct form: the theta order differs from the
+# blocks' DEFAULT_ORDER, and order-3 factors integrate degree 5 exactly.
+_DIRECT_THETA_ORDER = 32
+_DIRECT_FACTOR_ORDER = 3
 
 # Largest exponent whose exp is a finite float.
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
@@ -68,8 +77,8 @@ _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 # per array, so one block's temporaries stay in cache.
 _PHI_BLOCK = 1 << 14
 
-# Degree of the random polynomial profiles, per dimension (kept low at
-# n = 6 so the product quadrature stays exact for the assembled phi).
+# Degree of the random polynomial profiles, per dimension.  The seeded
+# draws of the tests and of the benchmark depend on these values.
 _RANDOM_DEGREE = {3: 3, 4: 3, 5: 3, 6: 2}
 
 
@@ -489,28 +498,30 @@ def quadratic_form_decomposed(spec: CriticalPointSpec, p: PerturbationTop) -> fl
     return (surface_area(params.k) * surface_area(params.complement)) ** 2 * total
 
 
-def quadratic_form_direct(spec: CriticalPointSpec, phi: Callable, order: int | None = None) -> float:
+def quadratic_form_direct(
+    spec: CriticalPointSpec, phi: Callable, order: int = _DIRECT_THETA_ORDER
+) -> float:
     """Second-variation value straight from the defining integrals.
 
     phi maps an (N, n) array of unit vectors to N values and must have
     zero mean over the sphere.  Independent of the block decomposition;
-    used as its oracle.
+    used as its oracle.  The integrals run on ``polar_rule`` with theta
+    order ``order``, placed in the spec's frame.
     """
     params = spec.params
-    n = params.n
+    n, k = params.n, params.k
     if n > MAX_FULL_SPHERE_DIM:
         raise ValueError(f"direct form needs full-sphere quadrature, n <= {MAX_FULL_SPHERE_DIM}")
-    if order is None:
-        order = _DIRECT_FORM_ORDER[n]
-    rule = sphere_rule(n, order)
-    pts, w = rule.points, rule.weights
+    rule = polar_rule(n, k, order, _DIRECT_FACTOR_ORDER)
+    canonical, w = rule.points, rule.weights
+    identity = np.array_equal(spec.rotation, np.eye(n))
+    pts = canonical if identity else canonical @ spec.rotation
     vals = np.asarray(phi(pts), dtype=float)
     if vals.shape != w.shape:
         raise ValueError("phi must return one value per quadrature point")
     if abs(float(np.sum(w * vals))) > 1e-9 * max(1.0, float(np.sum(w * np.abs(vals)))):
         raise ValueError("phi must have zero mean over the sphere")
-    rotated = pts @ spec.rotation.T
-    s2 = np.einsum("ij,ij->i", rotated[:, : params.k], rotated[:, : params.k])
+    s2 = np.einsum("ij,ij->i", canonical[:, :k], canonical[:, :k])
     scaled, shift = scaled_moments(params, spec.eta)
     inv_f0 = (
         surface_area(params.k)
@@ -531,11 +542,13 @@ def equality_attainer(
     """Grid values of the Cauchy-Schwarz equality profile of I_gamma.
 
     Rescaled by e^{-max(eta,0)} (an immaterial constant for a quadratic
-    functional) so the values stay bounded for large positive eta.
+    functional) so the values stay bounded for large positive eta.  eta
+    must lie in the moment domain |eta| <= ETA_MAX.
     """
+    eta = _checked_eta(eta)
     rule = theta_rule(params.n, params.k, order)
     t = rule.sin2
-    base = np.exp(eta * t - max(float(eta), 0.0))
+    base = np.exp(eta * t - max(eta, 0.0))
     if gamma != 3:
         return base * _profile(gamma, t)
     scaled, _ = scaled_moments(params, eta, order=order)
@@ -589,7 +602,12 @@ def _classify_isotropic(params: SphereParams, alpha: float, order: int) -> Stabi
 
 
 def _branch_verdict(params: SphereParams, eta: float, order: int) -> str:
-    """The theorem's verdict on the anisotropic k-branch at eta (see ``classify``)."""
+    """The theorem's verdict on the anisotropic k-branch at eta (see ``classify``).
+
+    Raises the moments' ValueError outside the moment domain, like every
+    verdict the moments would decide there.
+    """
+    eta = _checked_eta(eta)
     n, k = params.n, params.k
     if 2 <= k <= n - 2:
         return UNSTABLE
@@ -650,7 +668,7 @@ def branch_tag(params: SphereParams, eta: float, order: int = DEFAULT_ORDER) -> 
     Matches ``classify`` away from eta = 0; the eta = 0 row is tagged by
     continuity along the branch (the anisotropic family degenerates to
     the isotropic point there, where the theorem's branch clauses are
-    silent).
+    silent).  eta must lie in the moment domain |eta| <= ETA_MAX.
     """
     return _branch_verdict(params, eta, order).lower()
 

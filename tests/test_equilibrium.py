@@ -18,8 +18,14 @@ from onsager_ms.equilibrium import (
     solve_fixed_point,
     sphere_order_for,
     _lambda_step,
+    _unit_probes,
 )
-from onsager_ms.quadrature import SphereParams, build_orthant_quadrature, sphere_rule
+from onsager_ms.quadrature import (
+    SphereParams,
+    build_orthant_quadrature,
+    build_sphere_quadrature,
+    sphere_rule,
+)
 from onsager_ms.sigma import sigma_value
 
 
@@ -125,6 +131,39 @@ def test_euler_lagrange_residual_discriminates():
 
 def test_euler_lagrange_residual_isotropic():
     assert euler_lagrange_residual(isotropic_point(3, 5.0)) < 1e-12
+
+
+def _full_rule_residual(spec, order):
+    """The Euler-Lagrange residual on every node of the full product rule."""
+    n = spec.params.n
+    rule = sphere_rule(n, order)
+    weighted = rule.weights * density(spec, rule.points)
+    second = (rule.points * weighted[:, None]).T @ rule.points
+    probes = _unit_probes(n, 64, 0)
+    g = log_density(spec, probes) - spec.alpha * np.einsum("ij,jk,ik->i", probes, second, probes)
+    return float(np.max(np.abs(g - np.mean(g))))
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_sphere_rule_first_coordinate_ascends(n):
+    """The antipodal half of the residual's rule is a tail of its rows."""
+    orders = {sphere_order_for(n, alpha) for alpha in range(0, 200, 2)} | {7, 9}
+    for order in sorted(orders):
+        first = build_sphere_quadrature(n, order).points[:, 0]
+        assert np.all(np.diff(first) >= 0.0)
+
+
+@pytest.mark.parametrize(
+    "n,k,eta,orders",
+    [(3, 1, 6.0, (23, 24)), (4, 2, -4.0, (15, 16)), (5, 1, 5.0, (11, 12)),
+     (5, 4, -7.0, (11, 12)), (6, 3, 2.5, (7, 8))],
+)
+def test_residual_on_half_rule_matches_full_rule(n, k, eta, orders):
+    rotation = special_ortho_group.rvs(n, random_state=np.random.default_rng(n + k))
+    spec = critical_point(SphereParams(n, k), eta, rotation)
+    for order in orders:
+        want = _full_rule_residual(spec, order)
+        assert abs(euler_lagrange_residual(spec, order=order) - want) <= 1e-12
 
 
 def test_sphere_order_grows_then_caps():

@@ -9,7 +9,7 @@ from onsager_ms.moments import ETA_MAX, moment, recurrence_residual, scaled_mome
 from onsager_ms.quadrature import DEFAULT_ORDER, SphereParams, theta_rule
 from onsager_ms.sigma import sigma_prime, sigma_value
 from onsager_ms.spectral import block_spectrum, full_spectrum
-from onsager_ms.stability import classify, d_quantities, functional_I
+from onsager_ms.stability import branch_tag, classify, d_quantities, equality_attainer, functional_I
 
 PAIRS = [(n, k) for n in range(3, 7) for k in range(1, n)]
 
@@ -152,6 +152,9 @@ def _domain_entry_points():
         "full_spectrum": lambda eta: full_spectrum(params, eta, grid_size=128),
         "functional_I": lambda eta: functional_I(1, params, eta, ones),
         "critical_point": lambda eta: critical_point(params, eta),
+        "branch_tag": lambda eta: branch_tag(params, eta),
+        "branch_tag_unstable_k": lambda eta: branch_tag(SphereParams(5, 2), eta),
+        "equality_attainer": lambda eta: equality_attainer(params, eta, 1),
     }
 
 

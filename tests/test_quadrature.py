@@ -11,6 +11,7 @@ from onsager_ms.quadrature import (
     build_sphere_quadrature,
     build_weighted_quadrature,
     integrate_mu,
+    polar_rule,
     sphere_rule,
     surface_area,
     theta_rule,
@@ -168,3 +169,45 @@ def test_orthant_rule_folds_the_product_rule(d, order):
 
 def test_default_order_value():
     assert DEFAULT_ORDER == 128
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(3, 7) for k in range(1, n)])
+def test_polar_rule_mass(n, k):
+    rule = polar_rule(n, k, 32, 3)
+    assert rule.count == 32 * build_sphere_quadrature(k, 3).count * build_sphere_quadrature(n - k, 3).count
+    assert np.allclose(np.sum(rule.points**2, axis=1), 1.0, atol=1e-15)
+    assert float(np.sum(rule.weights)) == pytest.approx(surface_area(n), rel=1e-13)
+
+
+def _exponents(d, degree):
+    grid = np.indices((degree + 1,) * d).reshape(d, -1).T
+    return grid[grid.sum(axis=1) <= degree]
+
+
+def _block_moments(rule, k, degree, sin2_powers):
+    """Integrals of m_omega^a m_xi^b sin^(2j)(theta) for |a|, |b| <= degree.
+
+    m_omega^a m_xi^b = omega^a xi^b sin^|a| cos^|b|: block monomials of
+    degree |a| and |b| times powers of sin and cos (polynomials in sin^2
+    when |a| and |b| are even; the odd ones integrate to zero).
+    """
+    om, xi = _exponents(k, degree), _exponents(rule.dimension - k, degree)
+    out = np.zeros((sin2_powers, len(om), len(xi)))
+    for start in range(0, rule.count, 4096):
+        p, w = rule.points[start:start + 4096], rule.weights[start:start + 4096]
+        powers = p[:, :, None] ** np.arange(degree + 1)
+        left = np.prod(powers[:, np.arange(k), om], axis=2)
+        right = np.prod(powers[:, np.arange(k, rule.dimension), xi], axis=2)
+        t = np.sum(p[:, :k] ** 2, axis=1)
+        for j in range(sin2_powers):
+            out[j] += left.T @ ((w * t**j)[:, None] * right)
+    return out
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(3, 7) for k in range(1, n)])
+def test_polar_rule_integrates_block_monomials(n, k):
+    """Block monomials of degree <= 5 times sin^2 powers 0..2 integrate as on
+    a product rule exact to total degree 13."""
+    got = _block_moments(polar_rule(n, k, 32, 3), k, 5, 3)
+    want = _block_moments(sphere_rule(n, 7), k, 5, 3)
+    assert float(np.max(np.abs(got - want))) <= 1e-13 * surface_area(n)

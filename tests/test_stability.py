@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from onsager_ms.equilibrium import critical_point, isotropic_point
 from onsager_ms.moments import moment
-from onsager_ms.quadrature import SphereParams, sphere_rule, surface_area, theta_rule
+from onsager_ms.quadrature import SphereParams, polar_rule, sphere_rule, surface_area, theta_rule
 from onsager_ms.sigma import find_eta_star, sigma_value
 from onsager_ms.stability import (
     FAMILIES,
     MARGINAL,
     STABLE,
     UNSTABLE,
-    _DIRECT_FORM_ORDER,
+    _DIRECT_FACTOR_ORDER,
+    _DIRECT_THETA_ORDER,
     BasisIndex,
     PerturbationTop,
     assemble_sphere_function,
@@ -242,19 +243,22 @@ def test_assemble_matches_manual_evaluation():
 @pytest.mark.parametrize("n,k", PAIRS)
 def test_assemble_matches_nodewise_evaluation(n, k):
     """Profiles evaluated once per distinct theta give bitwise the values of
-    evaluating them at every node of the direct form's rule."""
+    evaluating them at every node: of the direct form's polar rule, and of
+    a product rule, whose equal-theta nodes are not contiguous."""
     params = SphereParams(n, k)
     top = random_smooth_perturbation(params, 1.5, np.random.default_rng(10 * n + k))
-    pts = sphere_rule(n, _DIRECT_FORM_ORDER[n]).points
-    s2 = np.sum(pts[:, :k] ** 2, axis=-1)
-    theta = np.arcsin(np.sqrt(s2))
-    omega = pts[:, :k] / np.sqrt(s2)[:, None]
-    xi = pts[:, k:] / np.sqrt(1.0 - s2)[:, None]
-    want = np.zeros(theta.shape)
-    for idx, func in top.coefficient_functions.items():
-        want += func(theta) * _basis_values(idx, omega, xi)
-    want += top.b_function(theta)
-    assert np.array_equal(assemble_sphere_function(top)(pts), want)
+    phi = assemble_sphere_function(top)
+    polar = polar_rule(n, k, _DIRECT_THETA_ORDER, _DIRECT_FACTOR_ORDER)
+    for pts in (polar.points, sphere_rule(n, 8).points):
+        s2 = np.sum(pts[:, :k] ** 2, axis=-1)
+        theta = np.arcsin(np.sqrt(s2))
+        omega = pts[:, :k] / np.sqrt(s2)[:, None]
+        xi = pts[:, k:] / np.sqrt(1.0 - s2)[:, None]
+        want = np.zeros(theta.shape)
+        for idx, func in top.coefficient_functions.items():
+            want += func(theta) * _basis_values(idx, omega, xi)
+        want += top.b_function(theta)
+        assert np.array_equal(phi(pts), want)
 
 
 def test_decomposed_matches_direct_form():
@@ -265,6 +269,21 @@ def test_decomposed_matches_direct_form():
     dec = quadratic_form_decomposed(spec, top)
     direct = quadratic_form_direct(spec, assemble_sphere_function(top))
     assert abs(direct - dec) <= 1e-6 * (1.0 + abs(direct))
+
+
+@pytest.mark.parametrize("n,k,eta", [(3, 2, 4.0), (4, 1, 3.0), (5, 2, -2.0), (6, 3, 1.0), (6, 5, -3.0)])
+def test_direct_form_is_rotation_covariant(n, k, eta):
+    """In a rotated frame the direct form builds its rule in the spec's
+    frame, so a perturbation rotated along gives the canonical value."""
+    params = SphereParams(n, k)
+    rng = np.random.default_rng(7 * n + k)
+    rotation, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    phi = assemble_sphere_function(random_smooth_perturbation(params, eta, rng))
+    canonical = quadratic_form_direct(critical_point(params, eta), phi)
+    rotated = quadratic_form_direct(
+        critical_point(params, eta, rotation), lambda m: phi(m @ rotation.T)
+    )
+    assert abs(rotated - canonical) <= 1e-12 * abs(canonical)
 
 
 def test_random_perturbation_deterministic():
