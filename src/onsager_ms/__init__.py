@@ -8,10 +8,12 @@ discretized spectra, stability verdicts with explicit witnesses).
 """
 
 from .equilibrium import (
+    MAX_CONTOUR_DIM,
     CriticalPointSpec,
     EigenClusters,
     FixedPointResult,
     OrderTensor,
+    bingham_second_moments,
     critical_point,
     density,
     eigenvalue_structure,
@@ -28,7 +30,7 @@ from .quadrature import (
     SphereParams,
     SphereQuadrature,
     WeightedQuadrature,
-    build_orthant_quadrature,
+    bromwich_rule,
     build_sphere_quadrature,
     build_weighted_quadrature,
     integrate_mu,

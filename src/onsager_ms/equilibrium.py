@@ -9,12 +9,15 @@ tensor M reproduces itself under
 The map on the right is equivariant under conjugation by orthogonal
 matrices and sends diagonal tensors to diagonal tensors, so the Picard
 iteration is run on the eigenvalues in the (fixed) eigenframe of the
-initial tensor; each step needs only axis second moments of a product
-quadrature on the sphere.  Those integrands depend on m only through the
-squares m_i^2, so the step runs on the positive orthant of the product
-rule (``build_orthant_quadrature``), about 2^n times fewer nodes than the full
-sphere.  The Euler-Lagrange residual's integrand is even under m -> -m,
-so it runs on the antipodal half of the full rule.
+initial tensor; each step needs only the axis second moments E[m_i^2] of
+the Bingham density e^{sum_i lambda_i m_i^2}/Z.  Those are ratios of
+one-dimensional inverse Laplace transforms (Kume & Wood, Biometrika 92,
+2005), evaluated on ``quadrature.bromwich_rule`` in O(n) work per node,
+with no sphere rule; ``bingham_second_moments`` holds them to 1e-10
+relative for n <= 20 (``MAX_CONTOUR_DIM``).  The Euler-Lagrange residual
+is exact: ln f - alpha int (m.m')^2 f(m') dm' is a quadratic form in m
+minus a constant, so its deviation from the best constant is half the
+spread of that form's eigenvalues.
 
 Axially symmetric solutions have exactly two eigenvalue clusters,
 eta(n-k)/n with multiplicity k and -eta k/n with multiplicity n-k, and
@@ -24,24 +27,24 @@ checks a converged tensor against that shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtri
 
 from .moments import scaled_moments
-from .quadrature import (
-    DEFAULT_ORDER,
-    SphereParams,
-    _freeze,
-    build_orthant_quadrature,
-    sphere_rule,
-    surface_area,
-)
+from .quadrature import DEFAULT_ORDER, SphereParams, _freeze, bromwich_rule, surface_area
 from .sigma import sigma_value
 
 MAX_FULL_SPHERE_DIM = 6
+
+#: Largest n at which ``bingham_second_moments`` keeps 1e-10 relative
+#: accuracy; beyond it the contour loses digits near eta = 0.
+MAX_CONTOUR_DIM = 20
+
+#: Rounding noise of a Picard step's update norm on the contour, per unit
+#: n * alpha (measured up to 1.1e-12 at n = 6..20, alpha <= 2000).
+_PICARD_NOISE = 1e-12
 
 _SPHERE_ORDER_CAP = {3: 64, 4: 48, 5: 32, 6: 16}
 
@@ -50,7 +53,9 @@ def sphere_order_for(n: int, alpha: float) -> int:
     """Product-rule order resolving e^{M:mm} at interaction strength alpha.
 
     Grows with alpha (the exponent spread grows roughly like alpha) and is
-    capped per dimension to keep the node count below a few million.
+    capped per dimension to keep the node count below a few million.  No
+    library call uses it any more: the fixed point and the residual run on
+    the contour of ``bingham_second_moments``.
     """
     if n not in _SPHERE_ORDER_CAP:
         raise ValueError(f"full-sphere work supports 3 <= n <= 6, got n={n}")
@@ -204,78 +209,70 @@ def density(spec: CriticalPointSpec, m, order: int = DEFAULT_ORDER):
     return float(vals[0]) if single else vals
 
 
-def _unit_probes(n: int, count: int, seed: int) -> np.ndarray:
-    """Deterministic quasi-random unit vectors (scrambled Sobol -> Gaussian)."""
-    from scipy.stats import qmc  # deferred: about half a second of import
+def bingham_second_moments(lam) -> np.ndarray:
+    """Axis second moments E[m_i^2] of the density e^{sum_i lambda_i m_i^2}/Z on S^(n-1).
 
-    sampler = qmc.Sobol(d=n, scramble=True, seed=seed)
-    exponent = max(int(np.ceil(np.log2(max(count, 2)))), 1)
-    u = sampler.random_base2(m=exponent)[:count]
-    g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(g, axis=1)
-    degenerate = norms < 1e-8
-    if np.any(degenerate):
-        g[degenerate] = 0.0
-        g[degenerate, 0] = 1.0
-        norms[degenerate] = 1.0
-    return g / norms[:, None]
+    With mu = lambda - max(lambda), so that every branch point lies on
+    (-inf, 0],
 
+        E[m_i^2] = (1/2) int e^s (s - mu_i)^{-1} prod_j (s - mu_j)^{-1/2} ds
+                   / int e^s prod_j (s - mu_j)^{-1/2} ds
 
-def euler_lagrange_residual(
-    spec: CriticalPointSpec,
-    alpha: float | None = None,
-    probe_count: int = 64,
-    order: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Deviation of ln f - alpha int (m.m')^2 f(m') dm' from a constant.
-
-    Sampled at quasi-random unit vectors; zero (to quadrature accuracy)
-    exactly when the point is a genuine critical point.  Passing an
-    explicit alpha probes a deliberately inconsistent intensity.  The
-    integrals run on the antipodal half of ``sphere_rule(n, order)``.
+    over a Bromwich contour: Z is 2 pi^{n/2} e^{max(lambda)} times the
+    inverse Laplace transform of prod_j (s - mu_j)^{-1/2} at t = 1, and
+    E[m_i^2] is the derivative of log Z in lambda_i.  Both integrals run
+    on ``bromwich_rule``.  Accurate to 1e-10 relative for n <= 20; larger
+    n raises ValueError.
     """
-    n = spec.params.n
-    if n > MAX_FULL_SPHERE_DIM:
-        raise ValueError(f"residual check needs full-sphere quadrature, n <= {MAX_FULL_SPHERE_DIM}")
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim != 1 or not 1 <= lam.size <= MAX_CONTOUR_DIM:
+        raise ValueError(
+            f"Bingham moments on the contour support 1 <= n <= {MAX_CONTOUR_DIM}, "
+            f"got shape {lam.shape}"
+        )
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("eigenvalues must be finite")
+    return _contour_moments(lam)
+
+
+def _contour_moments(lam: np.ndarray) -> np.ndarray:
+    """``bingham_second_moments`` without its input checks."""
+    nodes, weights = bromwich_rule()
+    inv = 1.0 / (nodes - (lam - lam.max())[:, None])
+    # The nodes lie off the real axis, so the principal roots multiply to
+    # prod_j (s - mu_j)^{-1/2} on the branch the contour integral needs.
+    terms = weights * np.sqrt(inv).prod(axis=0)
+    return (0.5 / terms.sum().imag) * (inv @ terms).imag
+
+
+def euler_lagrange_residual(spec: CriticalPointSpec, alpha: float | None = None) -> float:
+    """Deviation of ln f - alpha int (m.m')^2 f(m') dm' from the best constant.
+
+    Zero exactly when the point is a genuine critical point.  Passing an
+    explicit alpha probes a deliberately inconsistent intensity.  With
+    S = int m m^T f dm, the function is m^T B m minus a constant for
+    B = eta R^T P_k R - alpha S, so its sup deviation on the sphere from
+    the best constant is (lambda_max(B) - lambda_min(B)) / 2.  In the
+    spec's frame B is the diagonal eta 1[i < k] - alpha E[m_i^2], with
+    E[m_i^2] from ``bingham_second_moments`` rather than from the theta
+    moments behind sigma_k, so the residual stays an independent check of
+    alpha = sigma_k(eta).  Supports n <= 20.
+    """
     if alpha is None:
         alpha = spec.alpha
-    if order is None:
-        order = sphere_order_for(n, spec.alpha)
-    rule = sphere_rule(n, order)
-    # f and m m^T are even under m -> -m in any frame, and the rule's first
-    # coordinate ascends: the rows from 0 on, mirrored weights doubled, give
-    # the full rule's sums (rows with first coordinate 0 mirror each other).
-    start = int(np.searchsorted(rule.points[:, 0], 0.0))
-    pts = rule.points[start:]
-    weights = np.where(pts[:, 0] > 0.0, 2.0 * rule.weights[start:], rule.weights[start:])
-    weighted = weights * density(spec, pts)
-    second = (pts * weighted[:, None]).T @ pts
-    probes = _unit_probes(n, probe_count, seed)
-    g = log_density(spec, probes) - alpha * np.einsum(
-        "ij,jk,ik->i", probes, second, probes
-    )
-    return float(np.max(np.abs(g - np.mean(g))))
+    exponent = np.zeros(spec.params.n)
+    exponent[: spec.params.k] = spec.eta
+    b = exponent - alpha * bingham_second_moments(exponent)
+    return 0.5 * float(np.max(b) - np.min(b))
 
 
-@lru_cache(maxsize=8)
-def _picard_rule(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squared coordinates and weights of the orthant rule: all the Picard step reads."""
-    rule = build_orthant_quadrature(n, order)
-    p2 = rule.points**2
-    _freeze(p2)
-    return p2, rule.weights
+def _picard_step(lam: np.ndarray, alpha: float) -> np.ndarray:
+    """One Picard step on the eigenvalues, in the fixed eigenframe.
 
-
-def _lambda_step(lam: np.ndarray, alpha: float, p2: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """One Picard step on the eigenvalues, in the fixed eigenframe."""
-    expo = p2 @ lam
-    e = np.exp(expo - float(np.max(expo)))
-    we = weights * e
-    z = float(np.sum(we))
-    d = we @ p2
-    out = alpha * (d / z - 1.0 / lam.size)
-    return out - np.mean(out)
+    alpha (E[m_i^2] - 1/n), made trace-free; the 1/n drops out there.
+    """
+    out = alpha * _contour_moments(lam)
+    return out - out.sum() / out.size
 
 
 @dataclass(frozen=True)
@@ -287,14 +284,13 @@ class FixedPointResult:
     residual: float
 
 
-def fixed_point_map(tensor: OrderTensor, alpha: float, order: int | None = None) -> OrderTensor:
+def fixed_point_map(tensor: OrderTensor, alpha: float) -> OrderTensor:
     """One application of the normalized moment map to an order tensor."""
-    n = tensor.n
-    if order is None:
-        order = sphere_order_for(n, alpha)
+    if tensor.n > MAX_CONTOUR_DIM:
+        raise ValueError(f"the moment map supports n <= {MAX_CONTOUR_DIM}, got n={tensor.n}")
     lam, frame = np.linalg.eigh(tensor.entries)
-    new_lam = _lambda_step(lam, alpha, *_picard_rule(n, order))
-    return OrderTensor(n, (frame * new_lam) @ frame.T)
+    new_lam = _picard_step(lam, alpha)
+    return OrderTensor(tensor.n, (frame * new_lam) @ frame.T)
 
 
 def solve_fixed_point(
@@ -303,44 +299,45 @@ def solve_fixed_point(
     initial: OrderTensor,
     max_iter: int = 500,
     tol: float = 1e-10,
-    order: int | None = None,
     damping: float = 0.0,
 ) -> FixedPointResult:
     """Picard-iterate the order-tensor equation from the given initial tensor.
 
     The eigenframe of the initial tensor is invariant under the map, so
-    only the eigenvalue vector is iterated.  Non-convergence is reported
-    in the result, not raised.  ``damping`` in [0, 1) blends in the
-    previous iterate (0 = plain Picard).
+    only the eigenvalue vector is iterated.  The iteration has converged
+    once the update norm falls below tol, or below the contour's rounding
+    noise of about 1e-12 * n * alpha where that is larger: the updates
+    stall there.  Non-convergence is reported in the result, not raised.
+    ``damping`` in [0, 1) blends in the previous iterate (0 = plain Picard).
     """
-    if not 3 <= n <= MAX_FULL_SPHERE_DIM:
-        raise ValueError(f"fixed point solver supports 3 <= n <= {MAX_FULL_SPHERE_DIM}")
+    if not 3 <= n <= MAX_CONTOUR_DIM:
+        raise ValueError(f"fixed point solver supports 3 <= n <= {MAX_CONTOUR_DIM}, got n={n}")
     if not np.isfinite(alpha) or alpha <= 0:
         raise ValueError("alpha must be positive")
     if tol < 1e-12:
-        raise ValueError("tol below 1e-12 is not resolvable by the quadrature")
+        raise ValueError("tol below 1e-12 is not resolvable by the contour")
     if not 0.0 <= damping < 1.0:
         raise ValueError("damping must lie in [0, 1)")
     if initial.n != n:
         raise ValueError(f"initial tensor has n={initial.n}, expected {n}")
-    if order is None:
-        order = sphere_order_for(n, alpha)
-    p2, weights = _picard_rule(n, order)
+    stop = max(tol, _PICARD_NOISE * n * alpha)
     lam, frame = np.linalg.eigh(initial.entries)
     update = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        target = _lambda_step(lam, alpha, p2, weights)
-        new_lam = (1.0 - damping) * target + damping * lam
-        update = float(np.linalg.norm(new_lam - lam))
+        new_lam = _picard_step(lam, alpha)
+        if damping:
+            new_lam = (1.0 - damping) * new_lam + damping * lam
+        step = new_lam - lam
+        update = math.sqrt(step @ step)
         lam = new_lam
-        if update < tol:
+        if update < stop:
             break
-    residual = float(np.linalg.norm(_lambda_step(lam, alpha, p2, weights) - lam))
+    residual = float(np.linalg.norm(_picard_step(lam, alpha) - lam))
     tensor = OrderTensor(n, (frame * lam) @ frame.T)
     return FixedPointResult(
         tensor=tensor,
-        converged=bool(update < tol),
+        converged=bool(update < stop),
         iterations=iterations,
         update_norm=update,
         residual=residual,

@@ -11,14 +11,14 @@ nodes integrate it with spectral accuracy for every admissible (n, k),
 including the half-integer exponents of the axisymmetric case k = 1.
 Sphere integrals use a product rule over recursive spherical angles, each
 angle carrying a symmetric Gauss-Jacobi rule, bottoming out at the two
-point set S^0.  Integrands even in every coordinate can use the positive
-orthant of the same product rule instead.  For d >= 2 the product rule
-lists its first coordinate in ascending order, so for integrands even
-under m -> -m the rows from the first coordinate 0 on, mirrored weights
-doubled, are the antipodal half of the rule.  Integrands of low degree in
-the block directions omega and xi of m = (sin(theta) omega, cos(theta) xi)
-use the polar rule: the polar Gauss rule in theta times two small product
-rules on S^(k-1) and S^(n-k-1).
+point set S^0; for d >= 2 it lists its first coordinate in ascending
+order.  Integrands of low degree in the block directions omega and xi of
+m = (sin(theta) omega, cos(theta) xi) use the polar rule: the polar Gauss
+rule in theta times two small product rules on S^(k-1) and S^(n-k-1).
+
+Exponential integrals over the whole sphere, such as the Bingham moments,
+are one-dimensional inverse Laplace transforms; ``bromwich_rule`` gives
+the trapezoid rule on a Talbot contour for them.
 
 Rule objects are immutable after construction (arrays are marked
 read-only) and safe to share between threads.
@@ -167,54 +167,19 @@ class SphereQuadrature:
         return self.points.shape[0]
 
 
-def _both_signs(c: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return c, w
-
-
-def _positive_half(c: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The 1-d rules are symmetric under c -> -c with equal weights, so the
-    # half c > 0 counts twice; a c = 0 node (odd orders) is its own mirror.
-    half = c >= 0.0
-    return c[half], np.where(c[half] > 0.0, 2.0 * w[half], w[half])
-
-
-def _sphere_nodes(d: int, order: int, keep) -> tuple[np.ndarray, np.ndarray]:
-    """Recursive product rule on S^(d-1).
-
-    ``keep`` maps each symmetric 1-d factor, S^0 included, to the nodes
-    and weights the rule uses.
-    """
+def _sphere_nodes(d: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Recursive product rule on S^(d-1)."""
     if d == 1:
-        c, w = keep(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
-        return c[:, None], w
-    sub_pts, sub_w = _sphere_nodes(d - 1, order, keep)
+        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+    sub_pts, sub_w = _sphere_nodes(d - 1, order)
     mu = 0.5 * (d - 3)
-    c, w = keep(*roots_jacobi(order, mu, mu))
+    c, w = roots_jacobi(order, mu, mu)
     s = np.sqrt(1.0 - c * c)
     m = sub_pts.shape[0]
     pts = np.empty((c.size * m, d))
     pts[:, 0] = np.repeat(c, m)
     pts[:, 1:] = np.repeat(s, m)[:, None] * np.tile(sub_pts, (c.size, 1))
     return pts, np.repeat(w, m) * np.tile(sub_w, c.size)
-
-
-def _product_rule(d: int, order: int, keep) -> SphereQuadrature:
-    if not 1 <= d <= MAX_SPHERE_DIM:
-        raise ValueError(
-            f"product rule supports 1 <= d <= {MAX_SPHERE_DIM}, got d={d}; "
-            "use Monte Carlo sampling beyond that"
-        )
-    if order < 2:
-        raise ValueError(f"need order >= 2, got {order}")
-    # Counted on the full rule, so the orthant fold accepts the same orders.
-    if 2 * order ** (d - 1) > _MAX_SPHERE_NODES:
-        raise ValueError(
-            f"product rule with order={order} in dimension {d} exceeds the "
-            f"node budget of {_MAX_SPHERE_NODES}"
-        )
-    pts, w = _sphere_nodes(d, order, keep)
-    _freeze(pts, w)
-    return SphereQuadrature(d, pts, w)
 
 
 def build_sphere_quadrature(d: int, order: int) -> SphereQuadrature:
@@ -224,20 +189,21 @@ def build_sphere_quadrature(d: int, order: int) -> SphereQuadrature:
     product rule is impractical; callers needing higher dimensions should
     switch to Monte Carlo sampling.
     """
-    return _product_rule(d, order, _both_signs)
-
-
-def build_orthant_quadrature(d: int, order: int) -> SphereQuadrature:
-    """The product rule of the same (d, order) folded onto the positive orthant.
-
-    The product rule's node set and weights are symmetric under
-    m_i -> -m_i for every coordinate, so for integrands even in every
-    coordinate the nodes with all coordinates >= 0, each weighted by 2 per
-    nonzero coordinate, give the full rule's value with about 2^d times fewer
-    nodes.  Zero coordinates occur only at odd orders.  Weights still sum
-    to the surface area.
-    """
-    return _product_rule(d, order, _positive_half)
+    if not 1 <= d <= MAX_SPHERE_DIM:
+        raise ValueError(
+            f"product rule supports 1 <= d <= {MAX_SPHERE_DIM}, got d={d}; "
+            "use Monte Carlo sampling beyond that"
+        )
+    if order < 2:
+        raise ValueError(f"need order >= 2, got {order}")
+    if 2 * order ** (d - 1) > _MAX_SPHERE_NODES:
+        raise ValueError(
+            f"product rule with order={order} in dimension {d} exceeds the "
+            f"node budget of {_MAX_SPHERE_NODES}"
+        )
+    pts, w = _sphere_nodes(d, order)
+    _freeze(pts, w)
+    return SphereQuadrature(d, pts, w)
 
 
 @lru_cache(maxsize=8)
@@ -271,3 +237,33 @@ def polar_rule(n: int, k: int, theta_order: int, factor_order: int) -> SphereQua
     pts, w = pts.reshape(-1, n), w.reshape(-1)
     _freeze(pts, w)
     return SphereQuadrature(n, pts, w)
+
+
+#: Trapezoid nodes on the full Talbot contour of ``bromwich_rule``.
+BROMWICH_NODES = 48
+
+
+@lru_cache(maxsize=1)
+def bromwich_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights for inverse Laplace transforms evaluated at t = 1.
+
+    For F analytic off (-inf, 0], decaying at infinity and real on the
+    real axis, (1/2 pi i) int_Br e^s F(s) ds ~= sum(imag(weights * F(nodes))).
+    This is the trapezoid rule with N = ``BROMWICH_NODES`` on the contour
+    z(theta) = N (0.5017 theta cot(0.6407 theta) - 0.6122 + 0.2645 i theta),
+    -pi < theta < pi, of Trefethen, Weideman & Schmelzer ("Talbot
+    quadratures and rational approximations", BIT 46, 2006), which
+    converges geometrically for such F.  Since z(-theta) = conj z(theta)
+    and z'(-theta) = -conj z'(theta), the terms at -theta are minus the
+    conjugates of those at theta: only the N/2 nodes with theta > 0 are
+    kept, and each pair sums to twice the imaginary part.  The weights
+    carry the factor e^z.
+    """
+    count = BROMWICH_NODES
+    theta = (np.arange(count // 2) + 0.5) * (2.0 * np.pi / count)
+    cot = 1.0 / np.tan(0.6407 * theta)
+    z = count * (0.5017 * theta * cot - 0.6122 + 0.2645j * theta)
+    dz = count * (0.5017 * cot - 0.5017 * 0.6407 * theta / np.sin(0.6407 * theta) ** 2 + 0.2645j)
+    weights = (2.0 / count) * np.exp(z) * dz
+    _freeze(z, weights)
+    return z, weights

@@ -30,7 +30,6 @@ the two forms no shared nodes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -69,9 +68,6 @@ GAMMA_BY_FAMILY = {OMEGA_A: 1, OMEGA_B: 1, XI_A: 2, XI_B: 2, THETA: 0}
 # blocks' DEFAULT_ORDER, and order-3 factors integrate degree 5 exactly.
 _DIRECT_THETA_ORDER = 32
 _DIRECT_FACTOR_ORDER = 3
-
-# Largest exponent whose exp is a finite float.
-_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 # Points per block when an assembled perturbation is evaluated: 128 KiB
 # per array, so one block's temporaries stay in cache.
@@ -339,9 +335,9 @@ def d_quantities(
     D1 = A0 - 2 alpha A4 / (k(k+2)) carries the sign of -eta;
     D2 (cosine analogue) carries the sign of eta;
     D3 (mean-zero block) carries the sign of eta (eta - eta_k^*).
-    With ``scaled`` the common factor e^{max(eta,0)} is dropped; without
-    it, an eta whose factor overflows raises ValueError.  Either way eta
-    must lie in the moment domain |eta| <= ETA_MAX.
+    With ``scaled`` the common factor e^{max(eta,0)} is dropped.  Either
+    way eta must lie in the moment domain |eta| <= ETA_MAX, inside which
+    the unscaled values stay finite.
     """
     vals, shift = scaled_moments(params, eta, order=order)
     a0, a2, a4 = (float(x) for x in vals[:3])
@@ -350,14 +346,8 @@ def d_quantities(
     dq = tuple(_block_low(gamma, params, a0, a2, a4, alpha) for gamma in (1, 2, 3))
     if scaled:
         return dq
-    factor = float(np.exp(shift)) if shift <= _LOG_FLOAT_MAX else math.inf
-    out = tuple(d * factor for d in dq)
-    if not all(map(math.isfinite, out)):
-        raise ValueError(
-            f"D quantities overflow at eta={eta}; d_quantities(..., scaled=True) "
-            "gives them without the factor e^eta"
-        )
-    return out
+    factor = float(np.exp(shift))
+    return tuple(d * factor for d in dq)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import beta as beta_fn
 
-from .equilibrium import OrderTensor, critical_point, eigenvalue_structure, solve_fixed_point
+from .equilibrium import (
+    OrderTensor,
+    bingham_second_moments,
+    critical_point,
+    eigenvalue_structure,
+    solve_fixed_point,
+)
 from .moments import moment, recurrence_residual, scaled_moments
 from .quadrature import DEFAULT_ORDER, SphereParams, sphere_rule, surface_area, theta_rule
 from .sigma import find_eta_star, sigma_prime, sigma_prime_fd, sigma_value
@@ -308,6 +314,22 @@ def _check_decomposed_vs_direct(cfg: VerifyConfig) -> CheckResult:
     return _result("decomposed_vs_direct", cfg, worst, 1e-6)
 
 
+def _check_bingham_axial(cfg: VerifyConfig) -> CheckResult:
+    """The contour's E[m_i^2] on axial exponents against the theta moments:
+    A_2/(k A_0) on the leading k axes and (1 - A_2/A_0)/(n - k) on the rest."""
+    cap = cfg.eta_cap
+    worst = 0.0
+    for n, k in ((4, 1), (8, 3), (20, 10)):
+        leading = np.arange(n) < k
+        for eta in (-cap, 0.3 * cap, cap):
+            vals, _ = scaled_moments(SphereParams(n, k), eta, order=cfg.quad_order)
+            ratio = vals[1] / vals[0]
+            axial = np.where(leading, ratio / k, (1.0 - ratio) / (n - k))
+            got = bingham_second_moments(np.where(leading, eta, 0.0))
+            worst = max(worst, float(np.max(np.abs(got - axial) / axial)))
+    return _result("bingham_axial", cfg, worst, 1e-10)
+
+
 def _check_fixed_point(cfg: VerifyConfig) -> CheckResult:
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
@@ -408,6 +430,7 @@ _CHECKS = (
     _check_wx_table,
     _check_attainer_zero_mode,
     _check_decomposed_vs_direct,
+    _check_bingham_axial,
     _check_fixed_point,
     _check_classification,
     _check_spectrum_kernel_gap,

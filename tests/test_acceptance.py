@@ -208,7 +208,8 @@ def test_10_kernel_and_gap():
 def test_11_fixed_point_structure():
     t0 = time.perf_counter()
     bad = []
-    for n, alpha in ((3, 20.0), (4, 30.0), (5, 40.0)):
+    rows = ((3, 20.0), (4, 30.0), (5, 40.0), (6, 60.0), (8, 100.0), (12, 650.0), (20, 300.0))
+    for n, alpha in rows:
         rng = np.random.default_rng(7)
         for rep in range(20):
             res = solve_fixed_point(n, alpha, OrderTensor.random_unit(n, rng))
@@ -234,7 +235,7 @@ def test_11_fixed_point_structure():
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < 300.0
     _report(11, "fixed-point solutions are axial branch points", ok,
-            f"{len(bad)} bad of 60 runs, {elapsed:.1f}s")
+            f"{len(bad)} bad of {20 * len(rows)} runs, {elapsed:.1f}s")
 
 
 def test_12_verify_command(tmp_path):

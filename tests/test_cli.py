@@ -143,6 +143,18 @@ def test_solve_m_deterministic_and_consistent(tmp_path):
     assert clusters["count"] == 2
 
 
+def test_solve_m_beyond_six_and_past_the_contour(tmp_path, capsys):
+    code, raw = run(tmp_path, "solve-m", "--n", "8", "--alpha", "100")
+    assert code == 0
+    data = json.loads(raw)
+    assert data["converged"]
+    assert data["clusters"]["count"] == 2
+    assert main(["solve-m", "--n", "21", "--alpha", "300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "3 <= n <= 20" in captured.err
+
+
 def test_bad_k_is_usage_error(tmp_path):
     code, _ = run(tmp_path, "classify", "--n", "3", "--k", "5", "--eta", "1")
     assert code == 2
@@ -157,8 +169,8 @@ def test_verify_default_passes(tmp_path):
     code, raw = run(tmp_path, "verify")
     assert code == 0
     text = raw.decode()
-    assert "19/19 checks passed" in text
-    assert text.count("PASS") == 19
+    assert "20/20 checks passed" in text
+    assert text.count("PASS") == 20
     assert "FAIL" not in text
 
 
@@ -175,7 +187,7 @@ def test_verify_order_four_fails(tmp_path):
 def test_verify_order_eight_with_loose_tol(tmp_path):
     code, raw = run(tmp_path, "verify", "--quad-order", "8", "--tol", "1e-1")
     assert code == 0
-    assert "19/19 checks passed" in raw.decode()
+    assert "20/20 checks passed" in raw.decode()
 
 
 def test_classify_outside_the_domain_exits_2(capsys):

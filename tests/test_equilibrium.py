@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 from scipy.stats import special_ortho_group
 
 from onsager_ms.equilibrium import (
+    MAX_CONTOUR_DIM,
     MAX_FULL_SPHERE_DIM,
     CriticalPointSpec,
     OrderTensor,
+    bingham_second_moments,
     critical_point,
     density,
     eigenvalue_structure,
@@ -17,15 +19,9 @@ from onsager_ms.equilibrium import (
     log_density,
     solve_fixed_point,
     sphere_order_for,
-    _lambda_step,
-    _unit_probes,
 )
-from onsager_ms.quadrature import (
-    SphereParams,
-    build_orthant_quadrature,
-    build_sphere_quadrature,
-    sphere_rule,
-)
+from onsager_ms.moments import scaled_moments
+from onsager_ms.quadrature import SphereParams, build_sphere_quadrature, sphere_rule
 from onsager_ms.sigma import sigma_value
 
 
@@ -133,20 +129,9 @@ def test_euler_lagrange_residual_isotropic():
     assert euler_lagrange_residual(isotropic_point(3, 5.0)) < 1e-12
 
 
-def _full_rule_residual(spec, order):
-    """The Euler-Lagrange residual on every node of the full product rule."""
-    n = spec.params.n
-    rule = sphere_rule(n, order)
-    weighted = rule.weights * density(spec, rule.points)
-    second = (rule.points * weighted[:, None]).T @ rule.points
-    probes = _unit_probes(n, 64, 0)
-    g = log_density(spec, probes) - spec.alpha * np.einsum("ij,jk,ik->i", probes, second, probes)
-    return float(np.max(np.abs(g - np.mean(g))))
-
-
 @pytest.mark.parametrize("n", range(3, 7))
 def test_sphere_rule_first_coordinate_ascends(n):
-    """The antipodal half of the residual's rule is a tail of its rows."""
+    """The product rule lists its first coordinate in ascending order."""
     orders = {sphere_order_for(n, alpha) for alpha in range(0, 200, 2)} | {7, 9}
     for order in sorted(orders):
         first = build_sphere_quadrature(n, order).points[:, 0]
@@ -155,15 +140,55 @@ def test_sphere_rule_first_coordinate_ascends(n):
 
 @pytest.mark.parametrize(
     "n,k,eta,orders",
-    [(3, 1, 6.0, (23, 24)), (4, 2, -4.0, (15, 16)), (5, 1, 5.0, (11, 12)),
-     (5, 4, -7.0, (11, 12)), (6, 3, 2.5, (7, 8))],
+    [(3, 1, 6.0, (23, 24)), (4, 2, -4.0, (15, 16)), (5, 1, 5.0, (19, 20)),
+     (5, 4, -7.0, (19, 20)), (6, 3, 2.5, (12, 13))],
 )
 def test_residual_on_half_rule_matches_full_rule(n, k, eta, orders):
+    """ln f - alpha m^T S m is m^T B m minus a constant, B = eta R^T P_k R - alpha S,
+    so the exact residual is half B's spread.  The reference sums S on every
+    node of a full product rule, at an odd and an even order that resolve it."""
     rotation = special_ortho_group.rvs(n, random_state=np.random.default_rng(n + k))
     spec = critical_point(SphereParams(n, k), eta, rotation)
+    projector = rotation[:k].T @ rotation[:k]
     for order in orders:
-        want = _full_rule_residual(spec, order)
-        assert abs(euler_lagrange_residual(spec, order=order) - want) <= 1e-12
+        rule = sphere_rule(n, order)
+        weighted = rule.weights * density(spec, rule.points)
+        second = (rule.points * weighted[:, None]).T @ rule.points
+        for alpha in (spec.alpha, 1.05 * spec.alpha):
+            b = np.linalg.eigvalsh(eta * projector - alpha * second)
+            want = 0.5 * float(b[-1] - b[0])
+            assert abs(euler_lagrange_residual(spec, alpha=alpha) - want) <= 1e-10
+
+
+@pytest.mark.parametrize("n,k,eta", [(8, 3, 5.0), (12, 1, 40.0), (20, 10, -3.0), (20, 19, -300.0)])
+def test_residual_beyond_product_rules(n, k, eta):
+    spec = critical_point(SphereParams(n, k), eta)
+    assert euler_lagrange_residual(spec) < 1e-10 * spec.alpha
+    assert euler_lagrange_residual(spec, alpha=1.01 * spec.alpha) > 1e-3
+
+
+@pytest.mark.parametrize("n", range(3, MAX_CONTOUR_DIM + 1))
+def test_bingham_moments_match_theta_moments(n):
+    """The contour's axial E[m_i^2] against A_2/(k A_0) and (1 - A_2/A_0)/(n - k):
+    two independent routes to the same moments."""
+    for k in range(1, n):
+        leading = np.arange(n) < k
+        for eta in (700, -700, 300, -300, 100, -100, 30, -30, 3, -3, 1e-3, -1e-3, 0.5, 5):
+            vals, _ = scaled_moments(SphereParams(n, k), float(eta))
+            ratio = vals[1] / vals[0]
+            want = np.where(leading, ratio / k, (1.0 - ratio) / (n - k))
+            got = bingham_second_moments(np.where(leading, float(eta), 0.0))
+            assert float(np.max(np.abs(got - want) / want)) <= 1e-10, (k, eta)
+
+
+def test_bingham_moments_domain():
+    assert bingham_second_moments(np.full(5, 2.5)) == pytest.approx(np.full(5, 0.2), rel=1e-13)
+    with pytest.raises(ValueError):
+        bingham_second_moments(np.zeros(MAX_CONTOUR_DIM + 1))
+    with pytest.raises(ValueError):
+        bingham_second_moments(np.array([0.0, np.nan, 1.0]))
+    with pytest.raises(ValueError):
+        euler_lagrange_residual(critical_point(SphereParams(MAX_CONTOUR_DIM + 1, 1), 2.0))
 
 
 def test_sphere_order_grows_then_caps():
@@ -176,8 +201,8 @@ def test_sphere_order_grows_then_caps():
 def test_axial_branch_is_fixed_point():
     """The axial tensor built from sigma_k(eta) = alpha reproduces itself.
 
-    This crosses two independent quadratures: the full-sphere product rule
-    inside the map versus the 1-d polar rule behind sigma.
+    This crosses two independent routes: the Bromwich contour inside the
+    map versus the 1-d polar rule behind sigma.
     """
     params = SphereParams(4, 1)
     eta = 2.0
@@ -187,22 +212,53 @@ def test_axial_branch_is_fixed_point():
     assert np.allclose(image.entries, t.entries, atol=1e-10)
 
 
+# Product-rule order and the eigenvalue spreads it resolves to better than 1e-12 at each n.
+_PRODUCT_RESOLVES = {3: (40, (1, 3, 10, 30)), 4: (36, (1, 3, 10, 30)), 5: (24, (1, 3, 10)), 6: (14, (1, 3))}
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_contour_step_matches_product_rule(n):
+    """The Picard step on the contour against the same step summed on every
+    node of a full product rule, in a random frame."""
+    order, spreads = _PRODUCT_RESOLVES[n]
+    rule = build_sphere_quadrature(n, order)
+    p2 = rule.points**2
+    frame = special_ortho_group.rvs(n, random_state=np.random.default_rng(n))
+    rng = np.random.default_rng(n)
+    alpha = 25.0
+    for spread in spreads:
+        lam = np.sort(rng.uniform(0.0, 1.0, n))
+        lam = spread * (lam - lam[0]) / (lam[-1] - lam[0])
+        lam -= np.mean(lam)
+        expo = p2 @ lam
+        we = rule.weights * np.exp(expo - float(np.max(expo)))
+        want = alpha * ((we @ p2) / float(np.sum(we)) - 1.0 / n)
+        want -= np.mean(want)
+        scale = float(np.max(np.abs(want)))
+        image = fixed_point_map(OrderTensor(n, (frame * lam) @ frame.T), alpha)
+        assert float(np.max(np.abs(image.entries - (frame * want) @ frame.T))) <= 1e-11 * scale
+
+
 @pytest.mark.parametrize("order", [7, 8])
 @pytest.mark.parametrize("n", range(3, 7))
 def test_picard_step_on_orthant_matches_full_rule(n, order):
-    """The Picard kernel reads only m_i^2, so the orthant fold changes
-    nothing but the summation order."""
-    tensor = OrderTensor(n, 4.0 * OrderTensor.random_unit(n, np.random.default_rng(n)).entries)
+    """The Picard kernel reads only m_i^2, so the contour integrates it on the
+    positive orthant, mapped to the simplex u_i = m_i^2.  Near the isotropic
+    state, where the step alpha (E - I/n) cancels most of E, it still matches
+    the step summed on every node of the full product rule of order 7 or 8,
+    which resolves e^(m^T Q m) there."""
+    tensor = OrderTensor(n, 0.05 * OrderTensor.random_unit(n, np.random.default_rng(n)).entries)
     alpha = 25.0
     lam, frame = np.linalg.eigh(tensor.entries)
-    full = sphere_rule(n, order)
-    half = build_orthant_quadrature(n, order)
-    want = _lambda_step(lam, alpha, full.points**2, full.weights)
+    rule = sphere_rule(n, order)
+    p2 = rule.points**2
+    expo = p2 @ lam
+    we = rule.weights * np.exp(expo - float(np.max(expo)))
+    want = alpha * ((we @ p2) / float(np.sum(we)) - 1.0 / n)
+    want -= np.mean(want)
     scale = float(np.max(np.abs(want)))
-    got = _lambda_step(lam, alpha, half.points**2, half.weights)
-    assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
-    image = fixed_point_map(tensor, alpha, order=order)
-    assert float(np.max(np.abs(image.entries - (frame * want) @ frame.T))) <= 1e-12 * scale
+    image = fixed_point_map(tensor, alpha)
+    assert float(np.max(np.abs(image.entries - (frame * want) @ frame.T))) <= 1e-11 * scale
 
 
 def test_solve_fixed_point_subcritical_reaches_zero():
@@ -255,7 +311,7 @@ def test_solve_fixed_point_guards():
     with pytest.raises(ValueError):
         solve_fixed_point(3, -1.0, start)
     with pytest.raises(ValueError):
-        solve_fixed_point(7, 20.0, OrderTensor.random_unit(7, np.random.default_rng(0)))
+        solve_fixed_point(21, 20.0, OrderTensor.random_unit(21, np.random.default_rng(0)))
     with pytest.raises(ValueError):
         solve_fixed_point(4, 20.0, start)
 

@@ -7,7 +7,7 @@ from scipy import special
 from onsager_ms.quadrature import (
     DEFAULT_ORDER,
     SphereParams,
-    build_orthant_quadrature,
+    bromwich_rule,
     build_sphere_quadrature,
     build_weighted_quadrature,
     integrate_mu,
@@ -150,21 +150,18 @@ def test_build_sphere_quadrature_dimension_cap():
     assert s0.weights.tolist() == [1.0, 1.0]
 
 
-@pytest.mark.parametrize("order", [7, 10])
-@pytest.mark.parametrize("d", range(1, 7))
-def test_orthant_rule_folds_the_product_rule(d, order):
-    """Even integrands see the same values on the orthant as on the full rule."""
-    full = build_sphere_quadrature(d, order)
-    half = build_orthant_quadrature(d, order)
-    assert half.count == ((order + 1) // 2) ** (d - 1)
-    assert np.all(half.points >= 0.0)
-    assert float(np.sum(half.weights)) == pytest.approx(surface_area(d), rel=1e-12)
-    rng = np.random.default_rng(d * order)
-    for _ in range(5):
-        powers = 2 * rng.integers(0, 4, size=d)
-        want = float(np.sum(full.weights * np.prod(full.points**powers, axis=1)))
-        got = float(np.sum(half.weights * np.prod(half.points**powers, axis=1)))
-        assert got == pytest.approx(want, rel=1e-12)
+def test_bromwich_rule_inverts_laplace_transforms():
+    """(1/2 pi i) int e^s F(s) ds at t = 1 for F = s^-a and F = (s + c)^-1."""
+    nodes, weights = bromwich_rule()
+    assert nodes.size == 24
+    for a in np.arange(0.5, 10.5, 0.5):
+        got = float(np.sum(np.imag(weights * nodes**-a)))
+        assert got == pytest.approx(1.0 / special.gamma(a), rel=1e-11)
+    for c in (0.0, 0.5, 3.0, 40.0, 700.0):
+        got = float(np.sum(np.imag(weights / (nodes + c))))
+        assert got == pytest.approx(np.exp(-c), rel=1e-11, abs=1e-14)
+    with pytest.raises(ValueError):
+        nodes[0] = 1.0
 
 
 def test_default_order_value():

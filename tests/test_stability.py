@@ -202,6 +202,17 @@ def test_d_quantities_scaled_stays_finite():
                 d_quantities(SphereParams(5, 2), 2000.0, scaled=scaled)
 
 
+@pytest.mark.parametrize("n", [3, 8, 20, 38, 80])
+def test_d_quantities_unscaled_finite_on_the_domain(n):
+    """e^eta times the D quantities stays finite up to |eta| = 700, so the
+    unscaled form needs no overflow test of its own."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(1, n):
+            for eta in (-700.0, 700.0):
+                assert all(np.isfinite(d_quantities(SphereParams(n, k), eta, scaled=False)))
+
+
 def test_perturbation_top_validation():
     params = SphereParams(4, 1)
     rule = theta_rule(4, 1, 16)
