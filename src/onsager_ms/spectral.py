@@ -1,13 +1,18 @@
 """Discretized spectra of the second-variation blocks.
 
 In the weighted metric <a, a>_w = int e^{-eta sin^2} a^2 dmu each block
-functional I_gamma is A_0 times the identity minus a rank-one term, so
-its spectrum is known in closed form: a simple eigenvalue (one of the
-sign scalars D1, D2, D3, or exactly zero for the mixed block on an
-anisotropic branch) below a bulk at A_0.  The dense collocation
-eigensolve is compared against this closed form on every call; a
-disagreement means the grid cannot resolve the exponential weight and
-raises instead of returning garbage.
+functional I_gamma is A_0 times the identity minus a rank-one term: on
+the grid the matrix A_0 I - c q q^T, restricted to mean-zero profiles
+for the b block.  Its spectrum follows from that structure (Golub, SIAM
+Rev. 15, 1973): one complete QR factorization of q, with the mean
+constraint as a leading column for b, gives an orthonormal eigenbasis
+whose first free column is the downdated direction, with eigenvalue
+A_0 - c |Pq|^2, and whose other columns span the A_0 eigenspace.  On
+every call that grid eigenvalue is compared with its closed form from
+the moments (one of the sign scalars D1, D2, D3, or exactly zero for
+the mixed block on an anisotropic branch); a disagreement means the
+grid cannot resolve the exponential weight and raises instead of
+returning garbage.
 
 The zero modes of the mixed block are the rotational kernel of the
 equilibrium: k (n-k) modes, one per basis slot, each a multiple of
@@ -19,7 +24,7 @@ bound in the plain L^2 metric for stable k = 1 states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Mapping
 
@@ -39,18 +44,22 @@ from .sigma import _branch_alpha, find_eta_star
 from .stability import (
     FAMILIES,
     GAMMA_BY_FAMILY,
+    OMEGA_A,
+    OMEGA_B,
     THETA,
+    XI_A,
+    XI_B,
     _block_low,
     _profile,
     _rank_one_coefficient,
-    basis_indices,
     equality_attainer,
 )
 
 BLOCK_FAMILIES = FAMILIES + ("b",)
+_GAMMA_BY_BLOCK = {**GAMMA_BY_FAMILY, "b": 3}
 MIN_GRID = 8
 
-# Relative tolerance for the dense-vs-closed-form consistency check.
+# Relative tolerance for the grid-vs-closed-form consistency check.
 _CLOSED_FORM_RTOL = 1e-9
 
 # Eigenvalues below this fraction of the spectral radius count as kernel.
@@ -58,23 +67,32 @@ KERNEL_RTOL = 1e-8
 
 
 def family_multiplicities(params: SphereParams) -> dict[str, int]:
-    """How many identical copies of each block the full form contains."""
-    counts = {family: 0 for family in FAMILIES}
-    for idx in basis_indices(params):
-        counts[idx.family] += 1
-    counts["b"] = 1
-    return counts
+    """How many identical copies of each block the full form contains:
+    the number of basis slots of each family, and one radial block b."""
+    k, nk = params.k, params.complement
+    return {
+        OMEGA_A: k - 1,
+        OMEGA_B: k * (k - 1) // 2,
+        XI_A: nk - 1,
+        XI_B: nk * (nk - 1) // 2,
+        THETA: k * nk,
+        "b": 1,
+    }
 
 
 @dataclass(frozen=True)
 class BlockSpectrum:
-    """Spectrum of one block in the weighted metric.
+    """Spectrum of one block in the weighted metric, from its rank-one
+    structure.
 
-    ``eigenvalues`` and ``closed_form`` are ascending and agree to
-    roundoff; ``eigenvectors`` columns hold the coefficient profiles
-    a(theta_i) on the grid of ``rule``, orthonormal in the weighted
-    metric.  The constrained b block has one eigenpair fewer than grid
-    points.
+    ``eigenvalues`` is ascending: the downdated value A_0 - c |Pq|^2 of
+    the grid, then A_0 for every other eigenpair.  ``closed_form`` is
+    the same spectrum with the low value taken from the moments; the
+    two agree to the grid-resolution check's tolerance.
+    ``eigenvectors`` columns hold the coefficient profiles a(theta_i) on
+    the grid of ``rule``, orthonormal in the weighted metric, the
+    downdated direction first.  The constrained b block has one
+    eigenpair fewer than grid points.
     """
 
     params: SphereParams
@@ -86,14 +104,6 @@ class BlockSpectrum:
     eigenvalues: np.ndarray
     closed_form: np.ndarray
     eigenvectors: np.ndarray
-
-
-def _family_exists(params: SphereParams, family: str) -> bool:
-    if family in ("Omega_A", "Omega_B"):
-        return params.k >= 2
-    if family in ("Xi_A", "Xi_B"):
-        return params.complement >= 2
-    return True
 
 
 def _rank_one_block(
@@ -120,20 +130,21 @@ def block_spectrum(
     alpha: float | None = None,
     order: int = DEFAULT_ORDER,
 ) -> BlockSpectrum:
-    """Dense spectrum of one block, verified against its closed form.
+    """Spectrum of one block from its rank-one structure, verified
+    against its closed form.
 
     alpha defaults to sigma_k(eta).  Eigenvalues are reported in plain
-    units (the internal solve is rescaled by e^{-max(eta,0)} so nothing
-    overflows on the way).
+    units (the internal values are rescaled by e^{-max(eta,0)} so
+    nothing overflows on the way).
     """
     if family not in BLOCK_FAMILIES:
         raise ValueError(f"unknown block family {family!r}")
-    if not _family_exists(params, family):
+    if family_multiplicities(params)[family] == 0:
         raise ValueError(f"family {family} is empty for (n, k) = ({params.n}, {params.k})")
     if grid_size < MIN_GRID:
         raise ValueError(f"grid_size must be at least {MIN_GRID}")
     eta = float(eta)
-    gamma = 3 if family == "b" else GAMMA_BY_FAMILY[family]
+    gamma = _GAMMA_BY_BLOCK[family]
     vals, shift = scaled_moments(params, eta, order=order)
     a0, a2, a4 = (float(x) for x in vals[:3])
     branch_alpha = _branch_alpha(params, vals)
@@ -148,15 +159,15 @@ def block_spectrum(
     w, t = rule.weights, rule.sin2
     growth = np.exp(eta * t - shift)
     root_mass = np.sqrt(w * growth)
-    mat, basis = _rank_one_block(
-        np.full(w.size, a0),
-        _rank_one_coefficient(gamma, params) * alpha,
-        root_mass * _profile(gamma, t),
-        root_mass if gamma == 3 else None,
-    )
-    evals, evecs = np.linalg.eigh(mat)
-    if basis is not None:
-        evecs = basis @ evecs
+    direction = root_mass * _profile(gamma, t)
+    # The mean constraint of b leads, so the first free column of Q is
+    # the part of the direction that satisfies it; R[free, free] is its norm.
+    columns = (root_mass, direction) if gamma == 3 else (direction,)
+    q, r = np.linalg.qr(np.column_stack(columns), mode="complete")
+    free = len(columns) - 1
+    evecs = q[:, free:]
+    evals = np.full(evecs.shape[1], a0)
+    evals[0] = a0 - _rank_one_coefficient(gamma, params) * alpha * r[free, free] ** 2
     low = _block_low(gamma, params, a0, a2, a4, alpha)
     closed = np.concatenate(([low], np.full(evals.size - 1, a0)))
     closed.sort()
@@ -213,24 +224,40 @@ def full_spectrum(
     alpha: float | None = None,
     order: int = DEFAULT_ORDER,
 ) -> SpectrumReport:
-    """Spectrum of the full discretized second variation at (k, eta)."""
+    """Spectrum of the full discretized second variation at (k, eta).
+
+    Blocks of one functional share a spectrum, so ``block_spectrum`` runs
+    once per gamma; the pooled eigenvalues are built from each block's
+    distinct values and their multiplicities.
+    """
     counts = family_multiplicities(params)
     blocks: dict[str, BlockSpectrum] = {}
-    pooled = []
+    by_gamma: dict[int, BlockSpectrum] = {}
+    pairs: list[tuple[float, int]] = []
     for family, count in counts.items():
         if count == 0:
             continue
-        block = block_spectrum(params, eta, family, grid_size, alpha, order)
+        gamma = _GAMMA_BY_BLOCK[family]
+        if gamma in by_gamma:
+            block = replace(by_gamma[gamma], family=family)
+        else:
+            block = block_spectrum(params, eta, family, grid_size, alpha, order)
+            by_gamma[gamma] = block
         blocks[family] = block
-        pooled.append(np.tile(block.eigenvalues, count))
-    eigenvalues = np.sort(np.concatenate(pooled))
+        # The downdated value, then the bulk at A_0.
+        size = block.eigenvalues.size
+        pairs += [(block.eigenvalues[0], count), (block.eigenvalues[-1], count * (size - 1))]
+    pairs.sort()
+    values = np.array([value for value, _ in pairs])
+    multiplicities = np.array([count for _, count in pairs])
+    eigenvalues = np.repeat(values, multiplicities)
     alpha_used = next(iter(blocks.values())).alpha
 
-    threshold = KERNEL_RTOL * float(np.max(np.abs(eigenvalues)))
-    magnitudes = np.abs(eigenvalues)
+    magnitudes = np.abs(values)
+    threshold = KERNEL_RTOL * float(np.max(magnitudes))
     in_kernel = magnitudes < threshold
-    kernel_dim = int(np.count_nonzero(in_kernel))
-    rest = eigenvalues[~in_kernel]
+    kernel_dim = int(np.sum(multiplicities[in_kernel]))
+    rest = values[~in_kernel]
     gap = float(rest.min()) if rest.size else 0.0
     ambiguous = bool(
         np.any((magnitudes >= threshold / 10.0) & (magnitudes <= threshold * 10.0))

@@ -214,6 +214,7 @@ def test_11_fixed_point_structure():
         for rep in range(20):
             res = solve_fixed_point(n, alpha, OrderTensor.random_unit(n, rng))
             if not res.converged:
+                bad.append(f"n={n} rep={rep} not converged")
                 continue
             if res.residual > 1e-8:
                 bad.append(f"n={n} rep={rep} residual={res.residual:.1e}")

@@ -1,25 +1,106 @@
 import numpy as np
 import pytest
 
-from onsager_ms.moments import moment
-from onsager_ms.quadrature import SphereParams
-from onsager_ms.sigma import find_eta_star, sigma_value
+from onsager_ms.moments import moment, scaled_moments
+from onsager_ms.quadrature import SphereParams, theta_rule
+from onsager_ms.sigma import _branch_alpha, find_eta_star, sigma_value
 from onsager_ms.spectral import (
+    _CLOSED_FORM_RTOL,
     BLOCK_FAMILIES,
+    _rank_one_block,
     block_spectrum,
     family_multiplicities,
     full_spectrum,
     gap_estimate,
     isotropic_threshold,
 )
-from onsager_ms.stability import d_quantities
+from onsager_ms.stability import (
+    GAMMA_BY_FAMILY,
+    _block_low,
+    _profile,
+    _rank_one_coefficient,
+    basis_indices,
+    d_quantities,
+)
 
 
-def test_family_multiplicities():
-    counts = family_multiplicities(SphereParams(5, 2))
-    assert counts == {"Omega_A": 1, "Omega_B": 1, "Xi_A": 2, "Xi_B": 3, "Theta": 6, "b": 1}
-    total = sum(counts.values())
-    assert total == len(BLOCK_FAMILIES) + 8  # 14 slots for (5, 2)
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(3, 13) for k in range(1, n)])
+def test_family_multiplicities(n, k):
+    """The closed-form counts match a count over the enumerated basis."""
+    params = SphereParams(n, k)
+    enumerated = {family: 0 for family in BLOCK_FAMILIES}
+    for idx in basis_indices(params):
+        enumerated[idx.family] += 1
+    enumerated["b"] = 1
+    counts = family_multiplicities(params)
+    assert counts == enumerated
+    assert list(counts) == list(BLOCK_FAMILIES)
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (12, 6), (38, 1), (38, 19)])
+def test_rank_one_spectrum_matches_dense_reference(n, k):
+    """Every block against a dense eigensolve of the same grid matrix.
+
+    Where the dense reference's low eigenvalue disagrees with the
+    closed form, the grid is too coarse and ``block_spectrum`` must
+    raise; everywhere else its eigenpairs must match the dense ones.
+    """
+    params = SphereParams(n, k)
+    passed = raised = 0
+    for grid_size in (8, 24, 64, 128):
+        rule = theta_rule(n, k, grid_size)
+        w, t = rule.weights, rule.sin2
+        for eta in (-20.0, -1e-3, 1.5, 40.0):
+            vals, shift = scaled_moments(params, eta)
+            a0, a2, a4 = (float(x) for x in vals[:3])
+            alpha = _branch_alpha(params, vals)
+            root_mass = np.sqrt(w * np.exp(eta * t - shift))
+            for family, count in family_multiplicities(params).items():
+                if count == 0:
+                    continue
+                gamma = 3 if family == "b" else GAMMA_BY_FAMILY[family]
+                coefficient = _rank_one_coefficient(gamma, params) * alpha
+                direction = root_mass * _profile(gamma, t)
+                constraint = root_mass if gamma == 3 else None
+                mat, basis = _rank_one_block(
+                    np.full(w.size, a0), coefficient, direction, constraint
+                )
+                dense = np.linalg.eigvalsh(mat)
+                low = _block_low(gamma, params, a0, a2, a4, alpha)
+                closed = np.sort(np.concatenate(([low], np.full(dense.size - 1, a0))))
+                resolved = np.max(np.abs(dense - closed)) <= _CLOSED_FORM_RTOL * max(a0, abs(low))
+                if not resolved:
+                    with pytest.raises(RuntimeError, match="increase grid_size"):
+                        block_spectrum(params, eta, family, grid_size=grid_size)
+                    raised += 1
+                    continue
+                spec = block_spectrum(params, eta, family, grid_size=grid_size)
+                passed += 1
+                scaled = spec.eigenvalues * np.exp(-shift)
+                assert np.max(np.abs(scaled - dense)) <= 1e-12 * a0
+                # Orthonormal in the weighted metric.
+                a = spec.eigenvectors
+                gram = a.T @ (a * (w * np.exp(-eta * t))[:, None])
+                assert np.max(np.abs(gram - np.eye(dense.size))) <= 1e-12
+                # Back to the grid coordinates the matrix acts on.
+                v = a * (np.sqrt(w) * np.exp(-0.5 * eta * t))[:, None]
+                full = a0 * v - coefficient * np.outer(direction, direction @ v)
+                if basis is not None:
+                    assert np.max(np.abs(root_mass @ v)) <= 1e-12 * np.linalg.norm(root_mass)
+                    full = basis @ (basis.T @ full)
+                residual = np.linalg.norm(full - v * scaled[None, :], axis=0)
+                assert np.max(residual) <= 1e-12 * a0
+    # Only the coarsest grid fails to resolve the weight, at |eta| >= 20.
+    blocks = sum(1 for count in family_multiplicities(params).values() if count)
+    assert (passed, raised) == (14 * blocks, 2 * blocks)
+
+
+def test_grid_resolution_check_fires():
+    params = SphereParams(3, 1)
+    with pytest.raises(RuntimeError, match="increase grid_size"):
+        block_spectrum(params, 50.0, "Theta", grid_size=8)
+    spec = block_spectrum(params, 50.0, "Theta", grid_size=64)
+    assert abs(spec.eigenvalues[0]) <= 1e-9 * spec.eigenvalues[-1]
 
 
 def test_block_spectrum_missing_family_raises():
@@ -122,6 +203,14 @@ def test_full_spectrum_pools_multiplicities():
     )
     assert report.eigenvalues.size == expected
     assert np.all(np.diff(report.eigenvalues) >= 0)
+    for params, eta in ((SphereParams(5, 2), -1.5), (SphereParams(7, 3), 2.0)):
+        report = full_spectrum(params, eta, grid_size=16)
+        tiled = np.sort(np.concatenate([
+            np.tile(report.blocks[family].eigenvalues, count)
+            for family, count in report.multiplicities.items()
+            if count > 0
+        ]))
+        assert np.array_equal(report.eigenvalues, tiled)
 
 
 def test_full_spectrum_isotropic_explicit_alpha():
