@@ -189,10 +189,8 @@ def _log_density_values(spec: CriticalPointSpec, mat: np.ndarray, order: int) ->
     params = spec.params
     rotated = mat @ spec.rotation.T
     s2 = np.einsum("ij,ij->i", rotated[:, : params.k], rotated[:, : params.k])
-    scaled, shift = scaled_moments(params, spec.eta, order=order)
-    log_z = shift + np.log(
-        surface_area(params.k) * surface_area(params.complement) * scaled[0]
-    )
+    tilt = scaled_moments(params, spec.eta, order=order)
+    log_z = tilt.shift + np.log(surface_area(params.k) * surface_area(params.complement) * tilt.a0)
     return spec.eta * s2 - log_z
 
 

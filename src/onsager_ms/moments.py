@@ -1,25 +1,22 @@
-"""Exponential moments of the polar measure.
+"""Exponential moments of the polar measure, as one tilted measure.
 
-The moments
-
-    A_l(eta) = integral of exp(eta sin^2 theta) sin^l(theta)
-               against sin^(k-1)(theta) cos^(n-k-1)(theta) dtheta
-
-for even l are the atoms from which the intensity curve, the sign
-quantities and the spectral blocks are all built.  One pass,
-:func:`scaled_moments`, makes A_0, A_2, ..., A_8 together at the common
-scale e^(-max(eta, 0)), so the quadrature only ever sees non-positive
-exponents; consumers that form products of moments work with these
-rescaled values to stay inside double-precision range.
+With t = sin^2(theta), the moments A_l(eta) = integral of e^(eta t) t^(l/2)
+against sin^(k-1)(theta) cos^(n-k-1)(theta) dtheta, for even l, are
+A_0 E[t^(l/2)] under the polar measure tilted by e^(eta t).  One pass,
+:func:`scaled_moments`, returns that measure on the Gauss nodes at the
+common scale e^(-max(eta, 0)), with E[t], s = E[t(1-t)], E[t^2(1-t)] and
+E[t(1-t)^2].  The intensity curve, the sign quantities and the spectral
+blocks take these in formulas of positive factors or a centred
+covariance, never a difference of nearly equal moments.
 
 The domain is finite |eta| <= ETA_MAX = 700, and every entry point of
 the library that needs moments raises ValueError outside it.  Inside it,
 at the default order 128, sigma_k agrees with a 35-digit 1F1 oracle to
-6e-11 relative or better and sigma_k' to 6e-10 for n <= 50 (sampled at
-k = 1, n/2, n-1 and |eta| = 100, 200, 400, 700; sigma_k' is worst on
-k = n-1 at eta = 700).  Past the edge the Gauss rule stops resolving the
-exponential weight: at eta = 2000 the error in sigma is 3e-6 at
-(n, k) = (20, 1) and 5e-3 at (50, 7).
+5.2e-11 relative or better and sigma_k' to 7.4e-11 for n <= 50 (sampled
+at n = 3, 8, 20, 38, 50, k = 1, n/2, n-1 and |eta| = 100, 200, 400, 700;
+both are worst at (n, k) = (20, 1), eta = -700).  Past the edge the
+Gauss rule stops resolving the exponential weight: at eta = 2000 the
+error in sigma is 3e-6 at (n, k) = (20, 1) and 5e-3 at (50, 7).
 
 At eta = 0 the moments reduce to Beta values,
 A_l(0) = (1/2) B((k+l)/2, (n-k)/2), which the Gauss rule reproduces
@@ -28,9 +25,11 @@ exactly because the integrand is then a polynomial in sin^2(theta).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .quadrature import DEFAULT_ORDER, SphereParams, theta_rule
+from .quadrature import DEFAULT_ORDER, SphereParams, WeightedQuadrature, theta_rule
 
 #: Largest |eta| of the moment domain.
 ETA_MAX = 700.0
@@ -44,25 +43,43 @@ def _checked_eta(eta: float) -> float:
     return eta
 
 
+class TiltedMeasure(NamedTuple):
+    """The polar measure tilted by e^(eta t), t = sin^2, on ``rule``'s nodes:
+    ``weights`` (the rule's times e^(eta t - shift), shift = max(eta, 0))
+    sum to ``a0`` = e^(-shift) A_0 and give E[f] = weights @ f(t) / a0;
+    ``mean`` = E[t], ``s`` = E[t(1-t)], ``s_sin2`` = E[t^2(1-t)] and
+    ``s_cos2`` = E[t(1-t)^2].  Read the fields by name."""
+
+    a0: float
+    weights: np.ndarray
+    rule: WeightedQuadrature
+    shift: float
+    eta: float
+    mean: float
+    s: float
+    s_sin2: float
+    s_cos2: float
+
+
 def scaled_moments(
     params: SphereParams, eta: float, *, order: int = DEFAULT_ORDER
-) -> tuple[np.ndarray, float]:
-    """Rescaled moments exp(-shift) * A_l for l = 0, 2, 4, 6, 8.
-
-    Returns ``(values, shift)`` with shift = max(eta, 0) and
-    A_l = exp(shift) * values[l // 2].  Raises ValueError unless eta is
-    finite with |eta| <= ETA_MAX.  The values are checked to be positive
-    and strictly decreasing in l (sin^2 < 1 on the open interval); a
-    violation signals a broken quadrature rule and raises RuntimeError.
+) -> TiltedMeasure:
+    """The tilted measure at eta and its expectations, from one product of
+    the rule's ``moment_rows`` with the tilted weights.  Raises ValueError
+    unless eta is finite with |eta| <= ETA_MAX, and RuntimeError when the
+    mass or an expectation is not positive, which 0 < t < 1 at every node
+    rules out for a sound rule.
     """
     eta = _checked_eta(eta)
     rule = theta_rule(params.n, params.k, order)
     shift = max(eta, 0.0)
-    values = rule.sin2_powers @ (rule.weights * np.exp(eta * rule.sin2 - shift))
-    a0, a2, a4, a6, a8 = values.tolist()
-    if not a0 > a2 > a4 > a6 > a8 > 0.0:
-        raise RuntimeError("moments not positive and decreasing in l; quadrature failure")
-    return values, shift
+    weights = eta * rule.sin2 - shift
+    np.exp(weights, out=weights)  # in place: the pass runs tens of times per branch
+    weights *= rule.weights
+    a0, t, s, s_sin2, s_cos2 = (rule.moment_rows @ weights).tolist()
+    if not (a0 > 0.0 and t > 0.0 and s > 0.0 and s_sin2 > 0.0 and s_cos2 > 0.0):
+        raise RuntimeError("tilted moments not positive; quadrature failure")
+    return TiltedMeasure(a0, weights, rule, shift, eta, t / a0, s / a0, s_sin2 / a0, s_cos2 / a0)
 
 
 def moment(
@@ -71,29 +88,26 @@ def moment(
     """The moment A_l(eta) for even 0 <= l <= 8, from :func:`scaled_moments`."""
     if l not in (0, 2, 4, 6, 8):
         raise ValueError(f"moment index l must be one of 0, 2, 4, 6, 8, got {l}")
-    values, shift = scaled_moments(params, eta, order=order)
-    return float(np.exp(shift) * values[l // 2])
+    tilt = scaled_moments(params, eta, order=order)
+    # A_0 is the pass's own mass, so every reader of A_0 gets the same bits.
+    scaled = tilt.a0 if l == 0 else float(tilt.weights @ tilt.rule.sin2 ** (l // 2))
+    return float(np.exp(tilt.shift) * scaled)
 
 
-def recurrence_residual(params: SphereParams, eta: float, values, l: int) -> float:
-    """Relative residual of the moment recurrence at index l = 0, 2 or 4.
-
-    The moments satisfy
-        A_{l+2} - A_{l+4} = ((n+l) A_{l+2} - (k+l) A_l) / (2 eta),
-    obtained by integrating the eta-derivative identity by parts.
-    ``values`` is the array :func:`scaled_moments` returns at eta; the
-    identity is linear, so the common scale drops out.  The returned
-    |lhs - rhs| / A_l should vanish to quadrature accuracy.
-
-    The identity divides by eta, so eta = 0 is a domain error (use the
-    Beta closed forms there) and tiny |eta| amplifies roundoff; callers
-    should treat |eta| below about 1e-4 as ill-conditioned.
+def recurrence_residual(params: SphereParams, eta: float, tilt: TiltedMeasure, l: int) -> float:
+    """Relative residual |lhs - rhs| / A_l of the moment recurrence
+    A_{l+2} - A_{l+4} = ((n+l) A_{l+2} - (k+l) A_l) / (2 eta), l = 0, 2, 4
+    (the eta-derivative identity integrated by parts), from the pass
+    ``tilt`` at eta; the identity is linear, so the common scale drops
+    out.  It divides by eta: eta = 0 is a domain error (use the Beta closed
+    forms there), and |eta| below about 1e-4 is ill-conditioned.
     """
     eta = float(eta)
     if eta == 0.0:
         raise ValueError("recurrence divides by eta; use Beta closed forms at eta=0")
     if l not in (0, 2, 4):
         raise ValueError(f"recurrence index l must be one of 0, 2, 4, got {l}")
-    al, al2, al4 = (float(v) for v in values[l // 2 : l // 2 + 3])
+    t = tilt.rule.sin2
+    al, al2, al4 = (float(tilt.weights @ t ** (j // 2)) for j in (l, l + 2, l + 4))
     n, k = params.n, params.k
     return abs(al2 - al4 - ((n + l) * al2 - (k + l) * al) / (2.0 * eta)) / al

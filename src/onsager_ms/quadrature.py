@@ -85,9 +85,9 @@ class WeightedQuadrature:
     exact for integrands that are polynomials in sin^2(theta) of degree up
     to 2*order - 1.
 
-    ``sin2`` caches sin^2(nodes); most integrands are functions of it.
-    ``sin2_powers`` holds the rows sin2**j for j = 0..4, the polynomial
-    factors of the moments A_0 .. A_8.
+    ``sin2`` caches t = sin^2(nodes); most integrands are functions of it.
+    ``moment_rows`` holds 1, t, t(1-t), t^2(1-t) and t(1-t)^2, whose
+    tilted expectations the moment pass takes in one product.
     """
 
     params: SphereParams
@@ -95,7 +95,7 @@ class WeightedQuadrature:
     weights: np.ndarray
     order: int
     sin2: np.ndarray
-    sin2_powers: np.ndarray
+    moment_rows: np.ndarray
 
     @property
     def total_mass(self) -> float:
@@ -119,9 +119,9 @@ def build_weighted_quadrature(
     nodes = np.arcsin(np.sqrt(t))
     # Jacobi weight on [-1, 1] maps to the t-interval with factor 2^(-n/2).
     weights = w * 2.0 ** (-0.5 * params.n)
-    powers = t[None, :] ** np.arange(5)[:, None]
-    _freeze(nodes, weights, t, powers)
-    return WeightedQuadrature(params, nodes, weights, order, t, powers)
+    rows = np.stack((np.ones_like(t), t, t * (1 - t), t * t * (1 - t), t * (1 - t) ** 2))
+    _freeze(nodes, weights, t, rows)
+    return WeightedQuadrature(params, nodes, weights, order, t, rows)
 
 
 @lru_cache(maxsize=128)

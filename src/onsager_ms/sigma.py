@@ -3,69 +3,61 @@
 An anisotropic equilibrium with order parameter eta on the k-fold branch
 exists exactly at interaction strength
 
-    sigma_k(eta) = k (n-k) A_0 / (2 (A_2 - A_4)),
+    sigma_k(eta) = k (n-k) A_0 / (2 (A_2 - A_4)) = k (n-k) / (2 s),
 
-where the A_l are the exponential moments at eta.  The curve is strictly
-convex-looking in practice: its derivative changes sign exactly once, at
-the fold point eta_k^*, which is the bottom of the branch in the
-(eta, alpha) plane.  sigma_k(0) = n(n+2)/2 for every k, and the two
+where the A_l are the exponential moments at eta and s = E[t (1-t)],
+t = sin^2, under the polar measure tilted by e^(eta t).  The curve is
+strictly convex-looking in practice: its derivative changes sign exactly
+once, at the fold point eta_k^*, which is the bottom of the branch in
+the (eta, alpha) plane.  sigma_k(0) = n(n+2)/2 for every k, and the two
 asymptotic slopes are k (eta -> +inf) and k - n (eta -> -inf).
 
 The reflection m -> (m_n, ..., m_1) identifies the k-branch at eta with
 the (n-k)-branch at -eta, giving sigma_k(eta) = sigma_{n-k}(-eta); tests
 lean on that identity heavily.
 
-All formulas here are ratios of moments, so they are evaluated from the
-rescaled moments; eta is confined to the moment domain |eta| <= ETA_MAX,
-and the brackets of the fold search and of the inversion end at its edge.
+All formulas here are expectations under the tilted measure, evaluated
+from one rescaled moment pass; eta is confined to the moment domain
+|eta| <= ETA_MAX, and the brackets of the fold search and of the
+inversion end at its edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .moments import ETA_MAX, scaled_moments
+from .moments import ETA_MAX, TiltedMeasure, scaled_moments
 from .quadrature import DEFAULT_ORDER, SphereParams
 
 
-def _branch_alpha(params: SphereParams, moments) -> float:
-    """k (n-k) A_0 / (2 (A_2 - A_4)) from moments (A_0, A_2, A_4, ...).
+def _branch_alpha(params: SphereParams, tilt: TiltedMeasure) -> float:
+    """sigma_k = k (n-k) / (2 s); the moment pass guarantees s = E[t(1-t)] > 0."""
+    return params.k * params.complement / (2.0 * tilt.s)
 
-    The ratio is scale-free, so rescaled moments give the same value.
-    """
-    gap = moments[1] - moments[2]
-    if gap <= 0:
-        raise RuntimeError("A_2 - A_4 <= 0; quadrature cannot resolve this eta")
-    return float(params.k * params.complement * moments[0] / (2.0 * gap))
+
+def _branch_slope(params: SphereParams, tilt: TiltedMeasure) -> float:
+    """sigma_k' = -k (n-k) Cov(t, t(1-t)) / (2 s^2), the covariance as a centred sum."""
+    centred_t = tilt.weights * (tilt.rule.sin2 - tilt.mean)
+    cov = float(centred_t @ (tilt.rule.moment_rows[2] - tilt.s)) / tilt.a0  # row 2: t(1-t)
+    return -params.k * params.complement * cov / (2.0 * tilt.s * tilt.s)
 
 
 def sigma_value(params: SphereParams, eta: float, order: int = DEFAULT_ORDER) -> float:
     """Interaction strength alpha = sigma_k(eta) carrying the k-branch."""
-    a, _ = scaled_moments(params, eta, order=order)
-    return _branch_alpha(params, a)
+    return _branch_alpha(params, scaled_moments(params, eta, order=order))
 
 
 def sigma_prime(params: SphereParams, eta: float, order: int = DEFAULT_ORDER) -> float:
-    """Derivative of sigma_k at eta, from the closed moment formula.
-
-    d/d eta of each moment raises l by 2, which collapses the quotient
-    rule to
-
-        sigma_k'(eta) = k(n-k) (A_2(A_2-A_4) - A_0(A_4-A_6))
-                        / (2 (A_2-A_4)^2).
-
-    Evaluated from rescaled moments: the common exponential factor
-    cancels between numerator and denominator.
+    """Derivative of sigma_k at eta: d/d eta of an expectation under the
+    tilted measure is its covariance with t, so
+    sigma_k' = -k(n-k) Cov(t, t(1-t)) / (2 s^2).  The covariance is summed
+    centred and keeps absolute accuracy near its zero at the fold.
     """
-    a, _ = scaled_moments(params, eta, order=order)
-    _branch_alpha(params, a)  # the shared guard on the moment gap
-    gap = a[1] - a[2]
-    num = a[1] * gap - a[0] * (a[2] - a[3])
-    return float(params.k * params.complement * num / (2.0 * gap * gap))
+    return _branch_slope(params, scaled_moments(params, eta, order=order))
 
 
 def sigma_prime_fd(
@@ -87,9 +79,8 @@ class SigmaSample:
 
 
 def sample(params: SphereParams, eta: float, order: int = DEFAULT_ORDER) -> SigmaSample:
-    return SigmaSample(
-        float(eta), sigma_value(params, eta, order), sigma_prime(params, eta, order)
-    )
+    tilt = scaled_moments(params, eta, order=order)
+    return SigmaSample(tilt.eta, _branch_alpha(params, tilt), _branch_slope(params, tilt))
 
 
 @dataclass(frozen=True)
@@ -120,9 +111,7 @@ def _eta_star_cached(n: int, k: int, order: int) -> EtaStar:
         # sigma_k(eta) = sigma_{n-k}(-eta) makes this branch even in eta.
         return EtaStar(params, 0.0, sigma_value(params, 0.0, order))
 
-    def dphi(e: float) -> float:
-        return sigma_prime(params, e, order)
-
+    dphi = partial(sigma_prime, params, order=order)
     # Bracket the sign change of sigma', doubling outward from +-8.  The
     # asymptotic slopes have opposite signs so this terminates quickly.
     for span in _outward(0.0, 1.0):

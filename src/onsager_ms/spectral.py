@@ -145,11 +145,10 @@ def block_spectrum(
         raise ValueError(f"grid_size must be at least {MIN_GRID}")
     eta = float(eta)
     gamma = _GAMMA_BY_BLOCK[family]
-    vals, shift = scaled_moments(params, eta, order=order)
-    a0, a2, a4 = (float(x) for x in vals[:3])
-    branch_alpha = _branch_alpha(params, vals)
+    tilt = scaled_moments(params, eta, order=order)
+    a0, shift = tilt.a0, tilt.shift
     if alpha is None:
-        alpha = branch_alpha
+        alpha = _branch_alpha(params, tilt)
     else:
         alpha = float(alpha)
         if not np.isfinite(alpha) or alpha <= 0:
@@ -168,7 +167,7 @@ def block_spectrum(
     evecs = q[:, free:]
     evals = np.full(evecs.shape[1], a0)
     evals[0] = a0 - _rank_one_coefficient(gamma, params) * alpha * r[free, free] ** 2
-    low = _block_low(gamma, params, a0, a2, a4, alpha)
+    low = _block_low(gamma, params, tilt, alpha)
     closed = np.concatenate(([low], np.full(evals.size - 1, a0)))
     closed.sort()
 
@@ -319,9 +318,9 @@ def gap_estimate(
     if not eta > star:
         raise ValueError("k = 1 equilibria are stable only for eta > eta_1^*")
 
-    vals, _ = scaled_moments(params, eta, order=order)
-    alpha = _branch_alpha(params, vals)
-    a0_scaled = float(vals[0])
+    tilt = scaled_moments(params, eta, order=order)
+    alpha = _branch_alpha(params, tilt)
+    a0_scaled = tilt.a0
     rule = theta_rule(params.n, 1, grid_size)
     w, t = rule.weights, rule.sin2
     decay = np.exp(-eta * t)

@@ -37,7 +37,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .equilibrium import MAX_FULL_SPHERE_DIM, CriticalPointSpec, critical_point
-from .moments import _checked_eta, moment, scaled_moments
+from .moments import TiltedMeasure, _checked_eta, scaled_moments
 from .quadrature import (
     DEFAULT_ORDER,
     SphereParams,
@@ -48,7 +48,7 @@ from .quadrature import (
     surface_area,
     theta_rule,
 )
-from .sigma import _branch_alpha, find_eta_star, sigma_value
+from .sigma import _branch_alpha, _branch_slope, find_eta_star
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
@@ -276,16 +276,29 @@ def _rank_one_coefficient(gamma: int, params: SphereParams) -> float:
     return numerator / _slot_denominator(gamma, params)
 
 
-def _block_low(
-    gamma: int, params: SphereParams, a0: float, a2: float, a4: float, alpha: float
-) -> float:
-    """Closed-form lowest eigenvalue of block gamma, from moments at one scale:
-    D1, D2, D3 for gamma = 1, 2, 3, and zero on the branch for gamma = 0."""
-    denominator = _slot_denominator(gamma, params)
-    if gamma == 3:
-        return a0 - params.n * alpha * (a0 * a4 - a2 * a2) / (denominator * a0)
-    norm = (a2 - a4, a4, a0 - 2.0 * a2 + a4)[gamma]
-    return a0 - 2.0 * alpha * norm / denominator
+def _block_low(gamma: int, params: SphereParams, tilt: TiltedMeasure, alpha: float) -> float:
+    """Closed-form lowest eigenvalue of block gamma at the scale of ``tilt``.
+
+    On the branch it is the sign scalar D_gamma: D_0 = 0 (the rotation
+    modes), D_1 = -2 eta A_0 E[t^2(1-t)]/((k+2)s),
+    D_2 = 2 eta A_0 E[t(1-t)^2]/((n-k+2)s) and D_3 = eta A_0 sigma'/sigma.
+    The value is affine in alpha and A_0 at alpha = 0, so off the branch
+    it is A_0 (1 - alpha/sigma) + (alpha/sigma) D_gamma, which equals
+    A_0 - c_gamma alpha N_gamma (c_gamma the rank-one coefficient,
+    N_gamma the squared profile norm).
+    """
+    n, k, eta, a0 = params.n, params.k, tilt.eta, tilt.a0
+    sigma = _branch_alpha(params, tilt)
+    if gamma == 0:
+        d = 0.0
+    elif gamma == 1:
+        d = -2.0 * eta * a0 * tilt.s_sin2 / ((k + 2) * tilt.s)
+    elif gamma == 2:
+        d = 2.0 * eta * a0 * tilt.s_cos2 / ((n - k + 2) * tilt.s)
+    else:
+        d = eta * a0 * _branch_slope(params, tilt) / sigma
+    ratio = alpha / sigma
+    return a0 * (1.0 - ratio) + ratio * d
 
 
 def functional_I(
@@ -309,45 +322,34 @@ def functional_I(
         raise ValueError("coefficient values must be sampled on the quadrature grid")
     if not np.all(np.isfinite(vals)):
         raise ValueError("coefficient values must be finite")
-    eta = float(eta)
+    tilt = scaled_moments(params, eta, order=order)
     if alpha is None:
-        alpha = sigma_value(params, eta, order)
+        alpha = _branch_alpha(params, tilt)
     w, t = rule.weights, rule.sin2
     if gamma == 3:
         mean = float(np.sum(w * vals))
         if abs(mean) > 1e-10 * max(1.0, float(np.sum(w * np.abs(vals)))):
             raise ValueError("the radial profile b must have zero mean")
-    a0 = moment(params, eta, 0, order)
-    weighted = float(np.sum(w * np.exp(-eta * t) * vals * vals))
+    a0 = float(np.exp(tilt.shift) * tilt.a0)
+    weighted = float(np.sum(w * np.exp(-tilt.eta * t) * vals * vals))
     inner = float(np.sum(w * _profile(gamma, t) * vals))
     return a0 * weighted - _rank_one_coefficient(gamma, params) * alpha * inner * inner
 
 
 def d_quantities(
-    params: SphereParams,
-    eta: float,
-    alpha: float | None = None,
-    order: int = DEFAULT_ORDER,
-    scaled: bool = False,
+    params: SphereParams, eta: float, alpha: float | None = None, order: int = DEFAULT_ORDER
 ) -> tuple[float, float, float]:
     """The three sign scalars deciding each block's extreme value.
 
-    D1 = A0 - 2 alpha A4 / (k(k+2)) carries the sign of -eta;
-    D2 (cosine analogue) carries the sign of eta;
-    D3 (mean-zero block) carries the sign of eta (eta - eta_k^*).
-    With ``scaled`` the common factor e^{max(eta,0)} is dropped.  Either
-    way eta must lie in the moment domain |eta| <= ETA_MAX, inside which
-    the unscaled values stay finite.
+    On the branch (alpha = sigma_k(eta), the default) D1 has the sign of
+    -eta, D2 that of eta and D3 (mean-zero block) that of eta (eta - eta_k^*),
+    each by its formula (see ``_block_low``).  eta must lie in the moment
+    domain |eta| <= ETA_MAX, inside which the values stay finite.
     """
-    vals, shift = scaled_moments(params, eta, order=order)
-    a0, a2, a4 = (float(x) for x in vals[:3])
-    branch_alpha = _branch_alpha(params, vals)  # checked even when alpha is given
-    alpha = branch_alpha if alpha is None else alpha
-    dq = tuple(_block_low(gamma, params, a0, a2, a4, alpha) for gamma in (1, 2, 3))
-    if scaled:
-        return dq
-    factor = float(np.exp(shift))
-    return tuple(d * factor for d in dq)
+    tilt = scaled_moments(params, eta, order=order)
+    alpha = _branch_alpha(params, tilt) if alpha is None else alpha
+    factor = float(np.exp(tilt.shift))
+    return tuple(_block_low(gamma, params, tilt, alpha) * factor for gamma in (1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -512,13 +514,9 @@ def quadratic_form_direct(
     if abs(float(np.sum(w * vals))) > 1e-9 * max(1.0, float(np.sum(w * np.abs(vals)))):
         raise ValueError("phi must have zero mean over the sphere")
     s2 = np.einsum("ij,ij->i", canonical[:, :k], canonical[:, :k])
-    scaled, shift = scaled_moments(params, spec.eta)
-    inv_f0 = (
-        surface_area(params.k)
-        * surface_area(params.complement)
-        * scaled[0]
-        * np.exp(shift - spec.eta * s2)
-    )
+    tilt = scaled_moments(params, spec.eta)
+    area = surface_area(params.k) * surface_area(params.complement)
+    inv_f0 = area * tilt.a0 * np.exp(tilt.shift - spec.eta * s2)
     first = float(np.sum(w * vals * vals * inv_f0))
     weighted = w * vals
     tensor = (pts * weighted[:, None]).T @ pts
@@ -541,8 +539,7 @@ def equality_attainer(
     base = np.exp(eta * t - max(eta, 0.0))
     if gamma != 3:
         return base * _profile(gamma, t)
-    scaled, _ = scaled_moments(params, eta, order=order)
-    return base * (scaled[1] / scaled[0] - t)
+    return base * (scaled_moments(params, eta, order=order).mean - t)
 
 
 @dataclass(frozen=True)

@@ -167,9 +167,9 @@ def _check_moment_recurrence(cfg: VerifyConfig) -> CheckResult:
     for n, k in ((4, 1), (5, 2)):
         params = SphereParams(n, k)
         for eta in (-cap, -0.3 * cap, 0.3 * cap, cap):
-            vals, _ = scaled_moments(params, eta, order=cfg.quad_order)
+            tilt = scaled_moments(params, eta, order=cfg.quad_order)
             for l in (0, 2, 4):
-                worst = max(worst, recurrence_residual(params, eta, vals, l))
+                worst = max(worst, recurrence_residual(params, eta, tilt, l))
     return _result("moment_recurrence", cfg, worst, 1e-9)
 
 
@@ -235,15 +235,18 @@ def _check_eta_star_fold(cfg: VerifyConfig) -> CheckResult:
 
 
 def _check_d_sign_laws(cfg: VerifyConfig) -> CheckResult:
-    params = SphereParams(4, 1)
-    star = find_eta_star(params, cfg.quad_order).eta_star
+    """Signs of D1, D2, D3 against the theorem, each divided by A_0, on
+    k = 1 and next to the fold eta* = 0 of k = n/2, where D3 ~ eta^2."""
+    star = find_eta_star(SphereParams(4, 1), cfg.quad_order).eta_star
     cap = cfg.eta_cap
+    probes = [(1, float(eta), star) for eta in np.linspace(-cap, cap, 9)
+              if abs(eta) >= 1e-3 and abs(eta - star) >= 0.05 * max(1.0, abs(star))]
+    probes += [(2, eta, 0.0) for eta in (-1e-6, 1e-6)]
     worst = -np.inf
-    for eta in np.linspace(-cap, cap, 9):
-        eta = float(eta)
-        if abs(eta) < 1e-3 or abs(eta - star) < 0.05 * max(1.0, abs(star)):
-            continue
-        d1, d2, d3 = d_quantities(params, eta, scaled=True, order=cfg.quad_order)
+    for k, eta, star in probes:
+        params = SphereParams(4, k)
+        a0 = moment(params, eta, 0, cfg.quad_order)
+        d1, d2, d3 = (d / a0 for d in d_quantities(params, eta, order=cfg.quad_order))
         sign = np.sign(eta)
         # Each product is negative when the computed sign is lawful.
         worst = max(worst, d1 * sign, -d2 * sign, -d3 * sign * np.sign(eta - star))
@@ -322,8 +325,7 @@ def _check_bingham_axial(cfg: VerifyConfig) -> CheckResult:
     for n, k in ((4, 1), (8, 3), (20, 10)):
         leading = np.arange(n) < k
         for eta in (-cap, 0.3 * cap, cap):
-            vals, _ = scaled_moments(SphereParams(n, k), eta, order=cfg.quad_order)
-            ratio = vals[1] / vals[0]
+            ratio = scaled_moments(SphereParams(n, k), eta, order=cfg.quad_order).mean
             axial = np.where(leading, ratio / k, (1.0 - ratio) / (n - k))
             got = bingham_second_moments(np.where(leading, eta, 0.0))
             worst = max(worst, float(np.max(np.abs(got - axial) / axial)))

@@ -102,9 +102,9 @@ def test_05_moment_recurrence():
     for n, k in PAIRS_N6:
         for eta in (-50.0, -5.0, -1.0, 1.0, 5.0, 50.0):
             params = SphereParams(n, k)
-            vals, _ = scaled_moments(params, eta)
+            tilt = scaled_moments(params, eta)
             for l in (0, 2, 4):
-                worst = max(worst, recurrence_residual(params, eta, vals, l))
+                worst = max(worst, recurrence_residual(params, eta, tilt, l))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 2.0
     _report(5, "moment recurrence", ok, f"worst rel {worst:.2e}, {elapsed:.2f}s")

@@ -48,9 +48,10 @@ def test_zero_field_moments_are_beta_values(pair, l):
 def test_extreme_eta_stays_finite():
     """The scaled representation survives eta at the cap without overflow."""
     params = SphereParams(3, 1)
-    vals, shift = scaled_moments(params, ETA_MAX)
-    assert np.all(np.isfinite(vals))
-    assert shift == ETA_MAX
+    tilt = scaled_moments(params, ETA_MAX)
+    assert np.all(np.isfinite(tilt.weights))
+    assert np.isfinite([tilt.a0, tilt.mean, tilt.s, tilt.s_sin2, tilt.s_cos2]).all()
+    assert tilt.shift == ETA_MAX
     # Adaptive-quadrature value at the cap, frozen.
     assert moment(params, ETA_MAX, 0) == pytest.approx(7.249700458363177e300, rel=1e-10)
 
@@ -68,9 +69,9 @@ def test_odd_l_rejected():
 
 
 def test_negative_eta_shift_is_zero():
-    vals, shift = scaled_moments(SphereParams(4, 2), -5.0)
-    assert shift == 0.0
-    assert np.all(vals > 0)
+    tilt = scaled_moments(SphereParams(4, 2), -5.0)
+    assert tilt.shift == 0.0
+    assert tilt.a0 > 0 and np.all(tilt.weights > 0)
 
 
 @given(
@@ -84,41 +85,63 @@ def test_recurrence(pair, eta, l):
     if abs(eta) < 1e-2:
         return
     params = SphereParams(*pair)
-    vals, _ = scaled_moments(params, eta)
-    assert recurrence_residual(params, eta, vals, l) <= 1e-9
+    tilt = scaled_moments(params, eta)
+    assert recurrence_residual(params, eta, tilt, l) <= 1e-9
 
 
 def test_recurrence_rejects_eta_zero():
     params = SphereParams(4, 1)
-    vals, _ = scaled_moments(params, 0.0)
+    tilt = scaled_moments(params, 0.0)
     with pytest.raises(ValueError):
-        recurrence_residual(params, 0.0, vals, 0)
+        recurrence_residual(params, 0.0, tilt, 0)
 
 
 def test_moment_vector_monotone():
-    """The one pass returns A_0 > A_2 > ... > A_8 > 0, rescaled by e^-eta."""
-    vals, shift = scaled_moments(SphereParams(5, 2), 7.0)
-    assert vals.shape == (5,)
-    assert shift == 7.0
+    """A_0 > A_2 > ... > A_8 > 0, and the pass rescales by e^-eta."""
+    params = SphereParams(5, 2)
+    tilt = scaled_moments(params, 7.0)
+    assert tilt.shift == 7.0
+    assert tilt.a0 * np.exp(7.0) == moment(params, 7.0, 0)
+    vals = [moment(params, 7.0, l) for l in (0, 2, 4, 6, 8)]
     assert all(a > b > 0 for a, b in zip(vals, vals[1:]))
+
+
+def test_moment_pass_is_read_by_name():
+    """The pass is a named tuple: the old (values, shift) unpacking and
+    positional moment reads fail loudly, and each field is the tilted
+    expectation its name says."""
+    params = SphereParams(5, 2)
+    tilt = scaled_moments(params, 7.0)
+    with pytest.raises(ValueError):
+        vals, shift = tilt
+    for index in (1, 2):
+        with pytest.raises(TypeError):
+            float(tilt[index])
+    t = tilt.rule.sin2
+    expected = {"mean": t, "s": t * (1 - t), "s_sin2": t * t * (1 - t), "s_cos2": t * (1 - t) ** 2}
+    for field, f in expected.items():
+        assert getattr(tilt, field) == pytest.approx(tilt.weights @ f / tilt.a0, rel=1e-13)
+    assert tilt.a0 == pytest.approx(float(np.sum(tilt.weights)), rel=1e-14)
+    assert moment(params, 7.0, 2) == pytest.approx(np.exp(7.0) * tilt.a0 * tilt.mean, rel=1e-13)
 
 
 def test_recurrence_residual_is_relative():
     params = SphereParams(4, 1)
-    vals, _ = scaled_moments(params, 5.0)
+    tilt = scaled_moments(params, 5.0)
     for l in (0, 2, 4):
-        assert recurrence_residual(params, 5.0, vals, l) <= 1e-10
+        assert recurrence_residual(params, 5.0, tilt, l) <= 1e-10
     with pytest.raises(ValueError):
-        recurrence_residual(params, 5.0, vals, 6)
+        recurrence_residual(params, 5.0, tilt, 6)
 
 
 def test_order_is_keyword_only():
     """A stale row count in the order slot raises instead of picking a rule."""
     with pytest.raises(TypeError):
         scaled_moments(SphereParams(4, 1), 1.0, 4)
-    coarse, _ = scaled_moments(SphereParams(4, 1), 1.0, order=64)
-    fine, _ = scaled_moments(SphereParams(4, 1), 1.0)
-    assert coarse == pytest.approx(fine, rel=1e-14)
+    coarse = scaled_moments(SphereParams(4, 1), 1.0, order=64)
+    fine = scaled_moments(SphereParams(4, 1), 1.0)
+    for field in ("a0", "mean", "s", "s_sin2", "s_cos2"):
+        assert getattr(coarse, field) == pytest.approx(getattr(fine, field), rel=1e-14)
 
 
 @pytest.mark.parametrize("eta", [np.inf, -np.inf, np.nan])
@@ -146,7 +169,6 @@ def _domain_entry_points():
         "sigma_value": lambda eta: sigma_value(params, eta),
         "sigma_prime": lambda eta: sigma_prime(params, eta),
         "d_quantities": lambda eta: d_quantities(params, eta),
-        "d_quantities_scaled": lambda eta: d_quantities(params, eta, scaled=True),
         "classify": lambda eta: classify(params, eta),
         "block_spectrum": lambda eta: block_spectrum(params, eta, "b", grid_size=128),
         "full_spectrum": lambda eta: full_spectrum(params, eta, grid_size=128),

@@ -51,9 +51,9 @@ def test_rank_one_spectrum_matches_dense_reference(n, k):
         rule = theta_rule(n, k, grid_size)
         w, t = rule.weights, rule.sin2
         for eta in (-20.0, -1e-3, 1.5, 40.0):
-            vals, shift = scaled_moments(params, eta)
-            a0, a2, a4 = (float(x) for x in vals[:3])
-            alpha = _branch_alpha(params, vals)
+            tilt = scaled_moments(params, eta)
+            a0, shift = tilt.a0, tilt.shift
+            alpha = _branch_alpha(params, tilt)
             root_mass = np.sqrt(w * np.exp(eta * t - shift))
             for family, count in family_multiplicities(params).items():
                 if count == 0:
@@ -66,7 +66,7 @@ def test_rank_one_spectrum_matches_dense_reference(n, k):
                     np.full(w.size, a0), coefficient, direction, constraint
                 )
                 dense = np.linalg.eigvalsh(mat)
-                low = _block_low(gamma, params, a0, a2, a4, alpha)
+                low = _block_low(gamma, params, tilt, alpha)
                 closed = np.sort(np.concatenate(([low], np.full(dense.size - 1, a0))))
                 resolved = np.max(np.abs(dense - closed)) <= _CLOSED_FORM_RTOL * max(a0, abs(low))
                 if not resolved:

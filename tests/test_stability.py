@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from onsager_ms.equilibrium import critical_point, isotropic_point
 from onsager_ms.moments import moment
 from onsager_ms.quadrature import SphereParams, polar_rule, sphere_rule, surface_area, theta_rule
-from onsager_ms.sigma import find_eta_star, sigma_value
+from onsager_ms.sigma import find_eta_star, sigma_prime, sigma_value
+from onsager_ms.spectral import block_spectrum
 from onsager_ms.stability import (
     FAMILIES,
     MARGINAL,
@@ -183,23 +184,107 @@ def test_d_sign_laws(pair, eta):
     params = SphereParams(n, k)
     d1, d2, d3 = d_quantities(params, eta)
     star = find_eta_star(params).eta_star
-    if abs(eta) > 1e-6:
+    if abs(eta) > 1e-10:
         assert d1 * (-eta) >= 0.0
         assert d2 * eta >= 0.0
-    if abs(eta) > 1e-6 and abs(eta - star) > 1e-6:
+    if abs(eta) > 1e-10 and abs(eta - star) > 1e-10:
         assert d3 * eta * (eta - star) > 0.0
 
 
-def test_d_quantities_scaled_stays_finite():
-    vals = d_quantities(SphereParams(3, 1), 650.0, scaled=True)
+def test_d_sign_laws_near_zero_on_every_branch():
+    """The strict sign laws at |eta| = 1e-8, 1e-6, 1e-3 and at eta* +- 1e-10
+    for every (n, k) with n <= 38, where D1, D2 ~ eta and, on k = n/2,
+    D3 ~ eta^2 vanish."""
+    violations = []
+    for n in range(3, 39):
+        for k in range(1, n):
+            params = SphereParams(n, k)
+            star = find_eta_star(params).eta_star
+            etas = [1e-8, -1e-8, 1e-6, -1e-6, 1e-3, -1e-3]
+            etas += [e for e in (star - 1e-10, star + 1e-10) if e not in etas]
+            for eta in etas:
+                d1, d2, d3 = d_quantities(params, eta)
+                if not (d1 * -eta > 0.0 and d2 * eta > 0.0 and d3 * eta * (eta - star) > 0.0):
+                    violations.append((n, k, eta))
+    assert violations == []
+
+
+def _hypergeometric_reference(n, k, eta):
+    """sigma, sigma' and D1, D2, D3 on the branch from 40-digit 1F1 moments."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        e = mp.mpf(eta)
+        a0, a2, a4, a6 = (
+            mp.beta(mp.mpf(k + l) / 2, mp.mpf(n - k) / 2)
+            * mp.hyp1f1(mp.mpf(k + l) / 2, mp.mpf(n + l) / 2, e)
+            / 2
+            for l in (0, 2, 4, 6)
+        )
+        gap = a2 - a4
+        sigma = k * (n - k) * a0 / (2 * gap)
+        slope = k * (n - k) * (a2 * gap - a0 * (a4 - a6)) / (2 * gap * gap)
+        d1 = a0 - 2 * sigma * a4 / (k * (k + 2))
+        d2 = a0 - 2 * sigma * (a0 - 2 * a2 + a4) / ((n - k) * (n - k + 2))
+        d3 = a0 - n * sigma * (a0 * a4 - a2 * a2) / (k * (n - k) * a0)
+        return tuple(float(x) for x in (sigma, slope, d1, d2, d3))
+
+
+def test_sign_quantities_against_hypergeometric_moments():
+    """sigma, sigma' and D1..D3 against 40-digit 1F1 moments on n = 3..8,
+    every k, eta from 1e-8 to 650 (297 cases)."""
+    etas = (1e-8, -1e-8, 1e-6, -1e-6, 1e-3, -1e-3, -2.0, 3.0, 40.0, -60.0, 650.0)
+    worst = np.zeros(5)
+    for n in range(3, 9):
+        for k in range(1, n):
+            params = SphereParams(n, k)
+            for eta in etas:
+                want = np.array(_hypergeometric_reference(n, k, eta))
+                got = np.array(
+                    [sigma_value(params, eta), sigma_prime(params, eta), *d_quantities(params, eta)]
+                )
+                worst = np.maximum(worst, np.abs(got - want) / np.abs(want))
+    assert worst[0] <= 1e-10  # sigma
+    assert worst[1] <= 1e-7  # sigma'
+    assert worst[2] <= 1e-10 and worst[3] <= 1e-10  # D1, D2
+    assert worst[4] <= 1e-7  # D3
+
+
+@pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (8, 7)])
+def test_off_branch_blocks_are_moment_downdates(n, k):
+    """Off the branch each block's low value is A_0 - c_gamma alpha N_gamma,
+    with the rank-one coefficient c_gamma and the squared profile norm N_gamma
+    from the plain moments."""
+    params = SphereParams(n, k)
+    nk = n - k
+    for eta in (-3.0, 2.5):
+        a0, a2, a4 = (moment(params, eta, l) for l in (0, 2, 4))
+        sigma = sigma_value(params, eta)
+        for alpha in (0.5 * sigma, 2.0 * sigma):
+            want = {
+                "Theta": a0 - 2.0 * alpha * (a2 - a4) / (k * nk),
+                "Omega_A": a0 - 2.0 * alpha * a4 / (k * (k + 2)),
+                "Xi_A": a0 - 2.0 * alpha * (a0 - 2.0 * a2 + a4) / (nk * (nk + 2)),
+                "b": a0 - n * alpha * (a0 * a4 - a2 * a2) / (k * nk * a0),
+            }
+            d1, d2, d3 = d_quantities(params, eta, alpha=alpha)
+            for got, family in ((d1, "Omega_A"), (d2, "Xi_A"), (d3, "b")):
+                assert got == pytest.approx(want[family], rel=1e-10)
+            for family, value in want.items():
+                if (family == "Omega_A" and k < 2) or (family == "Xi_A" and nk < 2):
+                    continue
+                low = block_spectrum(params, eta, family, alpha=alpha).closed_form[0]
+                assert low == pytest.approx(value, rel=1e-10)
+
+
+def test_d_quantities_stays_finite():
+    vals = d_quantities(SphereParams(3, 1), 650.0)
     assert all(np.isfinite(v) for v in vals)
-    # Past the moment domain both forms raise rather than return a value the
+    # Past the moment domain it raises rather than return a value the
     # quadrature does not resolve.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for scaled in (False, True):
-            with pytest.raises(ValueError, match="moment domain"):
-                d_quantities(SphereParams(5, 2), 2000.0, scaled=scaled)
+        with pytest.raises(ValueError, match="moment domain"):
+            d_quantities(SphereParams(5, 2), 2000.0)
 
 
 @pytest.mark.parametrize("n", [3, 8, 20, 38, 80])
@@ -210,7 +295,7 @@ def test_d_quantities_unscaled_finite_on_the_domain(n):
         warnings.simplefilter("error")
         for k in range(1, n):
             for eta in (-700.0, 700.0):
-                assert all(np.isfinite(d_quantities(SphereParams(n, k), eta, scaled=False)))
+                assert all(np.isfinite(d_quantities(SphereParams(n, k), eta)))
 
 
 def test_perturbation_top_validation():
