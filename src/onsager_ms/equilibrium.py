@@ -36,8 +36,6 @@ from .moments import scaled_moments
 from .quadrature import DEFAULT_ORDER, SphereParams, _freeze, bromwich_rule, surface_area
 from .sigma import sigma_value
 
-MAX_FULL_SPHERE_DIM = 6
-
 #: Largest n at which ``bingham_second_moments`` keeps 1e-10 relative
 #: accuracy; beyond it the contour loses digits near eta = 0.
 MAX_CONTOUR_DIM = 20
@@ -45,6 +43,9 @@ MAX_CONTOUR_DIM = 20
 #: Rounding noise of a Picard step's update norm on the contour, per unit
 #: n * alpha (measured up to 1.1e-12 at n = 6..20, alpha <= 2000).
 _PICARD_NOISE = 1e-12
+
+#: Picard steps before ``solve_fixed_point`` reports non-convergence.
+_PICARD_MAX_ITER = 500
 
 _SPHERE_ORDER_CAP = {3: 64, 4: 48, 5: 32, 6: 16}
 
@@ -295,7 +296,6 @@ def solve_fixed_point(
     n: int,
     alpha: float,
     initial: OrderTensor,
-    max_iter: int = 500,
     tol: float = 1e-10,
     damping: float = 0.0,
 ) -> FixedPointResult:
@@ -305,7 +305,8 @@ def solve_fixed_point(
     only the eigenvalue vector is iterated.  The iteration has converged
     once the update norm falls below tol, or below the contour's rounding
     noise of about 1e-12 * n * alpha where that is larger: the updates
-    stall there.  Non-convergence is reported in the result, not raised.
+    stall there.  Non-convergence after 500 steps is reported in the
+    result, not raised.
     ``damping`` in [0, 1) blends in the previous iterate (0 = plain Picard).
     """
     if not 3 <= n <= MAX_CONTOUR_DIM:
@@ -322,7 +323,7 @@ def solve_fixed_point(
     lam, frame = np.linalg.eigh(initial.entries)
     update = np.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _PICARD_MAX_ITER + 1):
         new_lam = _picard_step(lam, alpha)
         if damping:
             new_lam = (1.0 - damping) * new_lam + damping * lam
@@ -358,11 +359,12 @@ class EigenClusters:
     threshold: float
 
 
-def eigenvalue_structure(tensor: OrderTensor, rel_tol: float = 1e-6) -> EigenClusters:
-    """Cluster the spectrum; axially symmetric tensors give two clusters."""
+def eigenvalue_structure(tensor: OrderTensor) -> EigenClusters:
+    """Cluster the spectrum, splitting at gaps above 1e-6 (1 + spectral
+    radius); axially symmetric tensors give two clusters."""
     w = np.sort(np.linalg.eigvalsh(tensor.entries))
     radius = float(np.max(np.abs(w)))
-    threshold = rel_tol * (1.0 + radius)
+    threshold = 1e-6 * (1.0 + radius)
     gaps = np.diff(w)
     boundaries = np.flatnonzero(gaps > threshold)
     starts = np.concatenate(([0], boundaries + 1))

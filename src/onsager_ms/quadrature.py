@@ -15,6 +15,8 @@ point set S^0; for d >= 2 it lists its first coordinate in ascending
 order.  Integrands of low degree in the block directions omega and xi of
 m = (sin(theta) omega, cos(theta) xi) use the polar rule: the polar Gauss
 rule in theta times two small product rules on S^(k-1) and S^(n-k-1).
+The node budget ``_MAX_SPHERE_NODES`` is the one limit on the dimension
+of both kinds of sphere rule: a rule above it raises ValueError unbuilt.
 
 Exponential integrals over the whole sphere, such as the Bingham moments,
 are one-dimensional inverse Laplace transforms; ``bromwich_rule`` gives
@@ -35,8 +37,7 @@ from scipy.special import gammaln, roots_jacobi
 
 DEFAULT_ORDER = 128
 
-#: Largest sphere dimension served by the deterministic product rule.
-MAX_SPHERE_DIM = 8
+#: Most nodes of any sphere rule: 48 MB of points per coordinate.
 _MAX_SPHERE_NODES = 6_000_000
 
 
@@ -167,6 +168,11 @@ class SphereQuadrature:
         return self.points.shape[0]
 
 
+def _check_budget(count: int, what: str) -> None:
+    if count > _MAX_SPHERE_NODES:
+        raise ValueError(f"{what} needs {count} nodes, above the node budget of {_MAX_SPHERE_NODES}")
+
+
 def _sphere_nodes(d: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Recursive product rule on S^(d-1)."""
     if d == 1:
@@ -183,24 +189,17 @@ def _sphere_nodes(d: int, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_sphere_quadrature(d: int, order: int) -> SphereQuadrature:
-    """Deterministic product rule on S^(d-1) for 1 <= d <= 8.
+    """Deterministic product rule on S^(d-1), d >= 1, with 2 order^(d-1) nodes.
 
-    S^0 is the two-point set {+1, -1}.  Beyond d = 8 the node count of a
-    product rule is impractical; callers needing higher dimensions should
-    switch to Monte Carlo sampling.
+    S^0 is the two-point set {+1, -1}.  A rule above the node budget
+    ``_MAX_SPHERE_NODES`` raises ValueError: order 4 reaches d = 11 and
+    order 8 stops at d = 8.
     """
-    if not 1 <= d <= MAX_SPHERE_DIM:
-        raise ValueError(
-            f"product rule supports 1 <= d <= {MAX_SPHERE_DIM}, got d={d}; "
-            "use Monte Carlo sampling beyond that"
-        )
+    if d < 1:
+        raise ValueError(f"need d >= 1, got d={d}")
     if order < 2:
         raise ValueError(f"need order >= 2, got {order}")
-    if 2 * order ** (d - 1) > _MAX_SPHERE_NODES:
-        raise ValueError(
-            f"product rule with order={order} in dimension {d} exceeds the "
-            f"node budget of {_MAX_SPHERE_NODES}"
-        )
+    _check_budget(2 * order ** (d - 1), f"product rule of order {order} on S^{d - 1}")
     pts, w = _sphere_nodes(d, order)
     _freeze(pts, w)
     return SphereQuadrature(d, pts, w)
@@ -222,11 +221,14 @@ def polar_rule(n: int, k: int, theta_order: int, factor_order: int) -> SphereQua
     exact for integrands of degree up to 2*factor_order - 1 in omega and in
     xi times a polynomial in sin^2(theta) of degree up to 2*theta_order - 1.
     Points are listed theta-major, so nodes of equal theta form runs.
+    A rule whose node count, theta_order times 2 f^(k-1) and 2 f^(n-k-1)
+    for the factors of order f, exceeds the node budget raises ValueError
+    before it is built.
     """
     params = SphereParams(n, k)
+    count = 4 * theta_order * factor_order ** (n - 2)
+    _check_budget(count, f"polar rule of orders ({theta_order}, {factor_order}) on S^{n - 1}")
     theta = theta_rule(n, k, theta_order)
-    # Built directly, not through sphere_rule: its small cache holds the
-    # large full-sphere rules, which these factors must not evict.
     omega = build_sphere_quadrature(k, factor_order)
     xi = build_sphere_quadrature(params.complement, factor_order)
     s, c = np.sqrt(theta.sin2), np.sqrt(1.0 - theta.sin2)

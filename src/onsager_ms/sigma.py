@@ -60,13 +60,10 @@ def sigma_prime(params: SphereParams, eta: float, order: int = DEFAULT_ORDER) ->
     return _branch_slope(params, scaled_moments(params, eta, order=order))
 
 
-def sigma_prime_fd(
-    params: SphereParams, eta: float, h: float = 1e-5, order: int = DEFAULT_ORDER
-) -> float:
-    """Central finite-difference cross-check for :func:`sigma_prime`."""
-    return (
-        sigma_value(params, eta + h, order) - sigma_value(params, eta - h, order)
-    ) / (2.0 * h)
+def sigma_prime_fd(params: SphereParams, eta: float, order: int = DEFAULT_ORDER) -> float:
+    """Central finite-difference cross-check for :func:`sigma_prime`, step 1e-5."""
+    h = 1e-5
+    return (sigma_value(params, eta + h, order) - sigma_value(params, eta - h, order)) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -203,8 +200,6 @@ def phase_diagram(
     the branch stability rule (stable / unstable / marginal) from the
     stability module.
     """
-    if n > 8:
-        raise ValueError(f"phase diagram supports n <= 8, got n={n}")
     if eta_grid is None:
         eta_grid = np.linspace(-10.0, 30.0, 401)
     grid = np.asarray(eta_grid, dtype=float)

@@ -25,7 +25,8 @@ The direct form, the decomposition's oracle, integrates the undecomposed
 second variation on the polar product rule (``quadrature.polar_rule``):
 phi^2 and phi m m^T have degree 4 in omega and in xi, so order-3 factor
 rules are exact there, and a theta order other than the blocks' leaves
-the two forms no shared nodes.
+the two forms no shared nodes.  The rule's node budget is its only
+limit: it checks the decomposition for every n <= 11 and raises above.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .equilibrium import MAX_FULL_SPHERE_DIM, CriticalPointSpec, critical_point
+from .equilibrium import CriticalPointSpec, critical_point
 from .moments import TiltedMeasure, _checked_eta, scaled_moments
 from .quadrature import (
     DEFAULT_ORDER,
@@ -65,17 +66,15 @@ FAMILIES = (OMEGA_A, OMEGA_B, XI_A, XI_B, THETA)
 GAMMA_BY_FAMILY = {OMEGA_A: 1, OMEGA_B: 1, XI_A: 2, XI_B: 2, THETA: 0}
 
 # Polar-rule orders of the direct form: the theta order differs from the
-# blocks' DEFAULT_ORDER, and order-3 factors integrate degree 5 exactly.
+# blocks' DEFAULT_ORDER.  Order-3 factor rules integrate degree 5 exactly,
+# and every block integrand (phi^2, phi m m^T, the Gram products) has
+# degree <= 4 in omega and in xi, so the Gram quadrature uses them too.
 _DIRECT_THETA_ORDER = 32
 _DIRECT_FACTOR_ORDER = 3
 
 # Points per block when an assembled perturbation is evaluated: 128 KiB
 # per array, so one block's temporaries stay in cache.
 _PHI_BLOCK = 1 << 14
-
-# Degree of the random polynomial profiles, per dimension.  The seeded
-# draws of the tests and of the benchmark depend on these values.
-_RANDOM_DEGREE = {3: 3, 4: 3, 5: 3, 6: 2}
 
 
 @dataclass(frozen=True)
@@ -194,13 +193,11 @@ def gram_matrix(params: SphereParams) -> np.ndarray:
     return np.diag([_gram_constant(params, idx.family) for idx in basis_indices(params)])
 
 
-def gram_matrix_quadrature(params: SphereParams, order: int = 16) -> np.ndarray:
-    """Quadrature evaluation of the Gram matrix (same conventions)."""
-    if params.n > MAX_FULL_SPHERE_DIM:
-        raise ValueError(f"quadrature verification needs n <= {MAX_FULL_SPHERE_DIM}")
+def gram_matrix_quadrature(params: SphereParams) -> np.ndarray:
+    """Quadrature evaluation of the Gram matrix (same conventions), exact on order-3 rules."""
     idxs = basis_indices(params)
-    om_rule = sphere_rule(params.k, order)
-    xi_rule = sphere_rule(params.complement, order)
+    om_rule = sphere_rule(params.k, _DIRECT_FACTOR_ORDER)
+    xi_rule = sphere_rule(params.complement, _DIRECT_FACTOR_ORDER)
     om_pts, om_w = om_rule.points, om_rule.weights
     xi_pts, xi_w = xi_rule.points, xi_rule.weights
     ones_om = np.ones(len(om_pts))
@@ -325,11 +322,17 @@ def functional_I(
     tilt = scaled_moments(params, eta, order=order)
     if alpha is None:
         alpha = _branch_alpha(params, tilt)
-    w, t = rule.weights, rule.sin2
     if gamma == 3:
+        w = rule.weights
         mean = float(np.sum(w * vals))
         if abs(mean) > 1e-10 * max(1.0, float(np.sum(w * np.abs(vals)))):
             raise ValueError("the radial profile b must have zero mean")
+    return _functional_value(gamma, params, tilt, vals, alpha)
+
+
+def _functional_value(gamma: int, params: SphereParams, tilt: TiltedMeasure, vals, alpha) -> float:
+    """I_gamma at checked grid values ``vals``, from the moment pass ``tilt``."""
+    w, t = tilt.rule.weights, tilt.rule.sin2
     a0 = float(np.exp(tilt.shift) * tilt.a0)
     weighted = float(np.sum(w * np.exp(-tilt.eta * t) * vals * vals))
     inner = float(np.sum(w * _profile(gamma, t) * vals))
@@ -476,35 +479,33 @@ def assemble_sphere_function(p: PerturbationTop) -> Callable:
 
 
 def quadratic_form_decomposed(spec: CriticalPointSpec, p: PerturbationTop) -> float:
-    """Second-variation value of the assembled perturbation, via the blocks."""
+    """Second-variation value of the assembled perturbation, via the blocks,
+    from one moment pass (``p`` has checked its values and b's zero mean)."""
     if p.params != spec.params:
         raise ValueError("perturbation and spec parameters differ")
     params = spec.params
-    order = p.rule.order
+    tilt = scaled_moments(params, spec.eta, order=p.rule.order)
     total = 0.0
     for idx, vals in p.coefficients.items():
         gamma = GAMMA_BY_FAMILY[idx.family]
-        term = functional_I(gamma, params, spec.eta, vals, alpha=spec.alpha, order=order)
+        term = _functional_value(gamma, params, tilt, vals, spec.alpha)
         total += term / _slot_denominator(gamma, params)
-    total += functional_I(3, params, spec.eta, p.b, alpha=spec.alpha, order=order)
+    total += _functional_value(3, params, tilt, p.b, spec.alpha)
     return (surface_area(params.k) * surface_area(params.complement)) ** 2 * total
 
 
-def quadratic_form_direct(
-    spec: CriticalPointSpec, phi: Callable, order: int = _DIRECT_THETA_ORDER
-) -> float:
+def quadratic_form_direct(spec: CriticalPointSpec, phi: Callable) -> float:
     """Second-variation value straight from the defining integrals.
 
     phi maps an (N, n) array of unit vectors to N values and must have
     zero mean over the sphere.  Independent of the block decomposition;
-    used as its oracle.  The integrals run on ``polar_rule`` with theta
-    order ``order``, placed in the spec's frame.
+    used as its oracle.  The integrals run on ``polar_rule`` at orders
+    (32, 3), placed in the spec's frame; its node budget admits n <= 11,
+    and larger n raises ValueError.
     """
     params = spec.params
     n, k = params.n, params.k
-    if n > MAX_FULL_SPHERE_DIM:
-        raise ValueError(f"direct form needs full-sphere quadrature, n <= {MAX_FULL_SPHERE_DIM}")
-    rule = polar_rule(n, k, order, _DIRECT_FACTOR_ORDER)
+    rule = polar_rule(n, k, _DIRECT_THETA_ORDER, _DIRECT_FACTOR_ORDER)
     canonical, w = rule.points, rule.weights
     identity = np.array_equal(spec.rotation, np.eye(n))
     pts = canonical if identity else canonical @ spec.rotation
@@ -678,19 +679,17 @@ def random_smooth_perturbation(
     eta: float,
     rng: np.random.Generator,
     order: int = DEFAULT_ORDER,
-    max_degree: int | None = None,
 ) -> PerturbationTop:
     """Seeded random perturbation concentrated near the branch density.
 
-    Each basis slot gets a random polynomial in sin^2(theta) times the
-    structural prefactor of its family (sin^2, cos^2, or sin cos) and the
-    branch factor e^{eta sin^2 - max(eta, 0)}; the radial profile is
-    mean-subtracted exactly on the grid.
+    Each basis slot gets a random polynomial in sin^2(theta), of degree 3
+    for n <= 5 and 2 above, times the structural prefactor of its family
+    (sin^2, cos^2, or sin cos) and the branch factor
+    e^{eta sin^2 - max(eta, 0)}; the radial profile is mean-subtracted
+    exactly on the grid.
     """
-    if max_degree is None:
-        if params.n not in _RANDOM_DEGREE:
-            raise ValueError(f"pass max_degree explicitly for n = {params.n}")
-        max_degree = _RANDOM_DEGREE[params.n]
+    # The seeded draws of the tests and of the benchmark depend on the degree.
+    max_degree = 3 if params.n <= 5 else 2
     eta = float(eta)
     rule = theta_rule(params.n, params.k, order)
     funcs: dict[BasisIndex, Callable] = {}

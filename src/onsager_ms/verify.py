@@ -258,7 +258,7 @@ def _check_gram_consistency(cfg: VerifyConfig) -> CheckResult:
     for n, k in ((4, 2), (5, 2)):
         params = SphereParams(n, k)
         closed = gram_matrix(params)
-        quad = gram_matrix_quadrature(params, 12)
+        quad = gram_matrix_quadrature(params)
         scale = float(np.max(np.abs(closed)))
         worst = max(worst, float(np.max(np.abs(closed - quad))) / scale)
     return _result("gram_consistency", cfg, worst, 1e-10)

@@ -72,6 +72,13 @@ def test_phase_diagram_reflected_rows(tmp_path):
             assert " " not in stability
 
 
+def test_phase_diagram_beyond_eight(tmp_path):
+    code, raw = run(tmp_path, "phase-diagram", "--n", "9",
+                    "--eta-min", "-1", "--eta-max", "1", "--samples", "3")
+    assert code == 0
+    assert {row.split(",")[0] for row in raw.decode().splitlines()[1:]} == {str(k) for k in range(1, 9)}
+
+
 def test_eta_star_json(tmp_path):
     code, raw = run(tmp_path, "eta-star", "--n", "3", "--k", "1")
     assert code == 0

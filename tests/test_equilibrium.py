@@ -6,7 +6,6 @@ from scipy.stats import special_ortho_group
 
 from onsager_ms.equilibrium import (
     MAX_CONTOUR_DIM,
-    MAX_FULL_SPHERE_DIM,
     CriticalPointSpec,
     OrderTensor,
     bingham_second_moments,
@@ -194,7 +193,7 @@ def test_sphere_order_grows_then_caps():
     assert sphere_order_for(3, 10.0) < sphere_order_for(3, 60.0)
     assert sphere_order_for(3, 1e6) == sphere_order_for(3, 1e7)
     with pytest.raises(ValueError):
-        sphere_order_for(MAX_FULL_SPHERE_DIM + 1, 10.0)
+        sphere_order_for(7, 10.0)
 
 
 def test_axial_branch_is_fixed_point():

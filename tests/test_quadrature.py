@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,11 +142,15 @@ def test_sphere_points_on_unit_sphere():
 
 
 def test_build_sphere_quadrature_dimension_cap():
+    """The node budget is the only cap: S^8 builds at order 4 and not at 8."""
     rule = build_sphere_quadrature(5, 8)
     assert rule.points.shape[1] == 5
     assert float(np.sum(rule.weights)) == pytest.approx(surface_area(5), rel=1e-12)
-    with pytest.raises(ValueError):
-        build_sphere_quadrature(9, 4)
+    rule = build_sphere_quadrature(9, 4)
+    assert rule.count == 2 * 4**8
+    assert float(np.sum(rule.weights)) == pytest.approx(surface_area(9), rel=1e-12)
+    with pytest.raises(ValueError, match="node budget"):
+        build_sphere_quadrature(9, 8)
     s0 = build_sphere_quadrature(1, 4)
     assert s0.points.tolist() == [[1.0], [-1.0]]
     assert s0.weights.tolist() == [1.0, 1.0]
@@ -174,6 +180,23 @@ def test_polar_rule_mass(n, k):
     assert rule.count == 32 * build_sphere_quadrature(k, 3).count * build_sphere_quadrature(n - k, 3).count
     assert np.allclose(np.sum(rule.points**2, axis=1), 1.0, atol=1e-15)
     assert float(np.sum(rule.weights)) == pytest.approx(surface_area(n), rel=1e-13)
+
+
+def test_polar_rule_node_budget():
+    """The direct form's rule, orders (32, 3), fits the node budget up to
+    n = 11; at n = 12 it is refused before any array is allocated."""
+    rule = polar_rule.__wrapped__(11, 5, 32, 3)  # uncached: 220 MB of points
+    assert rule.count == 32 * 2 * 3**4 * 2 * 3**5 == 2_519_424
+    assert float(np.sum(rule.weights)) == pytest.approx(surface_area(11), rel=1e-13)
+    del rule
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="node budget"):
+            polar_rule(12, 6, 32, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _exponents(d, degree):

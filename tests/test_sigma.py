@@ -210,4 +210,4 @@ def test_phase_diagram_rejects_bad_grid():
     with pytest.raises(ValueError):
         phase_diagram(4, np.array([np.nan]))
     with pytest.raises(ValueError):
-        phase_diagram(9)
+        phase_diagram(9, np.array([]))

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onsager_ms import stability
 from onsager_ms.equilibrium import critical_point, isotropic_point
-from onsager_ms.moments import moment
+from onsager_ms.moments import moment, scaled_moments
 from onsager_ms.quadrature import SphereParams, polar_rule, sphere_rule, surface_area, theta_rule
 from onsager_ms.sigma import find_eta_star, sigma_prime, sigma_value
 from onsager_ms.spectral import block_spectrum
@@ -17,6 +18,7 @@ from onsager_ms.stability import (
     UNSTABLE,
     _DIRECT_FACTOR_ORDER,
     _DIRECT_THETA_ORDER,
+    GAMMA_BY_FAMILY,
     BasisIndex,
     PerturbationTop,
     assemble_sphere_function,
@@ -34,6 +36,7 @@ from onsager_ms.stability import (
     random_smooth_perturbation,
     wx_functionals,
     _basis_values,
+    _slot_denominator,
 )
 
 PAIRS = [(n, k) for n in range(3, 7) for k in range(1, n)]
@@ -92,7 +95,7 @@ def test_gram_matrix_is_diagonal_positive():
     assert np.all(np.diag(g) > 0)
 
 
-@pytest.mark.parametrize("n,k", [(4, 1), (5, 2)])
+@pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (8, 4), (10, 5), (12, 6)])
 def test_gram_closed_form_matches_quadrature(n, k):
     params = SphereParams(n, k)
     closed = gram_matrix(params)
@@ -367,6 +370,43 @@ def test_decomposed_matches_direct_form():
     assert abs(direct - dec) <= 1e-6 * (1.0 + abs(direct))
 
 
+@pytest.mark.parametrize(
+    "n,k,eta",
+    [(7, 1, 2.0), (7, 3, -1.5), (7, 6, -2.0), (8, 1, 3.0), (8, 4, 1.0), (8, 7, -3.0), (10, 5, 1.0)],
+)
+def test_decomposed_matches_direct_form_beyond_six(n, k, eta):
+    """The node budget, not a dimension cap, bounds the direct form: it
+    checks the decomposition past n = 6, at test_07's tolerance."""
+    params = SphereParams(n, k)
+    spec = critical_point(params, eta)
+    top = random_smooth_perturbation(params, eta, np.random.default_rng(n + k))
+    direct = quadratic_form_direct(spec, assemble_sphere_function(top))
+    assert abs(direct - quadratic_form_decomposed(spec, top)) <= 1e-6 * (1.0 + abs(direct))
+
+
+def test_decomposed_form_makes_one_moment_pass(monkeypatch):
+    """One moment pass serves every slot, and the value is bitwise the sum
+    of functional_I over the slots, each of which makes its own pass."""
+    params = SphereParams(6, 3)
+    spec = critical_point(params, 1.0)
+    top = random_smooth_perturbation(params, 1.0, np.random.default_rng(3))
+    total = 0.0
+    for idx, vals in top.coefficients.items():
+        gamma = GAMMA_BY_FAMILY[idx.family]
+        total += functional_I(gamma, params, 1.0, vals, alpha=spec.alpha) / _slot_denominator(gamma, params)
+    total += functional_I(3, params, 1.0, top.b, alpha=spec.alpha)
+    want = (surface_area(3) * surface_area(3)) ** 2 * total
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scaled_moments(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "scaled_moments", counted)
+    assert quadratic_form_decomposed(spec, top) == want
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("n,k,eta", [(3, 2, 4.0), (4, 1, 3.0), (5, 2, -2.0), (6, 3, 1.0), (6, 5, -3.0)])
 def test_direct_form_is_rotation_covariant(n, k, eta):
     """In a rotated frame the direct form builds its rule in the spec's
@@ -392,8 +432,14 @@ def test_random_perturbation_deterministic():
 
 
 def test_random_perturbation_needs_degree_for_large_n():
-    with pytest.raises(ValueError):
-        random_smooth_perturbation(SphereParams(7, 2), 0.5, np.random.default_rng(0))
+    """The profile degree is 3 up to n = 5 and 2 above, at every n: each slot
+    and the radial profile draw degree + 1 coefficients."""
+    for n, degree in ((5, 3), (6, 2), (7, 2), (10, 2)):
+        params = SphereParams(n, 2)
+        rng, reference = np.random.default_rng(0), np.random.default_rng(0)
+        random_smooth_perturbation(params, 0.5, rng)
+        reference.uniform(size=(len(basis_indices(params)) + 1) * (degree + 1))
+        assert rng.uniform() == reference.uniform()
 
 
 def test_classify_isotropic_threshold():
