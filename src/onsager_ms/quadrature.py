@@ -23,14 +23,28 @@ are one-dimensional inverse Laplace transforms; ``bromwich_rule`` gives
 the trapezoid rule on a Talbot contour for them.
 
 Rule objects are immutable after construction (arrays are marked
-read-only) and safe to share between threads.
+read-only) and safe to share between threads.  A theta rule derives its
+``nodes`` and ``moment_rows`` from its t-values on first use, so a rule
+read only through ``weights`` and ``sin2`` holds those two arrays alone.
+
+``theta_rule``, ``sphere_rule`` and ``polar_rule`` share one
+least-recently-used cache, bounded by the bytes of the rules' arrays: at
+most ``_CACHE_BYTES`` (32 MiB), about twice the 15 MB of every theta rule
+with n <= 50 at orders 128 and 64.  A rule larger than the budget is
+returned and not kept.  Each accessor's ``cache_info()`` reports its hits
+and misses, ``maxsize`` as the byte budget and ``currsize`` as the bytes
+of its rules that the cache holds.  The cache is guarded by a lock.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, wraps
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, roots_jacobi
@@ -39,6 +53,9 @@ DEFAULT_ORDER = 128
 
 #: Most nodes of any sphere rule: 48 MB of points per coordinate.
 _MAX_SPHERE_NODES = 6_000_000
+
+#: Bytes of rule arrays that the rule cache holds at most.
+_CACHE_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -86,17 +103,35 @@ class WeightedQuadrature:
     exact for integrands that are polynomials in sin^2(theta) of degree up
     to 2*order - 1.
 
-    ``sin2`` caches t = sin^2(nodes); most integrands are functions of it.
-    ``moment_rows`` holds 1, t, t(1-t), t^2(1-t) and t(1-t)^2, whose
-    tilted expectations the moment pass takes in one product.
+    ``sin2`` holds t = sin^2(nodes); most integrands are functions of it.
+    ``nodes`` and ``moment_rows`` are derived from it once, on first use.
     """
 
     params: SphereParams
-    nodes: np.ndarray
     weights: np.ndarray
     order: int
     sin2: np.ndarray
-    moment_rows: np.ndarray
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """theta = arcsin(sqrt(t)), in the open interval (0, pi/2)."""
+        nodes = np.arcsin(np.sqrt(self.sin2))
+        _freeze(nodes)
+        return nodes
+
+    @cached_property
+    def moment_rows(self) -> np.ndarray:
+        """Rows 1, t, t(1-t), t^2(1-t) and t(1-t)^2, whose tilted
+        expectations the moment pass takes in one product."""
+        t = self.sin2
+        rows = np.stack((np.ones_like(t), t, t * (1 - t), t * t * (1 - t), t * (1 - t) ** 2))
+        _freeze(rows)
+        return rows
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the rule's arrays once ``nodes`` and ``moment_rows`` exist."""
+        return 8 * self.weights.nbytes
 
     @property
     def total_mass(self) -> float:
@@ -117,15 +152,92 @@ def build_weighted_quadrature(
     b = 0.5 * (params.k - 2)
     x, w = roots_jacobi(order, a, b)
     t = 0.5 * (x + 1.0)
-    nodes = np.arcsin(np.sqrt(t))
     # Jacobi weight on [-1, 1] maps to the t-interval with factor 2^(-n/2).
     weights = w * 2.0 ** (-0.5 * params.n)
-    rows = np.stack((np.ones_like(t), t, t * (1 - t), t * t * (1 - t), t * (1 - t) ** 2))
-    _freeze(nodes, weights, t, rows)
-    return WeightedQuadrature(params, nodes, weights, order, t, rows)
+    _freeze(weights, t)
+    return WeightedQuadrature(params, weights, order, t)
 
 
-@lru_cache(maxsize=128)
+class _CacheInfo(NamedTuple):
+    """Counters of one cached rule accessor; sizes are in bytes."""
+
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class _RuleCache:
+    """One least-recently-used store for rules, bounded by their ``nbytes``.
+
+    Decorating a builder with an instance gives a cached accessor.  Keys
+    hold every argument with defaults filled in, so ``f(a, b)`` and
+    ``f(a, b, <default>)`` share an entry.  Keeping a rule evicts the least
+    recently used ones until the store is within ``budget``; a rule above
+    the budget is returned and not kept.  A miss builds outside the lock,
+    so two threads may build the same rule; the first one kept is returned
+    to both.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.nbytes = 0
+        self._rules: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __call__(self, build):
+        signature = inspect.signature(build)
+        defaults = build.__defaults__ or ()
+        arity = len(signature.parameters)
+        required = arity - len(defaults)
+        rules, lock = self._rules, self._lock
+        counts = [0, 0]  # hits, misses
+
+        @wraps(build)
+        def accessor(*args, **kwargs):
+            if kwargs or not required <= len(args) <= arity:
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                args = bound.args
+            elif len(args) < arity:
+                args += defaults[len(args) - required:]
+            key = (build, *args)
+            lock.acquire()  # ``with lock`` would double the cost of a hit
+            try:
+                rule = rules.get(key)
+                if rule is not None:
+                    rules.move_to_end(key)
+                    counts[0] += 1
+                    return rule
+                counts[1] += 1
+            finally:
+                lock.release()
+            return self._keep(key, build(*args))
+
+        def cache_info() -> _CacheInfo:
+            with self._lock:
+                held = sum(rule.nbytes for key, rule in self._rules.items() if key[0] is build)
+                return _CacheInfo(counts[0], counts[1], self.budget, held)
+
+        accessor.cache_info = cache_info
+        return accessor
+
+    def _keep(self, key, rule):
+        if rule.nbytes > self.budget:
+            return rule
+        with self._lock:
+            kept = self._rules.setdefault(key, rule)
+            if kept is rule:
+                self.nbytes += rule.nbytes
+                while self.nbytes > self.budget:
+                    self.nbytes -= self._rules.popitem(last=False)[1].nbytes
+            return kept
+
+
+_RULES = _RuleCache(_CACHE_BYTES)
+
+
+@_RULES
 def theta_rule(n: int, k: int, order: int = DEFAULT_ORDER) -> WeightedQuadrature:
     """Cached accessor for :func:`build_weighted_quadrature`."""
     return build_weighted_quadrature(SphereParams(n, k), order)
@@ -167,6 +279,10 @@ class SphereQuadrature:
     def count(self) -> int:
         return self.points.shape[0]
 
+    @property
+    def nbytes(self) -> int:
+        return self.points.nbytes + self.weights.nbytes
+
 
 def _check_budget(count: int, what: str) -> None:
     if count > _MAX_SPHERE_NODES:
@@ -205,13 +321,13 @@ def build_sphere_quadrature(d: int, order: int) -> SphereQuadrature:
     return SphereQuadrature(d, pts, w)
 
 
-@lru_cache(maxsize=8)
+@_RULES
 def sphere_rule(d: int, order: int) -> SphereQuadrature:
     """Cached accessor for :func:`build_sphere_quadrature`."""
     return build_sphere_quadrature(d, order)
 
 
-@lru_cache(maxsize=32)
+@_RULES
 def polar_rule(n: int, k: int, theta_order: int, factor_order: int) -> SphereQuadrature:
     """Polar product rule on S^(n-1) at the points m = (sin(theta) omega, cos(theta) xi).
 
@@ -223,7 +339,9 @@ def polar_rule(n: int, k: int, theta_order: int, factor_order: int) -> SphereQua
     Points are listed theta-major, so nodes of equal theta form runs.
     A rule whose node count, theta_order times 2 f^(k-1) and 2 f^(n-k-1)
     for the factors of order f, exceeds the node budget raises ValueError
-    before it is built.
+    before it is built.  At orders (32, 3) the rule outgrows the cache's
+    byte budget from n = 10 on (74 MB; 242 MB at n = 11), so it is
+    rebuilt on every call there.
     """
     params = SphereParams(n, k)
     count = 4 * theta_order * factor_order ** (n - 2)
@@ -232,7 +350,7 @@ def polar_rule(n: int, k: int, theta_order: int, factor_order: int) -> SphereQua
     omega = build_sphere_quadrature(k, factor_order)
     xi = build_sphere_quadrature(params.complement, factor_order)
     s, c = np.sqrt(theta.sin2), np.sqrt(1.0 - theta.sin2)
-    pts = np.empty((theta.nodes.size, omega.count, xi.count, n))
+    pts = np.empty((theta.order, omega.count, xi.count, n))
     pts[..., :k] = s[:, None, None, None] * omega.points[None, :, None, :]
     pts[..., k:] = c[:, None, None, None] * xi.points[None, None, :, :]
     w = theta.weights[:, None, None] * omega.weights[None, :, None] * xi.weights[None, None, :]

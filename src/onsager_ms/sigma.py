@@ -101,7 +101,8 @@ def _outward(origin: float, direction: float):
         span *= 2.0
 
 
-@lru_cache(maxsize=128)
+# Every (n, k) with n <= 50 (1,224 branches) at two orders.
+@lru_cache(maxsize=2448)
 def _eta_star_cached(n: int, k: int, order: int) -> EtaStar:
     params = SphereParams(n, k)
     if 2 * k == n:
@@ -128,7 +129,9 @@ def find_eta_star(params: SphereParams, order: int = DEFAULT_ORDER) -> EtaStar:
     the moment domain.
 
     On the symmetric branch k = n/2 the curve is even in eta, and the fold
-    is returned as exactly eta* = 0.
+    is returned as exactly eta* = 0.  Folds are cached by (n, k, order),
+    least recently used first out, up to 2,448 of them: every branch with
+    n <= 50 at two orders.
     """
     return _eta_star_cached(params.n, params.k, order)
 
@@ -198,8 +201,10 @@ def phase_diagram(
 
     Defaults to 401 evenly spaced eta values on [-10, 30].  Tags follow
     the branch stability rule (stable / unstable / marginal) from the
-    stability module.
+    stability module.  Raises ValueError for n < 3, as ``SphereParams`` does.
     """
+    if n < 3:
+        raise ValueError(f"need n >= 3, got n={n}")
     if eta_grid is None:
         eta_grid = np.linspace(-10.0, 30.0, 401)
     grid = np.asarray(eta_grid, dtype=float)

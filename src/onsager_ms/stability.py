@@ -315,7 +315,7 @@ def functional_I(
         raise ValueError(f"gamma must be one of 0, 1, 2, 3, got {gamma}")
     rule = theta_rule(params.n, params.k, order)
     vals = np.asarray(a, dtype=float)
-    if vals.shape != rule.nodes.shape:
+    if vals.shape != rule.weights.shape:
         raise ValueError("coefficient values must be sampled on the quadrature grid")
     if not np.all(np.isfinite(vals)):
         raise ValueError("coefficient values must be finite")
@@ -380,7 +380,7 @@ class PerturbationTop:
         for idx, vals in self.coefficients.items():
             _check_ranges(idx, self.params)
             arr = np.asarray(vals, dtype=float)
-            if arr.shape != self.rule.nodes.shape:
+            if arr.shape != self.rule.weights.shape:
                 raise ValueError(f"values for {idx} do not match the grid")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"values for {idx} must be finite")
@@ -389,7 +389,7 @@ class PerturbationTop:
             coeffs[idx] = arr
         object.__setattr__(self, "coefficients", MappingProxyType(coeffs))
         b = np.asarray(self.b, dtype=float).copy()
-        if b.shape != self.rule.nodes.shape:
+        if b.shape != self.rule.weights.shape:
             raise ValueError("b values do not match the grid")
         if not np.all(np.isfinite(b)):
             raise ValueError("b values must be finite")
@@ -557,7 +557,7 @@ class StabilityReport:
 def _attainer_top(params: SphereParams, eta: float, gamma: int, order: int) -> PerturbationTop:
     rule = theta_rule(params.n, params.k, order)
     values = equality_attainer(params, eta, gamma, order)
-    zero = np.zeros_like(rule.nodes)
+    zero = np.zeros_like(rule.weights)
     if gamma == 3:
         return PerturbationTop(params, rule, {}, values)
     slot = {0: BasisIndex(THETA, (1, 1)), 1: BasisIndex(OMEGA_A, (0, 1)), 2: BasisIndex(XI_A, (0, 1))}

@@ -79,6 +79,12 @@ def test_phase_diagram_beyond_eight(tmp_path):
     assert {row.split(",")[0] for row in raw.decode().splitlines()[1:]} == {str(k) for k in range(1, 9)}
 
 
+def test_phase_diagram_small_n_exits_2(tmp_path, capsys):
+    code, raw = run(tmp_path, "phase-diagram", "--n", "1", "--samples", "3")
+    assert (code, raw) == (2, b"")
+    assert "need n >= 3, got n=1" in capsys.readouterr().err
+
+
 def test_eta_star_json(tmp_path):
     code, raw = run(tmp_path, "eta-star", "--n", "3", "--k", "1")
     assert code == 0

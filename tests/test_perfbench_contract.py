@@ -1,7 +1,7 @@
 """The traced benchmark run wraps library functions by name: every function
 ``perfbench/spans.py`` lists in ``TRACED`` or imports from the library must
 still exist, or ``Recorder.install`` fails with an AttributeError and a
-``--trace 1`` run dies."""
+``--trace 1`` run dies.  It also reads the rule caches' counters."""
 
 import ast
 import importlib
@@ -33,3 +33,18 @@ def test_benchmark_traced_functions_exist():
         if not callable(getattr(importlib.import_module(f"onsager_ms.{module}"), attr, None))
     ]
     assert not missing
+
+
+def test_rule_caches_expose_the_counters_the_trace_reads():
+    """``perfbench/traced.py`` and ``cli_child.py`` count calls as hits +
+    misses of ``theta_rule`` and misses of ``sphere_rule``."""
+    from onsager_ms.quadrature import polar_rule, sphere_rule, theta_rule
+
+    for accessor, key in ((theta_rule, (5, 3, 19)), (sphere_rule, (2, 19))):
+        before = accessor.cache_info()
+        accessor(*key)
+        accessor(*key)
+        after = accessor.cache_info()
+        assert after.misses == before.misses + 1
+        assert after.hits == before.hits + 1
+    assert callable(polar_rule.__wrapped__)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from onsager_ms import quadrature
 from onsager_ms.quadrature import (
     DEFAULT_ORDER,
     SphereParams,
@@ -95,12 +96,58 @@ def test_theta_rule_is_cached():
     assert a is b
 
 
+def test_theta_rule_default_order_shares_the_entry():
+    rule = theta_rule(6, 2, DEFAULT_ORDER)
+    assert theta_rule(6, 2) is rule
+    assert theta_rule(6, k=2) is rule
+    assert theta_rule(n=6, k=2, order=DEFAULT_ORDER) is rule
+
+
 def test_rule_arrays_are_frozen():
     rule = theta_rule(3, 1, 16)
-    with pytest.raises(ValueError):
-        rule.nodes[0] = 0.0
-    with pytest.raises(ValueError):
-        rule.weights[0] = 0.0
+    for array in (rule.nodes, rule.weights, rule.sin2, rule.moment_rows[1]):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_derived_theta_arrays_are_built_once():
+    rule = build_weighted_quadrature(SphereParams(7, 3), order=48)
+    t = rule.sin2
+    assert rule.nodes is rule.nodes
+    assert np.array_equal(rule.nodes, np.arcsin(np.sqrt(t)))
+    assert rule.moment_rows is rule.moment_rows
+    expected = np.stack((np.ones_like(t), t, t * (1 - t), t * t * (1 - t), t * (1 - t) ** 2))
+    assert np.array_equal(rule.moment_rows, expected)
+    # The cache charges a rule every array it can come to hold.
+    assert rule.nbytes == sum(a.nbytes for a in (rule.weights, t, rule.nodes, rule.moment_rows))
+
+
+def test_theta_working_set_fits_the_cache_budget():
+    """Every theta rule with n <= 50 at orders 128 and 64 fits the budget
+    together; a rule's bytes depend only on its order."""
+    pairs = sum(n - 1 for n in range(3, 51))
+    per_pair = sum(theta_rule(3, 1, order).nbytes for order in (DEFAULT_ORDER, 64))
+    assert pairs == 1224
+    assert pairs * per_pair <= quadrature._CACHE_BYTES
+    assert theta_rule.cache_info().maxsize == quadrature._CACHE_BYTES
+
+
+def test_rule_cache_evicts_least_recently_used(monkeypatch):
+    keys = [(3, 1, 17), (4, 1, 17), (4, 2, 17), (5, 1, 17)]
+    size = theta_rule(*keys[0]).nbytes
+    monkeypatch.setattr(quadrature._RULES, "budget", 3 * size)
+    first, second, third = (theta_rule(*key) for key in keys[:3])
+    assert quadrature._RULES.nbytes == 3 * size  # everything older went
+    assert theta_rule(*keys[0]) is first  # a hit makes it the most recent
+    misses = theta_rule.cache_info().misses
+    theta_rule(*keys[3])
+    assert quadrature._RULES.nbytes == 3 * size
+    assert theta_rule(*keys[0]) is first
+    assert theta_rule(*keys[2]) is third
+    assert theta_rule.cache_info().misses == misses + 1
+    assert theta_rule(*keys[1]) is not second  # evicted, so rebuilt
+    assert theta_rule.cache_info().misses == misses + 2
+    assert quadrature._RULES.nbytes <= 3 * size
 
 
 @pytest.mark.parametrize("d", range(2, 7))
@@ -184,8 +231,15 @@ def test_polar_rule_mass(n, k):
 
 def test_polar_rule_node_budget():
     """The direct form's rule, orders (32, 3), fits the node budget up to
-    n = 11; at n = 12 it is refused before any array is allocated."""
-    rule = polar_rule.__wrapped__(11, 5, 32, 3)  # uncached: 220 MB of points
+    n = 11, where its 242 MB exceed the cache's budget: it is returned and
+    not kept.  At n = 12 it is refused before any array is allocated."""
+    theta_rule(11, 5, 32)  # the rule's theta factor, kept beforehand
+    held, before = quadrature._RULES.nbytes, polar_rule.cache_info()
+    rule = polar_rule(11, 5, 32, 3)
+    after = polar_rule.cache_info()
+    assert (after.misses, after.currsize) == (before.misses + 1, before.currsize)
+    assert quadrature._RULES.nbytes == held
+    assert rule.nbytes > quadrature._CACHE_BYTES
     assert rule.count == 32 * 2 * 3**4 * 2 * 3**5 == 2_519_424
     assert float(np.sum(rule.weights)) == pytest.approx(surface_area(11), rel=1e-13)
     del rule

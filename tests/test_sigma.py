@@ -206,6 +206,20 @@ def test_phase_diagram_reflected_branch_mirrors():
         assert s_hi.sigma == pytest.approx(s_lo.sigma, rel=1e-10)
 
 
+def test_fold_cache_covers_every_branch_to_fifty_at_two_orders():
+    from onsager_ms.sigma import _eta_star_cached
+
+    assert _eta_star_cached.cache_info().maxsize >= 2 * sum(n - 1 for n in range(3, 51))
+    params = SphereParams(9, 2)
+    assert find_eta_star(params) is find_eta_star(params)
+
+
+@pytest.mark.parametrize("n", [-4, 1, 2])
+def test_phase_diagram_rejects_small_n(n):
+    with pytest.raises(ValueError, match=f"need n >= 3, got n={n}"):
+        phase_diagram(n, np.array([0.0]))
+
+
 def test_phase_diagram_rejects_bad_grid():
     with pytest.raises(ValueError):
         phase_diagram(4, np.array([np.nan]))
