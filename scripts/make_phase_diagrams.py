@@ -1,5 +1,6 @@
 """Sweep the axial branches for several ambient dimensions and write one
-phase-diagram CSV per n, plus a JSON summary of the fold points.
+phase-diagram CSV per n, in the format of ``onsager-ms phase-diagram``
+(k,eta,alpha,stability), plus a JSON summary of the fold points.
 
 Usage:
     python scripts/make_phase_diagrams.py --out-dir results/phase
@@ -9,22 +10,9 @@ import argparse
 import json
 import pathlib
 
-import numpy as np
-
+from onsager_ms.cli import main as cli_main
 from onsager_ms.quadrature import SphereParams
-from onsager_ms.sigma import find_eta_star, phase_diagram
-
-
-def write_diagram(diagram, path):
-    rows = ["k,reflected,eta,alpha,alpha_prime,stability"]
-    for branch in diagram.branches:
-        for sample, tag in zip(branch.samples, branch.tags):
-            rows.append(
-                f"{branch.k},{int(branch.reflected)},{sample.eta:.17g},"
-                f"{sample.sigma:.17g},{sample.sigma_prime:.17g},{tag}"
-            )
-    path.write_text("\n".join(rows) + "\n")
-    return len(rows) - 1
+from onsager_ms.sigma import find_eta_star
 
 
 def main():
@@ -38,14 +26,17 @@ def main():
     args = parser.parse_args()
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    grid = np.linspace(args.eta_min, args.eta_max, args.samples)
 
     folds = {}
     for n in args.n_values:
-        diagram = phase_diagram(n, eta_grid=grid)
         path = args.out_dir / f"phase_n{n}.csv"
-        count = write_diagram(diagram, path)
-        print(f"n={n}: wrote {count} samples to {path}")
+        # The CLI's phase-diagram CSV (k,eta,alpha,stability) is the one format.
+        code = cli_main(["phase-diagram", "--n", str(n), "--eta-min", str(args.eta_min),
+                         "--eta-max", str(args.eta_max), "--samples", str(args.samples),
+                         "--out", str(path)])
+        if code:
+            raise SystemExit(code)
+        print(f"n={n}: wrote {(n - 1) * args.samples} samples to {path}")
         for k in range(1, n // 2 + 1):
             star = find_eta_star(SphereParams(n, k))
             folds[f"n={n},k={k}"] = {

@@ -22,19 +22,21 @@ spread of that form's eigenvalues.
 Axially symmetric solutions have exactly two eigenvalue clusters,
 eta(n-k)/n with multiplicity k and -eta k/n with multiplicity n-k, and
 the consistency condition alpha = sigma_k(eta).  ``eigenvalue_structure``
-checks a converged tensor against that shape.
+checks a converged tensor against that shape.  A ``CriticalPointSpec``
+makes its point's moment pass once and carries it; alpha defaults to
+sigma_k(eta) from that pass, which the density and the forms also read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moments import scaled_moments
-from .quadrature import DEFAULT_ORDER, SphereParams, _freeze, bromwich_rule, surface_area
-from .sigma import sigma_value
+from .moments import TiltedMeasure, scaled_moments
+from .quadrature import SphereParams, _freeze, bromwich_rule, surface_area
+from .sigma import _branch_alpha
 
 #: Largest n at which ``bingham_second_moments`` keeps 1e-10 relative
 #: accuracy; beyond it the contour loses digits near eta = 0.
@@ -124,22 +126,32 @@ class CriticalPointSpec:
     """An equilibrium h^(k): axis pattern k, order parameter eta, frame R.
 
     The density is e^{eta |P_k R m|^2} normalized over the sphere.  For
-    eta != 0 the intensity must satisfy alpha = sigma_k(eta); the
-    isotropic point eta = 0 is a critical point at every alpha, so alpha
-    is free there (it still enters the second-variation form).
+    eta != 0 the intensity must satisfy alpha = sigma_k(eta), its default;
+    the isotropic point eta = 0 is a critical point at every alpha, so
+    alpha must be given there (it still enters the second-variation form).
+    The spec makes the point's moment pass (``scaled_moments`` at
+    DEFAULT_ORDER) once and keeps it, weights read-only: alpha, the
+    density and the quadratic forms all read it.
     """
 
     params: SphereParams
     eta: float
-    alpha: float
+    alpha: float | None = None
     rotation: np.ndarray | None = None
+    _tilt: TiltedMeasure = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.params.n
-        object.__setattr__(self, "eta", float(self.eta))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        if not np.isfinite(self.eta):
-            raise ValueError("eta must be finite")
+        tilt = scaled_moments(self.params, self.eta)
+        _freeze(tilt.weights)
+        alpha = self.alpha
+        if alpha is None:
+            if tilt.eta == 0.0:
+                raise ValueError("eta = 0 is the isotropic point; pass alpha explicitly")
+            alpha = _branch_alpha(self.params, tilt)
+        object.__setattr__(self, "_tilt", tilt)
+        object.__setattr__(self, "eta", tilt.eta)
+        object.__setattr__(self, "alpha", float(alpha))
         if not np.isfinite(self.alpha) or self.alpha <= 0:
             raise ValueError("alpha must be positive")
         rot = np.eye(n) if self.rotation is None else np.asarray(self.rotation, float)
@@ -151,7 +163,7 @@ class CriticalPointSpec:
         _freeze(rot)
         object.__setattr__(self, "rotation", rot)
         if self.eta != 0.0:
-            target = sigma_value(self.params, self.eta)
+            target = _branch_alpha(self.params, tilt)
             if abs(self.alpha - target) > 1e-10 * target:
                 raise ValueError(
                     f"alpha={self.alpha} is not sigma_k(eta)={target} "
@@ -160,13 +172,10 @@ class CriticalPointSpec:
 
 
 def critical_point(
-    params: SphereParams,
-    eta: float,
-    rotation: np.ndarray | None = None,
-    order: int = DEFAULT_ORDER,
+    params: SphereParams, eta: float, rotation: np.ndarray | None = None
 ) -> CriticalPointSpec:
-    """The branch equilibrium at eta, with alpha = sigma_k(eta) filled in."""
-    return CriticalPointSpec(params, float(eta), sigma_value(params, eta, order), rotation)
+    """The branch equilibrium at eta != 0, with alpha = sigma_k(eta) filled in."""
+    return CriticalPointSpec(params, eta, rotation=rotation)
 
 
 def isotropic_point(n: int, alpha: float) -> CriticalPointSpec:
@@ -186,26 +195,20 @@ def _validated_points(spec: CriticalPointSpec, m) -> tuple[np.ndarray, bool]:
     return mat, single
 
 
-def _log_density_values(spec: CriticalPointSpec, mat: np.ndarray, order: int) -> np.ndarray:
-    params = spec.params
+def log_density(spec: CriticalPointSpec, m):
+    mat, single = _validated_points(spec, m)
+    params, tilt = spec.params, spec._tilt
     rotated = mat @ spec.rotation.T
     s2 = np.einsum("ij,ij->i", rotated[:, : params.k], rotated[:, : params.k])
-    tilt = scaled_moments(params, spec.eta, order=order)
     log_z = tilt.shift + np.log(surface_area(params.k) * surface_area(params.complement) * tilt.a0)
-    return spec.eta * s2 - log_z
-
-
-def log_density(spec: CriticalPointSpec, m, order: int = DEFAULT_ORDER):
-    mat, single = _validated_points(spec, m)
-    vals = _log_density_values(spec, mat, order)
+    vals = spec.eta * s2 - log_z
     return float(vals[0]) if single else vals
 
 
-def density(spec: CriticalPointSpec, m, order: int = DEFAULT_ORDER):
+def density(spec: CriticalPointSpec, m):
     """Normalized equilibrium density at unit vector(s) m."""
-    mat, single = _validated_points(spec, m)
-    vals = np.exp(_log_density_values(spec, mat, order))
-    return float(vals[0]) if single else vals
+    vals = np.exp(log_density(spec, m))
+    return float(vals) if np.ndim(vals) == 0 else vals
 
 
 def bingham_second_moments(lam) -> np.ndarray:
@@ -297,7 +300,6 @@ def solve_fixed_point(
     alpha: float,
     initial: OrderTensor,
     tol: float = 1e-10,
-    damping: float = 0.0,
 ) -> FixedPointResult:
     """Picard-iterate the order-tensor equation from the given initial tensor.
 
@@ -307,7 +309,6 @@ def solve_fixed_point(
     noise of about 1e-12 * n * alpha where that is larger: the updates
     stall there.  Non-convergence after 500 steps is reported in the
     result, not raised.
-    ``damping`` in [0, 1) blends in the previous iterate (0 = plain Picard).
     """
     if not 3 <= n <= MAX_CONTOUR_DIM:
         raise ValueError(f"fixed point solver supports 3 <= n <= {MAX_CONTOUR_DIM}, got n={n}")
@@ -315,8 +316,6 @@ def solve_fixed_point(
         raise ValueError("alpha must be positive")
     if tol < 1e-12:
         raise ValueError("tol below 1e-12 is not resolvable by the contour")
-    if not 0.0 <= damping < 1.0:
-        raise ValueError("damping must lie in [0, 1)")
     if initial.n != n:
         raise ValueError(f"initial tensor has n={initial.n}, expected {n}")
     stop = max(tol, _PICARD_NOISE * n * alpha)
@@ -325,8 +324,6 @@ def solve_fixed_point(
     iterations = 0
     for iterations in range(1, _PICARD_MAX_ITER + 1):
         new_lam = _picard_step(lam, alpha)
-        if damping:
-            new_lam = (1.0 - damping) * new_lam + damping * lam
         step = new_lam - lam
         update = math.sqrt(step @ step)
         lam = new_lam

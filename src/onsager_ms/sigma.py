@@ -136,9 +136,7 @@ def find_eta_star(params: SphereParams, order: int = DEFAULT_ORDER) -> EtaStar:
     return _eta_star_cached(params.n, params.k, order)
 
 
-def invert_alpha(
-    params: SphereParams, alpha: float, order: int = DEFAULT_ORDER
-) -> list[float]:
+def invert_alpha(params: SphereParams, alpha: float) -> list[float]:
     """All eta with sigma_k(eta) = alpha, sorted ascending.
 
     Returns [] below the fold value alpha^*, the single fold point inside
@@ -150,14 +148,14 @@ def invert_alpha(
     alpha = float(alpha)
     if not np.isfinite(alpha) or alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    star = find_eta_star(params, order)
+    star = find_eta_star(params)
     if abs(alpha - star.alpha_star) <= 1e-9 * star.alpha_star:
         return [star.eta_star]
     if alpha < star.alpha_star:
         return []
 
     def g(e: float) -> float:
-        return sigma_value(params, e, order) - alpha
+        return sigma_value(params, e) - alpha
 
     roots = []
     for direction in (-1.0, 1.0):

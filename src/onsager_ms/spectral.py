@@ -31,7 +31,7 @@ from typing import Mapping
 import numpy as np
 from scipy.linalg import null_space
 
-from .moments import scaled_moments
+from .moments import TiltedMeasure, scaled_moments
 from .quadrature import (
     DEFAULT_ORDER,
     SphereParams,
@@ -49,10 +49,10 @@ from .stability import (
     THETA,
     XI_A,
     XI_B,
+    _attainer,
     _block_low,
     _profile,
     _rank_one_coefficient,
-    equality_attainer,
 )
 
 BLOCK_FAMILIES = FAMILIES + ("b",)
@@ -141,19 +141,26 @@ def block_spectrum(
         raise ValueError(f"unknown block family {family!r}")
     if family_multiplicities(params)[family] == 0:
         raise ValueError(f"family {family} is empty for (n, k) = ({params.n}, {params.k})")
+    tilt = scaled_moments(params, eta, order=order)
+    return _block_spectrum(params, tilt, family, grid_size, _alpha_at(params, tilt, alpha))
+
+
+def _alpha_at(params: SphereParams, tilt: TiltedMeasure, alpha: float | None) -> float:
+    """alpha, checked, or sigma_k(eta) from the moment pass ``tilt`` when None."""
+    alpha = _branch_alpha(params, tilt) if alpha is None else float(alpha)
+    if not np.isfinite(alpha) or alpha <= 0:
+        raise ValueError("alpha must be positive and finite")
+    return alpha
+
+
+def _block_spectrum(
+    params: SphereParams, tilt: TiltedMeasure, family: str, grid_size: int, alpha: float
+) -> BlockSpectrum:
+    """``block_spectrum`` from the moment pass ``tilt``, with alpha resolved."""
     if grid_size < MIN_GRID:
         raise ValueError(f"grid_size must be at least {MIN_GRID}")
-    eta = float(eta)
+    eta, a0, shift = tilt.eta, tilt.a0, tilt.shift
     gamma = _GAMMA_BY_BLOCK[family]
-    tilt = scaled_moments(params, eta, order=order)
-    a0, shift = tilt.a0, tilt.shift
-    if alpha is None:
-        alpha = _branch_alpha(params, tilt)
-    else:
-        alpha = float(alpha)
-        if not np.isfinite(alpha) or alpha <= 0:
-            raise ValueError("alpha must be positive and finite")
-
     rule = theta_rule(params.n, params.k, grid_size)
     w, t = rule.weights, rule.sin2
     growth = np.exp(eta * t - shift)
@@ -225,10 +232,13 @@ def full_spectrum(
 ) -> SpectrumReport:
     """Spectrum of the full discretized second variation at (k, eta).
 
-    Blocks of one functional share a spectrum, so ``block_spectrum`` runs
-    once per gamma; the pooled eigenvalues are built from each block's
-    distinct values and their multiplicities.
+    One moment pass at ``order`` and one alpha (sigma_k(eta) by default)
+    serve every block.  Blocks of one functional share a spectrum, so a
+    block is built once per gamma; the pooled eigenvalues are built from
+    each block's distinct values and their multiplicities.
     """
+    tilt = scaled_moments(params, eta, order=order)
+    alpha = _alpha_at(params, tilt, alpha)
     counts = family_multiplicities(params)
     blocks: dict[str, BlockSpectrum] = {}
     by_gamma: dict[int, BlockSpectrum] = {}
@@ -240,7 +250,7 @@ def full_spectrum(
         if gamma in by_gamma:
             block = replace(by_gamma[gamma], family=family)
         else:
-            block = block_spectrum(params, eta, family, grid_size, alpha, order)
+            block = _block_spectrum(params, tilt, family, grid_size, alpha)
             by_gamma[gamma] = block
         blocks[family] = block
         # The downdated value, then the bulk at A_0.
@@ -250,7 +260,6 @@ def full_spectrum(
     values = np.array([value for value, _ in pairs])
     multiplicities = np.array([count for _, count in pairs])
     eigenvalues = np.repeat(values, multiplicities)
-    alpha_used = next(iter(blocks.values())).alpha
 
     magnitudes = np.abs(values)
     threshold = KERNEL_RTOL * float(np.max(magnitudes))
@@ -268,7 +277,7 @@ def full_spectrum(
         zero_columns = np.nonzero(np.abs(theta_block.eigenvalues) < threshold)[0]
         if zero_columns.size:
             w = theta_block.rule.weights
-            g = equality_attainer(params, eta, 0, grid_size)
+            g = _attainer(theta_block.rule, tilt, 0)
             g_norm = float(np.sum(w * g * g))
             fractions = []
             for column in zero_columns:
@@ -280,8 +289,8 @@ def full_spectrum(
     _freeze(eigenvalues)
     return SpectrumReport(
         params,
-        float(eta),
-        alpha_used,
+        tilt.eta,
+        alpha,
         grid_size,
         MappingProxyType(blocks),
         MappingProxyType(counts),
@@ -294,12 +303,7 @@ def full_spectrum(
     )
 
 
-def gap_estimate(
-    params: SphereParams,
-    eta: float,
-    grid_size: int = 64,
-    order: int = DEFAULT_ORDER,
-) -> float:
+def gap_estimate(params: SphereParams, eta: float, grid_size: int = 64) -> float:
     """Explicit lower bound c0 for the spectral gap of a stable k = 1 state.
 
     On the orthogonal complement of the rotational kernel the form
@@ -314,11 +318,11 @@ def gap_estimate(
     if grid_size < MIN_GRID:
         raise ValueError(f"grid_size must be at least {MIN_GRID}")
     eta = float(eta)
-    star = find_eta_star(params, order).eta_star
+    star = find_eta_star(params).eta_star
     if not eta > star:
         raise ValueError("k = 1 equilibria are stable only for eta > eta_1^*")
 
-    tilt = scaled_moments(params, eta, order=order)
+    tilt = scaled_moments(params, eta)
     alpha = _branch_alpha(params, tilt)
     a0_scaled = tilt.a0
     rule = theta_rule(params.n, 1, grid_size)
@@ -337,7 +341,7 @@ def gap_estimate(
         )
         return float(np.linalg.eigvalsh(mat)[0])
 
-    kernel_direction = sqw * equality_attainer(params, eta, 0, grid_size)
+    kernel_direction = sqw * _attainer(rule, tilt, 0)
     lam_xi = block_minimum(2, None)
     lam_theta = block_minimum(0, kernel_direction)
     lam_b = block_minimum(3, sqw)
@@ -353,12 +357,7 @@ def gap_estimate(
     return surface_area(1) * surface_area(params.complement) * float(bound)
 
 
-def isotropic_threshold(
-    n: int,
-    tol: float = 1e-8,
-    grid_size: int = 32,
-    order: int = DEFAULT_ORDER,
-) -> float:
+def isotropic_threshold(n: int, tol: float = 1e-8, grid_size: int = 32) -> float:
     """Interaction strength where the isotropic state loses stability.
 
     Bisects on alpha for the sign change of the smallest eigenvalue of
@@ -373,7 +372,7 @@ def isotropic_threshold(
     params = SphereParams(n, 1)
 
     def smallest(alpha: float) -> float:
-        report = full_spectrum(params, 0.0, grid_size, alpha, order)
+        report = full_spectrum(params, 0.0, grid_size, alpha)
         return float(report.eigenvalues[0])
 
     lo, hi = 1.0, 2.0 * n * (n + 2)

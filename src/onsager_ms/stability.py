@@ -37,7 +37,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .equilibrium import CriticalPointSpec, critical_point
+from .equilibrium import CriticalPointSpec
 from .moments import TiltedMeasure, _checked_eta, scaled_moments
 from .quadrature import (
     DEFAULT_ORDER,
@@ -265,7 +265,9 @@ def _profile(gamma: int, t: np.ndarray) -> np.ndarray:
         return np.sqrt(t * (1.0 - t))
     if gamma in (1, 3):
         return t
-    return 1.0 - t
+    if gamma == 2:
+        return 1.0 - t
+    raise ValueError(f"gamma must be one of 0, 1, 2, 3, got {gamma}")
 
 
 def _rank_one_coefficient(gamma: int, params: SphereParams) -> float:
@@ -311,8 +313,6 @@ def functional_I(
     alpha defaults to sigma_k(eta).  gamma = 3 requires mean-zero values
     against the measure.
     """
-    if gamma not in (0, 1, 2, 3):
-        raise ValueError(f"gamma must be one of 0, 1, 2, 3, got {gamma}")
     rule = theta_rule(params.n, params.k, order)
     vals = np.asarray(a, dtype=float)
     if vals.shape != rule.weights.shape:
@@ -349,7 +349,11 @@ def d_quantities(
     each by its formula (see ``_block_low``).  eta must lie in the moment
     domain |eta| <= ETA_MAX, inside which the values stay finite.
     """
-    tilt = scaled_moments(params, eta, order=order)
+    return _d_values(params, scaled_moments(params, eta, order=order), alpha)
+
+
+def _d_values(params: SphereParams, tilt: TiltedMeasure, alpha: float | None) -> tuple[float, float, float]:
+    """``d_quantities`` from the moment pass ``tilt``."""
     alpha = _branch_alpha(params, tilt) if alpha is None else alpha
     factor = float(np.exp(tilt.shift))
     return tuple(_block_low(gamma, params, tilt, alpha) * factor for gamma in (1, 2, 3))
@@ -478,13 +482,24 @@ def assemble_sphere_function(p: PerturbationTop) -> Callable:
     return phi
 
 
+def _moments_at(spec: CriticalPointSpec, order: int) -> TiltedMeasure:
+    """The spec's own moment pass when it was made at ``order``, else one new pass."""
+    if order == spec._tilt.rule.order:
+        return spec._tilt
+    return scaled_moments(spec.params, spec.eta, order=order)
+
+
 def quadratic_form_decomposed(spec: CriticalPointSpec, p: PerturbationTop) -> float:
     """Second-variation value of the assembled perturbation, via the blocks,
-    from one moment pass (``p`` has checked its values and b's zero mean)."""
+    from the moment pass at ``p``'s order (``p`` has checked its values and
+    b's zero mean): the spec's own pass at the default order."""
     if p.params != spec.params:
         raise ValueError("perturbation and spec parameters differ")
+    return _decomposed_value(spec, p, _moments_at(spec, p.rule.order))
+
+
+def _decomposed_value(spec: CriticalPointSpec, p: PerturbationTop, tilt: TiltedMeasure) -> float:
     params = spec.params
-    tilt = scaled_moments(params, spec.eta, order=p.rule.order)
     total = 0.0
     for idx, vals in p.coefficients.items():
         gamma = GAMMA_BY_FAMILY[idx.family]
@@ -515,7 +530,7 @@ def quadratic_form_direct(spec: CriticalPointSpec, phi: Callable) -> float:
     if abs(float(np.sum(w * vals))) > 1e-9 * max(1.0, float(np.sum(w * np.abs(vals)))):
         raise ValueError("phi must have zero mean over the sphere")
     s2 = np.einsum("ij,ij->i", canonical[:, :k], canonical[:, :k])
-    tilt = scaled_moments(params, spec.eta)
+    tilt = spec._tilt
     area = surface_area(params.k) * surface_area(params.complement)
     inv_f0 = area * tilt.a0 * np.exp(tilt.shift - spec.eta * s2)
     first = float(np.sum(w * vals * vals * inv_f0))
@@ -532,15 +547,20 @@ def equality_attainer(
 
     Rescaled by e^{-max(eta,0)} (an immaterial constant for a quadratic
     functional) so the values stay bounded for large positive eta.  eta
-    must lie in the moment domain |eta| <= ETA_MAX.
+    must lie in the moment domain |eta| <= ETA_MAX, and gamma must be one
+    of 0, 1, 2, 3.
     """
-    eta = _checked_eta(eta)
-    rule = theta_rule(params.n, params.k, order)
+    tilt = scaled_moments(params, eta, order=order)
+    return _attainer(tilt.rule, tilt, gamma)
+
+
+def _attainer(rule: WeightedQuadrature, tilt: TiltedMeasure, gamma: int) -> np.ndarray:
+    """``equality_attainer`` on ``rule``'s grid, from the moment pass ``tilt``."""
     t = rule.sin2
-    base = np.exp(eta * t - max(eta, 0.0))
-    if gamma != 3:
-        return base * _profile(gamma, t)
-    return base * (scaled_moments(params, eta, order=order).mean - t)
+    base = np.exp(tilt.eta * t - tilt.shift)
+    if gamma == 3:
+        return base * (tilt.mean - t)
+    return base * _profile(gamma, t)
 
 
 @dataclass(frozen=True)
@@ -554,39 +574,14 @@ class StabilityReport:
     witness_value: float | None = None
 
 
-def _attainer_top(params: SphereParams, eta: float, gamma: int, order: int) -> PerturbationTop:
-    rule = theta_rule(params.n, params.k, order)
-    values = equality_attainer(params, eta, gamma, order)
+def _attainer_top(params: SphereParams, tilt: TiltedMeasure, gamma: int) -> PerturbationTop:
+    rule = tilt.rule
+    values = _attainer(rule, tilt, gamma)
     zero = np.zeros_like(rule.weights)
     if gamma == 3:
         return PerturbationTop(params, rule, {}, values)
     slot = {0: BasisIndex(THETA, (1, 1)), 1: BasisIndex(OMEGA_A, (0, 1)), 2: BasisIndex(XI_A, (0, 1))}
     return PerturbationTop(params, rule, {slot[gamma]: values}, zero)
-
-
-def _unstable_report(
-    spec: CriticalPointSpec, dq: tuple[float, float, float], gamma: int, order: int
-) -> StabilityReport:
-    top = _attainer_top(spec.params, spec.eta, gamma, order)
-    value = quadratic_form_decomposed(spec, top)
-    if not value < 0.0:
-        # The boundary sits below floating-point resolution here.
-        return StabilityReport(spec.params, spec.eta, spec.alpha, MARGINAL, dq)
-    return StabilityReport(
-        spec.params, spec.eta, spec.alpha, UNSTABLE, dq, top, float(value)
-    )
-
-
-def _classify_isotropic(params: SphereParams, alpha: float, order: int) -> StabilityReport:
-    n = params.n
-    threshold = n * (n + 2) / 2.0
-    dq = d_quantities(params, 0.0, alpha=alpha, order=order)
-    if abs(alpha - threshold) <= 1e-9 * threshold:
-        return StabilityReport(params, 0.0, alpha, MARGINAL, dq)
-    if alpha < threshold:
-        return StabilityReport(params, 0.0, alpha, STABLE, dq)
-    spec = CriticalPointSpec(params, 0.0, alpha)
-    return _unstable_report(spec, dq, 0, order)
 
 
 def _branch_verdict(params: SphereParams, eta: float, order: int) -> str:
@@ -613,41 +608,50 @@ def classify(
 ) -> StabilityReport:
     """Stability verdict for the equilibrium at (k, eta).
 
-    eta = 0 selects the isotropic point and requires an explicit alpha
-    (stable up to n(n+2)/2).  On anisotropic branches alpha is fixed to
-    sigma_k(eta): branches with 2 <= k <= n-2 are unstable at every eta;
+    eta = 0 selects the isotropic point and requires an explicit positive
+    alpha (stable up to n(n+2)/2).  On anisotropic branches alpha is fixed
+    to sigma_k(eta): branches with 2 <= k <= n-2 are unstable at every eta;
     k = 1 is stable exactly for eta > eta_1^*; k = n-1 is its mirror
     image, stable exactly for eta < eta_{n-1}^* = -eta_1^*.  Verdicts
-    within 1e-9 of a boundary are Marginal.
+    within 1e-9 of a boundary are Marginal.  The report's alpha comes from
+    the default-order pass; ``order`` sets the D values, fold and witness.
 
     eta must lie in the moment domain, finite |eta| <= ETA_MAX = 700;
     outside it the moments' ValueError is raised.
     """
     eta = float(eta)
     n, k = params.n, params.k
-    if eta == 0.0:
-        if alpha is None:
-            raise ValueError("eta = 0 is the isotropic point; pass alpha explicitly")
-        return _classify_isotropic(params, float(alpha), order)
-    if alpha is not None:
+    if eta != 0.0 and alpha is not None:
         raise ValueError("on the anisotropic branch alpha is fixed to sigma_k(eta)")
-    # Branch alpha at full accuracy; `order` governs only the stability quadrature.
-    spec = critical_point(params, eta, order=max(order, DEFAULT_ORDER))
-    dq = d_quantities(params, eta, order=order)
-    verdict = _branch_verdict(params, eta, order)
+    spec = CriticalPointSpec(params, eta, alpha)
+    tilt = _moments_at(spec, order)
+    dq = _d_values(params, tilt, alpha)
+    if eta == 0.0:
+        threshold = n * (n + 2) / 2.0
+        verdict = STABLE if spec.alpha < threshold else UNSTABLE
+        if abs(spec.alpha - threshold) <= 1e-9 * threshold:
+            verdict = MARGINAL
+        gamma = 0
+    else:
+        verdict = _branch_verdict(params, eta, order)
+        # The Omega witness (D1 < 0 for eta > 0) needs k >= 2 and the Xi
+        # witness (D2 < 0 for eta < 0) needs n-k >= 2; on k = 1 and k = n-1
+        # between the fold and zero the mean-zero block is the one that goes
+        # negative.
+        if eta > 0 and k > 1:
+            gamma = 1
+        elif eta < 0 and k < n - 1:
+            gamma = 2
+        else:
+            gamma = 3
     if verdict != UNSTABLE:
         return StabilityReport(params, eta, spec.alpha, verdict, dq)
-    # The Omega witness (D1 < 0 for eta > 0) needs k >= 2 and the Xi
-    # witness (D2 < 0 for eta < 0) needs n-k >= 2; on k = 1 and k = n-1
-    # between the fold and zero the mean-zero block is the one that goes
-    # negative.
-    if eta > 0 and k > 1:
-        gamma = 1
-    elif eta < 0 and k < n - 1:
-        gamma = 2
-    else:
-        gamma = 3
-    return _unstable_report(spec, dq, gamma, order)
+    top = _attainer_top(params, tilt, gamma)
+    value = _decomposed_value(spec, top, tilt)
+    if not value < 0.0:
+        # The boundary sits below floating-point resolution here.
+        return StabilityReport(params, eta, spec.alpha, MARGINAL, dq)
+    return StabilityReport(params, eta, spec.alpha, UNSTABLE, dq, top, float(value))
 
 
 def branch_tag(params: SphereParams, eta: float, order: int = DEFAULT_ORDER) -> str:

@@ -308,7 +308,7 @@ def _check_decomposed_vs_direct(cfg: VerifyConfig) -> CheckResult:
     worst = 0.0
     for params, eta in ((SphereParams(4, 1), 3.0), (SphereParams(5, 2), -2.0)):
         eta = float(np.clip(eta, -cfg.eta_cap, cfg.eta_cap))
-        point = critical_point(params, eta, order=max(cfg.quad_order, DEFAULT_ORDER))
+        point = critical_point(params, eta)
         for _ in range(5):
             top = random_smooth_perturbation(params, eta, rng, cfg.quad_order)
             direct = quadratic_form_direct(point, assemble_sphere_function(top))

@@ -123,9 +123,13 @@ def test_classify_unstable_witness_structure(tmp_path):
         assert len(vals) == 48
 
 
-def test_classify_isotropic_requires_alpha(tmp_path):
+def test_classify_isotropic_requires_alpha(tmp_path, capsys):
     code, _ = run(tmp_path, "classify", "--n", "4", "--k", "1", "--eta", "0")
     assert code == 2
+    for alpha in ("-5", "0"):
+        code, raw = run(tmp_path, "classify", "--n", "4", "--k", "1", "--eta", "0", "--alpha", alpha)
+        assert code == 2 and raw == b""
+        assert "alpha must be positive" in capsys.readouterr().err
 
 
 def test_spectrum_json(tmp_path):

@@ -294,14 +294,6 @@ def test_solve_fixed_point_recovers_branch():
     assert sigma_value(SphereParams(5, m_high), eta) == pytest.approx(40.0, rel=1e-8)
 
 
-def test_solve_fixed_point_damping_same_limit():
-    start = OrderTensor.random_unit(3, np.random.default_rng(8))
-    plain = solve_fixed_point(3, 20.0, start)
-    damped = solve_fixed_point(3, 20.0, start, damping=0.5)
-    assert damped.converged
-    assert np.allclose(plain.tensor.entries, damped.tensor.entries, atol=1e-8)
-
-
 def test_solve_fixed_point_guards():
     start = OrderTensor.random_unit(3, np.random.default_rng(0))
     with pytest.raises(ValueError):

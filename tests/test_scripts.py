@@ -21,9 +21,14 @@ def test_make_phase_diagrams(monkeypatch, tmp_path, capsys):
     run_script(monkeypatch, "make_phase_diagrams.py",
                "--n-values", "3", "--samples", "5", "--out-dir", str(tmp_path))
     with open(tmp_path / "phase_n3.csv", newline="") as handle:
-        rows = list(csv.DictReader(handle))
+        reader = csv.DictReader(handle)
+        rows = list(reader)
+    assert reader.fieldnames == ["k", "eta", "alpha", "stability"]  # the CLI's columns
     assert len(rows) == 2 * 5  # branches k = 1, 2
-    assert {row["stability"] for row in rows} <= {"stable", "unstable", "marginal"}
+    for row in rows:
+        tag, suffix = row["stability"], " reflected" if row["k"] == "2" else ""
+        assert tag.endswith(suffix)
+        assert tag.removesuffix(" reflected") in {"stable", "unstable", "marginal"}
     folds = json.loads((tmp_path / "folds.json").read_text())
     assert set(folds) == {"n=3,k=1"}
     assert folds["n=3,k=1"]["alpha_star"] == pytest.approx(6.731486396483349, rel=1e-9)

@@ -151,6 +151,8 @@ def test_block_bulk_is_a0():
 def test_block_grid_floor():
     with pytest.raises(ValueError):
         block_spectrum(SphereParams(4, 1), 1.0, "Theta", grid_size=4)
+    with pytest.raises(ValueError):
+        full_spectrum(SphereParams(4, 1), 1.0, grid_size=4)
 
 
 def test_eigenvector_profiles_reproduce_eigenvalues():
@@ -211,6 +213,21 @@ def test_full_spectrum_pools_multiplicities():
             if count > 0
         ]))
         assert np.array_equal(report.eigenvalues, tiled)
+
+
+@pytest.mark.parametrize("n,k,eta", [(4, 1, 3.0), (6, 3, -1.5)])
+def test_full_spectrum_makes_one_moment_pass(moment_passes, n, k, eta):
+    """One pass and one alpha serve every block, and each block is bitwise
+    the one ``block_spectrum`` builds from its own pass."""
+    params = SphereParams(n, k)
+    report = full_spectrum(params, eta)
+    assert len(moment_passes) == 1
+    assert report.alpha == sigma_value(params, eta)
+    for family, block in report.blocks.items():
+        alone = block_spectrum(params, eta, family)
+        assert block.alpha == report.alpha
+        assert np.array_equal(block.eigenvalues, alone.eigenvalues)
+        assert np.array_equal(block.eigenvectors, alone.eigenvectors)
 
 
 def test_full_spectrum_isotropic_explicit_alpha():

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onsager_ms import stability
-from onsager_ms.equilibrium import critical_point, isotropic_point
+from onsager_ms.equilibrium import critical_point, density, isotropic_point, log_density
 from onsager_ms.moments import moment, scaled_moments
 from onsager_ms.quadrature import SphereParams, polar_rule, sphere_rule, surface_area, theta_rule
 from onsager_ms.sigma import find_eta_star, sigma_prime, sigma_value
@@ -138,6 +137,9 @@ def test_functional_rejects_bad_gamma_and_grid():
     vals = np.ones_like(rule.nodes)
     with pytest.raises(ValueError):
         functional_I(4, params, 1.0, vals, order=32)
+    for gamma in (7, -1, 2.5):
+        with pytest.raises(ValueError, match="gamma must be one of 0, 1, 2, 3"):
+            equality_attainer(params, 1.0, gamma)
     with pytest.raises(ValueError):
         functional_I(0, params, 1.0, vals[:-1], order=32)
     with pytest.raises(ValueError):
@@ -384,27 +386,79 @@ def test_decomposed_matches_direct_form_beyond_six(n, k, eta):
     assert abs(direct - quadratic_form_decomposed(spec, top)) <= 1e-6 * (1.0 + abs(direct))
 
 
-def test_decomposed_form_makes_one_moment_pass(monkeypatch):
-    """One moment pass serves every slot, and the value is bitwise the sum
-    of functional_I over the slots, each of which makes its own pass."""
+def test_decomposed_form_makes_one_moment_pass(moment_passes):
+    """One moment pass, the spec's, serves every slot, and the value is
+    bitwise the sum of functional_I over the slots, each of which makes its
+    own pass."""
     params = SphereParams(6, 3)
-    spec = critical_point(params, 1.0)
     top = random_smooth_perturbation(params, 1.0, np.random.default_rng(3))
+    alpha = sigma_value(params, 1.0)
     total = 0.0
     for idx, vals in top.coefficients.items():
         gamma = GAMMA_BY_FAMILY[idx.family]
-        total += functional_I(gamma, params, 1.0, vals, alpha=spec.alpha) / _slot_denominator(gamma, params)
-    total += functional_I(3, params, 1.0, top.b, alpha=spec.alpha)
+        total += functional_I(gamma, params, 1.0, vals, alpha=alpha) / _slot_denominator(gamma, params)
+    total += functional_I(3, params, 1.0, top.b, alpha=alpha)
     want = (surface_area(3) * surface_area(3)) ** 2 * total
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return scaled_moments(*args, **kwargs)
-
-    monkeypatch.setattr(stability, "scaled_moments", counted)
+    moment_passes.clear()
+    spec = critical_point(params, 1.0)
     assert quadratic_form_decomposed(spec, top) == want
-    assert len(calls) == 1
+    assert len(moment_passes) == 1
+    # A perturbation on another grid gets one pass at its own order.
+    coarse = random_smooth_perturbation(params, 1.0, np.random.default_rng(3), order=64)
+    quadratic_form_decomposed(spec, coarse)
+    assert moment_passes[1:] == [(6, 3, 1.0, 64)]
+
+
+def test_spec_carries_one_read_only_moment_pass(moment_passes):
+    """A point makes its moment pass once: bit-identical to scaled_moments at
+    the default order, with read-only weights, and read by the density and
+    the direct form without a pass of their own."""
+    params = SphereParams(4, 1)
+    spec = critical_point(params, 3.0)
+    assert len(moment_passes) == 1
+    tilt, want = spec._tilt, scaled_moments(params, 3.0)
+    assert np.array_equal(tilt.weights, want.weights)
+    assert tilt.rule is want.rule
+    assert (tilt.a0, tilt.mean, tilt.s, tilt.s_sin2, tilt.s_cos2) == (
+        want.a0, want.mean, want.s, want.s_sin2, want.s_cos2
+    )
+    assert spec.alpha == sigma_value(params, 3.0)
+    with pytest.raises(ValueError):
+        tilt.weights[0] = 1.0
+    moment_passes.clear()
+    density(spec, np.eye(4))
+    log_density(spec, np.eye(4))
+    phi = assemble_sphere_function(random_smooth_perturbation(params, 3.0, np.random.default_rng(1)))
+    quadratic_form_direct(spec, phi)
+    assert moment_passes == []
+
+
+def _witness_gamma(report):
+    if report.witness is None:
+        return None
+    families = {idx.family for idx in report.witness.coefficients}
+    return GAMMA_BY_FAMILY[families.pop()] if families else 3
+
+
+@pytest.mark.parametrize(
+    "n,k,eta,alpha,gamma",
+    [
+        (4, 1, 4.0, None, None),  # stable, above the fold
+        (5, 2, 2.0, None, 1),
+        (5, 2, -2.0, None, 2),
+        (4, 1, 0.5, None, 3),  # k = 1 between zero and the fold
+        (5, 1, 0.0, 21.0, 0),  # isotropic, above n(n+2)/2
+    ],
+)
+def test_classify_makes_one_moment_pass(moment_passes, n, k, eta, alpha, gamma):
+    """The spec's pass gives classify its D values, its witness and the
+    witness's form value; with the fold cached, no other pass is made."""
+    params = SphereParams(n, k)
+    find_eta_star(params)
+    moment_passes.clear()
+    report = classify(params, eta, alpha=alpha)
+    assert _witness_gamma(report) == gamma
+    assert len(moment_passes) == 1
 
 
 @pytest.mark.parametrize("n,k,eta", [(3, 2, 4.0), (4, 1, 3.0), (5, 2, -2.0), (6, 3, 1.0), (6, 5, -3.0)])
@@ -456,6 +510,9 @@ def test_classify_guards():
     params = SphereParams(4, 1)
     with pytest.raises(ValueError):
         classify(params, 0.0)  # isotropic needs alpha
+    for alpha in (-5.0, 0.0):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            classify(params, 0.0, alpha=alpha)
     with pytest.raises(ValueError):
         classify(params, 1.0, alpha=9.0)  # branch fixes alpha
     with pytest.raises(ValueError):
