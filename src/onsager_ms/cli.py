@@ -52,15 +52,15 @@ def cmd_sigma(args: argparse.Namespace) -> str:
     params = SphereParams(args.n, args.k)
     lines = ["eta,sigma,sigma_prime,stable"]
     for eta in _eta_grid(args):
-        point = sample(params, float(eta), args.quad_order)
-        tag = branch_tag(params, float(eta), args.quad_order)
+        point = sample(params, float(eta))
+        tag = branch_tag(params, float(eta))
         lines.append(f"{_fmt(point.eta)},{_fmt(point.sigma)},{_fmt(point.sigma_prime)},{tag}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_phase_diagram(args: argparse.Namespace) -> str:
     _require(args, "n")
-    diagram = phase_diagram(args.n, _eta_grid(args), args.quad_order)
+    diagram = phase_diagram(args.n, _eta_grid(args))
     lines = ["k,eta,alpha,stability"]
     for branch in diagram.branches:
         for point, tag in zip(branch.samples, branch.tags):
@@ -71,7 +71,7 @@ def cmd_phase_diagram(args: argparse.Namespace) -> str:
 
 def cmd_eta_star(args: argparse.Namespace) -> str:
     _require(args, "n", "k")
-    star = find_eta_star(SphereParams(args.n, args.k), args.quad_order)
+    star = find_eta_star(SphereParams(args.n, args.k))
     return _json(
         {"n": args.n, "k": args.k, "eta_star": star.eta_star, "alpha_star": star.alpha_star}
     )
@@ -79,7 +79,7 @@ def cmd_eta_star(args: argparse.Namespace) -> str:
 
 def cmd_classify(args: argparse.Namespace) -> str:
     _require(args, "n", "k", "eta")
-    report = classify(SphereParams(args.n, args.k), args.eta, args.alpha, args.quad_order)
+    report = classify(SphereParams(args.n, args.k), args.eta, args.alpha)
     payload = {
         "n": args.n,
         "k": args.k,
@@ -105,9 +105,7 @@ def cmd_classify(args: argparse.Namespace) -> str:
 
 def cmd_spectrum(args: argparse.Namespace) -> str:
     _require(args, "n", "k", "eta")
-    report = full_spectrum(
-        SphereParams(args.n, args.k), args.eta, args.grid, args.alpha, args.quad_order
-    )
+    report = full_spectrum(SphereParams(args.n, args.k), args.eta, args.grid, args.alpha)
     payload = {
         "n": args.n,
         "k": args.k,
@@ -192,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--k", type=int, help="branch index (1..n-1)")
     common.add_argument("--eta", type=float, help="order parameter")
     common.add_argument("--alpha", type=float, help="interaction strength")
-    common.add_argument("--quad-order", type=int, default=DEFAULT_ORDER, dest="quad_order")
     common.add_argument("--grid", type=int, default=64, help="spectral grid size")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -208,7 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("classify", parents=[common], help="stability verdict with witness (JSON)")
     sub.add_parser("spectrum", parents=[common], help="discretized second-variation spectrum (JSON)")
     sub.add_parser("solve-m", parents=[common], help="order-tensor fixed point from a seeded start (JSON)")
-    sub.add_parser("verify", parents=[common], help="run the invariant check suite")
+    verify = sub.add_parser("verify", parents=[common], help="run the invariant check suite")
+    verify.add_argument(
+        "--quad-order", type=int, default=DEFAULT_ORDER, dest="quad_order",
+        help="theta order of the quadrature-rule checks (default %(default)s; "
+        "rules above 128 lose digits); every other check runs the library as it ships",
+    )
     return parser
 
 

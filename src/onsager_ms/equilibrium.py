@@ -157,7 +157,7 @@ class CriticalPointSpec:
         rot = np.eye(n) if self.rotation is None else np.asarray(self.rotation, float)
         if rot.shape != (n, n):
             raise ValueError(f"rotation must be {n}x{n}, got {rot.shape}")
-        if float(np.linalg.norm(rot.T @ rot - np.eye(n))) > 1e-12:
+        if not float(np.linalg.norm(rot.T @ rot - np.eye(n))) <= 1e-12:
             raise ValueError("rotation must be orthogonal")
         rot = rot.copy()
         _freeze(rot)
@@ -190,7 +190,7 @@ def _validated_points(spec: CriticalPointSpec, m) -> tuple[np.ndarray, bool]:
     if mat.ndim != 2 or mat.shape[1] != spec.params.n:
         raise ValueError(f"points must have {spec.params.n} components")
     norms = np.sqrt(np.einsum("ij,ij->i", mat, mat))
-    if float(np.max(np.abs(norms - 1.0))) > 1e-12:
+    if not float(np.max(np.abs(norms - 1.0))) <= 1e-12:
         raise ValueError("points must lie on the unit sphere")
     return mat, single
 
@@ -314,8 +314,8 @@ def solve_fixed_point(
         raise ValueError(f"fixed point solver supports 3 <= n <= {MAX_CONTOUR_DIM}, got n={n}")
     if not np.isfinite(alpha) or alpha <= 0:
         raise ValueError("alpha must be positive")
-    if tol < 1e-12:
-        raise ValueError("tol below 1e-12 is not resolvable by the contour")
+    if not 1e-12 <= tol < np.inf:
+        raise ValueError("tol must be finite and at least 1e-12, the contour's resolution")
     if initial.n != n:
         raise ValueError(f"initial tensor has n={initial.n}, expected {n}")
     stop = max(tol, _PICARD_NOISE * n * alpha)

@@ -49,6 +49,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln, roots_jacobi
 
+#: The theta order of everything above the rule layer; rules from
+#: ``roots_jacobi`` lose digits above it.
 DEFAULT_ORDER = 128
 
 #: Most nodes of any sphere rule: 48 MB of points per coordinate.

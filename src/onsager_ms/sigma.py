@@ -17,9 +17,10 @@ the (n-k)-branch at -eta, giving sigma_k(eta) = sigma_{n-k}(-eta); tests
 lean on that identity heavily.
 
 All formulas here are expectations under the tilted measure, evaluated
-from one rescaled moment pass; eta is confined to the moment domain
-|eta| <= ETA_MAX, and the brackets of the fold search and of the
-inversion end at its edge.
+from one rescaled moment pass at the library's one theta order,
+DEFAULT_ORDER, so a fold is cached by (n, k) alone; eta is confined to
+the moment domain |eta| <= ETA_MAX, and the brackets of the fold search
+and of the inversion end at its edge.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .moments import ETA_MAX, TiltedMeasure, scaled_moments
-from .quadrature import DEFAULT_ORDER, SphereParams
+from .quadrature import SphereParams
 
 
 def _branch_alpha(params: SphereParams, tilt: TiltedMeasure) -> float:
@@ -46,24 +47,24 @@ def _branch_slope(params: SphereParams, tilt: TiltedMeasure) -> float:
     return -params.k * params.complement * cov / (2.0 * tilt.s * tilt.s)
 
 
-def sigma_value(params: SphereParams, eta: float, order: int = DEFAULT_ORDER) -> float:
+def sigma_value(params: SphereParams, eta: float) -> float:
     """Interaction strength alpha = sigma_k(eta) carrying the k-branch."""
-    return _branch_alpha(params, scaled_moments(params, eta, order=order))
+    return _branch_alpha(params, scaled_moments(params, eta))
 
 
-def sigma_prime(params: SphereParams, eta: float, order: int = DEFAULT_ORDER) -> float:
+def sigma_prime(params: SphereParams, eta: float) -> float:
     """Derivative of sigma_k at eta: d/d eta of an expectation under the
     tilted measure is its covariance with t, so
     sigma_k' = -k(n-k) Cov(t, t(1-t)) / (2 s^2).  The covariance is summed
     centred and keeps absolute accuracy near its zero at the fold.
     """
-    return _branch_slope(params, scaled_moments(params, eta, order=order))
+    return _branch_slope(params, scaled_moments(params, eta))
 
 
-def sigma_prime_fd(params: SphereParams, eta: float, order: int = DEFAULT_ORDER) -> float:
+def sigma_prime_fd(params: SphereParams, eta: float) -> float:
     """Central finite-difference cross-check for :func:`sigma_prime`, step 1e-5."""
     h = 1e-5
-    return (sigma_value(params, eta + h, order) - sigma_value(params, eta - h, order)) / (2.0 * h)
+    return (sigma_value(params, eta + h) - sigma_value(params, eta - h)) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,8 @@ class SigmaSample:
     sigma_prime: float
 
 
-def sample(params: SphereParams, eta: float, order: int = DEFAULT_ORDER) -> SigmaSample:
-    tilt = scaled_moments(params, eta, order=order)
+def sample(params: SphereParams, eta: float) -> SigmaSample:
+    tilt = scaled_moments(params, eta)
     return SigmaSample(tilt.eta, _branch_alpha(params, tilt), _branch_slope(params, tilt))
 
 
@@ -101,15 +102,15 @@ def _outward(origin: float, direction: float):
         span *= 2.0
 
 
-# Every (n, k) with n <= 50 (1,224 branches) at two orders.
-@lru_cache(maxsize=2448)
-def _eta_star_cached(n: int, k: int, order: int) -> EtaStar:
+# Every (n, k) with n <= 50: 1,224 branches.
+@lru_cache(maxsize=1224)
+def _eta_star_cached(n: int, k: int) -> EtaStar:
     params = SphereParams(n, k)
     if 2 * k == n:
         # sigma_k(eta) = sigma_{n-k}(-eta) makes this branch even in eta.
-        return EtaStar(params, 0.0, sigma_value(params, 0.0, order))
+        return EtaStar(params, 0.0, sigma_value(params, 0.0))
 
-    dphi = partial(sigma_prime, params, order=order)
+    dphi = partial(sigma_prime, params)
     # Bracket the sign change of sigma', doubling outward from +-8.  The
     # asymptotic slopes have opposite signs so this terminates quickly.
     for span in _outward(0.0, 1.0):
@@ -120,20 +121,20 @@ def _eta_star_cached(n: int, k: int, order: int) -> EtaStar:
             f"the fold of the intensity curve lies outside the moment domain |eta| <= {ETA_MAX}"
         )
     est = brentq(dphi, -span, span, xtol=1e-13, rtol=4 * np.finfo(float).eps)
-    return EtaStar(params, float(est), sigma_value(params, est, order))
+    return EtaStar(params, float(est), sigma_value(params, est))
 
 
-def find_eta_star(params: SphereParams, order: int = DEFAULT_ORDER) -> EtaStar:
+def find_eta_star(params: SphereParams) -> EtaStar:
     """Locate the unique zero of sigma_k' by Brent's method on the analytic
     derivative, inside a bracket doubled outward from +-8 up to the edge of
     the moment domain.
 
     On the symmetric branch k = n/2 the curve is even in eta, and the fold
-    is returned as exactly eta* = 0.  Folds are cached by (n, k, order),
-    least recently used first out, up to 2,448 of them: every branch with
-    n <= 50 at two orders.
+    is returned as exactly eta* = 0.  Folds are cached by (n, k), least
+    recently used first out, up to 1,224 of them: every branch with
+    n <= 50.
     """
-    return _eta_star_cached(params.n, params.k, order)
+    return _eta_star_cached(params.n, params.k)
 
 
 def invert_alpha(params: SphereParams, alpha: float) -> list[float]:
@@ -143,7 +144,8 @@ def invert_alpha(params: SphereParams, alpha: float) -> list[float]:
     a relative band of 1e-9 around alpha^*, and the two transversal roots
     (one on each monotone side of eta_k^*) above it.  Both roots must lie
     in the moment domain |eta| <= ETA_MAX; an alpha whose root is beyond
-    it raises ValueError.
+    it raises ValueError.  Each eta is evaluated once per call: Brent's
+    method starts from bracket ends the search has already evaluated.
     """
     alpha = float(alpha)
     if not np.isfinite(alpha) or alpha <= 0:
@@ -154,8 +156,13 @@ def invert_alpha(params: SphereParams, alpha: float) -> list[float]:
     if alpha < star.alpha_star:
         return []
 
+    # alpha_star is sigma_k at eta_star itself, so seeding with it is exact.
+    values = {star.eta_star: star.alpha_star - alpha}
+
     def g(e: float) -> float:
-        return sigma_value(params, e) - alpha
+        if e not in values:
+            values[e] = sigma_value(params, e) - alpha
+        return values[e]
 
     roots = []
     for direction in (-1.0, 1.0):
@@ -192,9 +199,7 @@ class PhaseDiagram:
     branches: tuple[PhaseBranch, ...]
 
 
-def phase_diagram(
-    n: int, eta_grid=None, order: int = DEFAULT_ORDER
-) -> PhaseDiagram:
+def phase_diagram(n: int, eta_grid=None) -> PhaseDiagram:
     """Sample every branch k = 1 .. n-1 of the (eta, alpha) phase diagram.
 
     Defaults to 401 evenly spaced eta values on [-10, 30].  Tags follow
@@ -214,7 +219,7 @@ def phase_diagram(
     branches = []
     for k in range(1, n):
         params = SphereParams(n, k)
-        samples = tuple(sample(params, float(e), order) for e in grid)
-        tags = tuple(branch_tag(params, float(e), order) for e in grid)
+        samples = tuple(sample(params, float(e)) for e in grid)
+        tags = tuple(branch_tag(params, float(e)) for e in grid)
         branches.append(PhaseBranch(k, k > n // 2, samples, tags))
     return PhaseDiagram(n, tuple(branches))

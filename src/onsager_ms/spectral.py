@@ -33,7 +33,6 @@ from scipy.linalg import null_space
 
 from .moments import TiltedMeasure, scaled_moments
 from .quadrature import (
-    DEFAULT_ORDER,
     SphereParams,
     WeightedQuadrature,
     _freeze,
@@ -128,7 +127,6 @@ def block_spectrum(
     family: str,
     grid_size: int = 64,
     alpha: float | None = None,
-    order: int = DEFAULT_ORDER,
 ) -> BlockSpectrum:
     """Spectrum of one block from its rank-one structure, verified
     against its closed form.
@@ -141,7 +139,7 @@ def block_spectrum(
         raise ValueError(f"unknown block family {family!r}")
     if family_multiplicities(params)[family] == 0:
         raise ValueError(f"family {family} is empty for (n, k) = ({params.n}, {params.k})")
-    tilt = scaled_moments(params, eta, order=order)
+    tilt = scaled_moments(params, eta)
     return _block_spectrum(params, tilt, family, grid_size, _alpha_at(params, tilt, alpha))
 
 
@@ -228,16 +226,15 @@ def full_spectrum(
     eta: float,
     grid_size: int = 64,
     alpha: float | None = None,
-    order: int = DEFAULT_ORDER,
 ) -> SpectrumReport:
     """Spectrum of the full discretized second variation at (k, eta).
 
-    One moment pass at ``order`` and one alpha (sigma_k(eta) by default)
+    One moment pass and one alpha (sigma_k(eta) by default)
     serve every block.  Blocks of one functional share a spectrum, so a
     block is built once per gamma; the pooled eigenvalues are built from
     each block's distinct values and their multiplicities.
     """
-    tilt = scaled_moments(params, eta, order=order)
+    tilt = scaled_moments(params, eta)
     alpha = _alpha_at(params, tilt, alpha)
     counts = family_multiplicities(params)
     blocks: dict[str, BlockSpectrum] = {}
@@ -364,11 +361,13 @@ def isotropic_threshold(n: int, tol: float = 1e-8, grid_size: int = 32) -> float
     the discretized second variation at eta = 0.  The exact crossing is
     n (n + 2) / 2 for every n.
     """
+    if int(n) != n:
+        raise ValueError("n must be an integer")
     n = int(n)
     if n < 3:
         raise ValueError("n must be at least 3")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     params = SphereParams(n, 1)
 
     def smallest(alpha: float) -> float:

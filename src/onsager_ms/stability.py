@@ -40,7 +40,6 @@ import numpy as np
 from .equilibrium import CriticalPointSpec
 from .moments import TiltedMeasure, _checked_eta, scaled_moments
 from .quadrature import (
-    DEFAULT_ORDER,
     SphereParams,
     WeightedQuadrature,
     _freeze,
@@ -165,7 +164,7 @@ def basis_eval(idx: BasisIndex, omega, xi):
     _check_ranges(idx, params)
     for name, vec in (("omega", omega), ("xi", xi)):
         norms = np.linalg.norm(vec, axis=-1)
-        if float(np.max(np.abs(norms - 1.0))) > 1e-12:
+        if not float(np.max(np.abs(norms - 1.0))) <= 1e-12:
             raise ValueError(f"{name} must be a unit vector")
     vals = _basis_values(idx, omega, xi)
     return float(vals) if np.ndim(vals) == 0 else vals
@@ -306,24 +305,22 @@ def functional_I(
     eta: float,
     a,
     alpha: float | None = None,
-    order: int = DEFAULT_ORDER,
 ) -> float:
     """Evaluate I_gamma at collocation values a on the theta quadrature grid.
 
     alpha defaults to sigma_k(eta).  gamma = 3 requires mean-zero values
     against the measure.
     """
-    rule = theta_rule(params.n, params.k, order)
+    tilt = scaled_moments(params, eta)
     vals = np.asarray(a, dtype=float)
-    if vals.shape != rule.weights.shape:
+    if vals.shape != tilt.rule.weights.shape:
         raise ValueError("coefficient values must be sampled on the quadrature grid")
     if not np.all(np.isfinite(vals)):
         raise ValueError("coefficient values must be finite")
-    tilt = scaled_moments(params, eta, order=order)
     if alpha is None:
         alpha = _branch_alpha(params, tilt)
     if gamma == 3:
-        w = rule.weights
+        w = tilt.rule.weights
         mean = float(np.sum(w * vals))
         if abs(mean) > 1e-10 * max(1.0, float(np.sum(w * np.abs(vals)))):
             raise ValueError("the radial profile b must have zero mean")
@@ -340,7 +337,7 @@ def _functional_value(gamma: int, params: SphereParams, tilt: TiltedMeasure, val
 
 
 def d_quantities(
-    params: SphereParams, eta: float, alpha: float | None = None, order: int = DEFAULT_ORDER
+    params: SphereParams, eta: float, alpha: float | None = None
 ) -> tuple[float, float, float]:
     """The three sign scalars deciding each block's extreme value.
 
@@ -349,7 +346,7 @@ def d_quantities(
     each by its formula (see ``_block_low``).  eta must lie in the moment
     domain |eta| <= ETA_MAX, inside which the values stay finite.
     """
-    return _d_values(params, scaled_moments(params, eta, order=order), alpha)
+    return _d_values(params, scaled_moments(params, eta), alpha)
 
 
 def _d_values(params: SphereParams, tilt: TiltedMeasure, alpha: float | None) -> tuple[float, float, float]:
@@ -412,9 +409,8 @@ class PerturbationTop:
         params: SphereParams,
         coefficient_functions: Mapping[BasisIndex, Callable],
         b_function: Callable | None = None,
-        order: int = DEFAULT_ORDER,
     ) -> "PerturbationTop":
-        rule = theta_rule(params.n, params.k, order)
+        rule = theta_rule(params.n, params.k)
         theta = rule.nodes
         coeffs = {
             idx: np.asarray(f(theta), dtype=float)
@@ -482,20 +478,17 @@ def assemble_sphere_function(p: PerturbationTop) -> Callable:
     return phi
 
 
-def _moments_at(spec: CriticalPointSpec, order: int) -> TiltedMeasure:
-    """The spec's own moment pass when it was made at ``order``, else one new pass."""
-    if order == spec._tilt.rule.order:
-        return spec._tilt
-    return scaled_moments(spec.params, spec.eta, order=order)
-
-
 def quadratic_form_decomposed(spec: CriticalPointSpec, p: PerturbationTop) -> float:
-    """Second-variation value of the assembled perturbation, via the blocks,
-    from the moment pass at ``p``'s order (``p`` has checked its values and
-    b's zero mean): the spec's own pass at the default order."""
+    """Second-variation value of the assembled perturbation, via the blocks
+    (``p`` has checked its values and b's zero mean), from the spec's own
+    moment pass; a ``p`` built directly on a theta rule of another order
+    gets one pass on its own grid."""
     if p.params != spec.params:
         raise ValueError("perturbation and spec parameters differ")
-    return _decomposed_value(spec, p, _moments_at(spec, p.rule.order))
+    tilt = spec._tilt
+    if p.rule.order != tilt.rule.order:
+        tilt = scaled_moments(spec.params, spec.eta, order=p.rule.order)
+    return _decomposed_value(spec, p, tilt)
 
 
 def _decomposed_value(spec: CriticalPointSpec, p: PerturbationTop, tilt: TiltedMeasure) -> float:
@@ -540,9 +533,7 @@ def quadratic_form_direct(spec: CriticalPointSpec, phi: Callable) -> float:
     return first - spec.alpha * float(np.sum(tensor * tensor))
 
 
-def equality_attainer(
-    params: SphereParams, eta: float, gamma: int, order: int = DEFAULT_ORDER
-) -> np.ndarray:
+def equality_attainer(params: SphereParams, eta: float, gamma: int) -> np.ndarray:
     """Grid values of the Cauchy-Schwarz equality profile of I_gamma.
 
     Rescaled by e^{-max(eta,0)} (an immaterial constant for a quadratic
@@ -550,7 +541,7 @@ def equality_attainer(
     must lie in the moment domain |eta| <= ETA_MAX, and gamma must be one
     of 0, 1, 2, 3.
     """
-    tilt = scaled_moments(params, eta, order=order)
+    tilt = scaled_moments(params, eta)
     return _attainer(tilt.rule, tilt, gamma)
 
 
@@ -584,7 +575,7 @@ def _attainer_top(params: SphereParams, tilt: TiltedMeasure, gamma: int) -> Pert
     return PerturbationTop(params, rule, {slot[gamma]: values}, zero)
 
 
-def _branch_verdict(params: SphereParams, eta: float, order: int) -> str:
+def _branch_verdict(params: SphereParams, eta: float) -> str:
     """The theorem's verdict on the anisotropic k-branch at eta (see ``classify``).
 
     Raises the moments' ValueError outside the moment domain, like every
@@ -594,7 +585,7 @@ def _branch_verdict(params: SphereParams, eta: float, order: int) -> str:
     n, k = params.n, params.k
     if 2 <= k <= n - 2:
         return UNSTABLE
-    star = find_eta_star(params, order).eta_star
+    star = find_eta_star(params).eta_star
     if abs(eta - star) <= 1e-9:
         return MARGINAL
     return STABLE if ((eta > star) if k == 1 else (eta < star)) else UNSTABLE
@@ -604,7 +595,6 @@ def classify(
     params: SphereParams,
     eta: float,
     alpha: float | None = None,
-    order: int = DEFAULT_ORDER,
 ) -> StabilityReport:
     """Stability verdict for the equilibrium at (k, eta).
 
@@ -613,8 +603,8 @@ def classify(
     to sigma_k(eta): branches with 2 <= k <= n-2 are unstable at every eta;
     k = 1 is stable exactly for eta > eta_1^*; k = n-1 is its mirror
     image, stable exactly for eta < eta_{n-1}^* = -eta_1^*.  Verdicts
-    within 1e-9 of a boundary are Marginal.  The report's alpha comes from
-    the default-order pass; ``order`` sets the D values, fold and witness.
+    within 1e-9 of a boundary are Marginal.  The point's own moment pass
+    gives alpha, the D values and the witness.
 
     eta must lie in the moment domain, finite |eta| <= ETA_MAX = 700;
     outside it the moments' ValueError is raised.
@@ -624,7 +614,7 @@ def classify(
     if eta != 0.0 and alpha is not None:
         raise ValueError("on the anisotropic branch alpha is fixed to sigma_k(eta)")
     spec = CriticalPointSpec(params, eta, alpha)
-    tilt = _moments_at(spec, order)
+    tilt = spec._tilt
     dq = _d_values(params, tilt, alpha)
     if eta == 0.0:
         threshold = n * (n + 2) / 2.0
@@ -633,7 +623,7 @@ def classify(
             verdict = MARGINAL
         gamma = 0
     else:
-        verdict = _branch_verdict(params, eta, order)
+        verdict = _branch_verdict(params, eta)
         # The Omega witness (D1 < 0 for eta > 0) needs k >= 2 and the Xi
         # witness (D2 < 0 for eta < 0) needs n-k >= 2; on k = 1 and k = n-1
         # between the fold and zero the mean-zero block is the one that goes
@@ -654,7 +644,7 @@ def classify(
     return StabilityReport(params, eta, spec.alpha, UNSTABLE, dq, top, float(value))
 
 
-def branch_tag(params: SphereParams, eta: float, order: int = DEFAULT_ORDER) -> str:
+def branch_tag(params: SphereParams, eta: float) -> str:
     """Lowercase stability tag of the k-branch at eta, for diagram sampling.
 
     Matches ``classify`` away from eta = 0; the eta = 0 row is tagged by
@@ -662,7 +652,7 @@ def branch_tag(params: SphereParams, eta: float, order: int = DEFAULT_ORDER) -> 
     the isotropic point there, where the theorem's branch clauses are
     silent).  eta must lie in the moment domain |eta| <= ETA_MAX.
     """
-    return _branch_verdict(params, eta, order).lower()
+    return _branch_verdict(params, eta).lower()
 
 
 def _polynomial_profile(gamma: int, coeffs: np.ndarray, eta: float, offset: float = 0.0) -> Callable:
@@ -682,7 +672,6 @@ def random_smooth_perturbation(
     params: SphereParams,
     eta: float,
     rng: np.random.Generator,
-    order: int = DEFAULT_ORDER,
 ) -> PerturbationTop:
     """Seeded random perturbation concentrated near the branch density.
 
@@ -695,7 +684,7 @@ def random_smooth_perturbation(
     # The seeded draws of the tests and of the benchmark depend on the degree.
     max_degree = 3 if params.n <= 5 else 2
     eta = float(eta)
-    rule = theta_rule(params.n, params.k, order)
+    rule = theta_rule(params.n, params.k)
     funcs: dict[BasisIndex, Callable] = {}
     for idx in basis_indices(params):
         coeffs = rng.uniform(-1.0, 1.0, size=max_degree + 1)
@@ -704,4 +693,4 @@ def random_smooth_perturbation(
     raw = _polynomial_profile(-1, b_coeffs, eta)(rule.nodes)
     offset = float(np.sum(rule.weights * raw)) / rule.total_mass
     b_function = _polynomial_profile(-1, b_coeffs, eta, offset)
-    return PerturbationTop.from_functions(params, funcs, b_function, order)
+    return PerturbationTop.from_functions(params, funcs, b_function)

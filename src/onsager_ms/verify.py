@@ -2,13 +2,18 @@
 
 Each check compares a computed quantity against an independent closed
 form or a cross-module identity and reports the worst relative residual.
-The battery is deliberately order-sensitive: the polynomial exactness
-probe integrates fixed monomials up to degree 8, so a Gauss rule of
-order 4 (exact only through degree 7) must fail it, while order 8 and
-above pass.  Checks that sweep eta restrict themselves to a cap that
-shrinks with the quadrature order, so a coarse rule is tested inside its
-honest range rather than blamed for resolving e^{50 sin^2} with eight
-nodes.
+The configured quadrature order reaches only the checks that read the
+theta rules directly (quadrature_mass, quadrature_structure,
+polynomial_exactness, moments_zero_field, moment_recurrence and
+bingham_axial); every other check runs the library as it ships, at
+DEFAULT_ORDER.  The rule checks are deliberately order-sensitive: the
+polynomial exactness probe integrates fixed monomials up to degree 8, so
+a Gauss rule of order 4 (exact only through degree 7) must fail it,
+while order 8 and above pass.  The rule checks that sweep eta restrict
+themselves to a cap that shrinks with the order, so a coarse rule is
+tested inside its honest range rather than blamed for resolving
+e^{50 sin^2} with eight nodes; the library checks sweep up to that cap
+at DEFAULT_ORDER, |eta| = 50.
 """
 
 from __future__ import annotations
@@ -49,19 +54,18 @@ from .stability import (
 )
 
 _ETA_CAP_MIN = 1.0
-_ETA_CAP_MAX = 50.0
-
-# Asymptotic-slope probes sit at |eta| = 200 and need a rule this fine.
-_SLOPE_MIN_ORDER = 110
+# The widest eta sweep, and the one of every check that runs at DEFAULT_ORDER.
+_ETA_CAP = 50.0
 
 
 @dataclass(frozen=True)
 class VerifyConfig:
     """Knobs for a verification run.
 
-    ``tol``, when given, replaces every check's default tolerance; the
-    default None keeps per-check tolerances.  ``eta_cap`` bounds the
-    |eta| any sweep uses, tied to what the configured order can resolve.
+    ``quad_order`` is the theta order of the rule checks only.  ``tol``,
+    when given, replaces every check's default tolerance; the default
+    None keeps per-check tolerances.  ``eta_cap`` bounds the |eta| the
+    rule checks sweep, tied to what ``quad_order`` can resolve.
     """
 
     quad_order: int = DEFAULT_ORDER
@@ -76,7 +80,7 @@ class VerifyConfig:
 
     @property
     def eta_cap(self) -> float:
-        return float(np.clip(2.0 * self.quad_order - 20.0, _ETA_CAP_MIN, _ETA_CAP_MAX))
+        return float(np.clip(2.0 * self.quad_order - 20.0, _ETA_CAP_MIN, _ETA_CAP))
 
     def tolerance(self, default: float) -> float:
         return default if self.tol is None else float(self.tol)
@@ -177,48 +181,41 @@ def _check_sigma_isotropic(cfg: VerifyConfig) -> CheckResult:
     worst = 0.0
     for n in (3, 4, 5):
         for k in range(1, n):
-            value = sigma_value(SphereParams(n, k), 0.0, cfg.quad_order)
+            value = sigma_value(SphereParams(n, k), 0.0)
             exact = 0.5 * n * (n + 2)
             worst = max(worst, abs(value - exact) / exact)
     return _result("sigma_isotropic", cfg, worst, 1e-10)
 
 
 def _check_sigma_reflection(cfg: VerifyConfig) -> CheckResult:
-    cap = cfg.eta_cap
     worst = 0.0
     for n, k in ((4, 1), (5, 2)):
         params = SphereParams(n, k)
         mirror = SphereParams(n, n - k)
-        for eta in np.linspace(-cap, cap, 9):
-            a = sigma_value(params, float(eta), cfg.quad_order)
-            b = sigma_value(mirror, float(-eta), cfg.quad_order)
+        for eta in np.linspace(-_ETA_CAP, _ETA_CAP, 9):
+            a = sigma_value(params, float(eta))
+            b = sigma_value(mirror, float(-eta))
             worst = max(worst, abs(a - b) / abs(a))
     return _result("sigma_reflection", cfg, worst, 1e-10)
 
 
 def _check_sigma_derivative(cfg: VerifyConfig) -> CheckResult:
-    cap = cfg.eta_cap
     worst = 0.0
     params = SphereParams(4, 1)
-    for eta in (-0.8 * cap, 0.4 * cap):
-        analytic = sigma_prime(params, float(eta), cfg.quad_order)
-        fd = sigma_prime_fd(params, float(eta), order=cfg.quad_order)
+    for eta in (-0.8 * _ETA_CAP, 0.4 * _ETA_CAP):
+        analytic = sigma_prime(params, eta)
+        fd = sigma_prime_fd(params, eta)
         scale = max(1.0, abs(analytic))
         worst = max(worst, abs(analytic - fd) / scale)
     return _result("sigma_derivative", cfg, worst, 1e-4)
 
 
 def _check_sigma_slopes(cfg: VerifyConfig) -> CheckResult:
-    if cfg.quad_order < _SLOPE_MIN_ORDER:
-        return CheckResult(
-            "sigma_slopes", True, 0.0, cfg.tolerance(0.05),
-            f"skipped (needs order >= {_SLOPE_MIN_ORDER})",
-        )
     worst = 0.0
     for n, k in ((4, 1), (5, 2)):
         params = SphereParams(n, k)
-        worst = max(worst, abs(sigma_value(params, 200.0, cfg.quad_order) / 200.0 - k))
-        worst = max(worst, abs(sigma_value(params, -200.0, cfg.quad_order) / -200.0 - (k - n)))
+        worst = max(worst, abs(sigma_value(params, 200.0) / 200.0 - k))
+        worst = max(worst, abs(sigma_value(params, -200.0) / -200.0 - (k - n)))
     return _result("sigma_slopes", cfg, worst, 0.05)
 
 
@@ -226,27 +223,26 @@ def _check_eta_star_fold(cfg: VerifyConfig) -> CheckResult:
     worst = 0.0
     for n, k in ((3, 1), (4, 3)):
         params = SphereParams(n, k)
-        star = find_eta_star(params, cfg.quad_order)
+        star = find_eta_star(params)
         if not (np.isfinite(star.eta_star) and star.alpha_star > 0):
             return CheckResult("eta_star_fold", False, np.inf, cfg.tolerance(1e-6), f"bad fold for {n},{k}")
         scale = star.alpha_star / max(1.0, abs(star.eta_star))
-        worst = max(worst, abs(sigma_prime(params, star.eta_star, cfg.quad_order)) / scale)
+        worst = max(worst, abs(sigma_prime(params, star.eta_star)) / scale)
     return _result("eta_star_fold", cfg, worst, 1e-6)
 
 
 def _check_d_sign_laws(cfg: VerifyConfig) -> CheckResult:
     """Signs of D1, D2, D3 against the theorem, each divided by A_0, on
     k = 1 and next to the fold eta* = 0 of k = n/2, where D3 ~ eta^2."""
-    star = find_eta_star(SphereParams(4, 1), cfg.quad_order).eta_star
-    cap = cfg.eta_cap
-    probes = [(1, float(eta), star) for eta in np.linspace(-cap, cap, 9)
+    star = find_eta_star(SphereParams(4, 1)).eta_star
+    probes = [(1, float(eta), star) for eta in np.linspace(-_ETA_CAP, _ETA_CAP, 9)
               if abs(eta) >= 1e-3 and abs(eta - star) >= 0.05 * max(1.0, abs(star))]
     probes += [(2, eta, 0.0) for eta in (-1e-6, 1e-6)]
     worst = -np.inf
     for k, eta, star in probes:
         params = SphereParams(4, k)
-        a0 = moment(params, eta, 0, cfg.quad_order)
-        d1, d2, d3 = (d / a0 for d in d_quantities(params, eta, order=cfg.quad_order))
+        a0 = moment(params, eta, 0)
+        d1, d2, d3 = (d / a0 for d in d_quantities(params, eta))
         sign = np.sign(eta)
         # Each product is negative when the computed sign is lawful.
         worst = max(worst, d1 * sign, -d2 * sign, -d3 * sign * np.sign(eta - star))
@@ -292,11 +288,11 @@ def _check_attainer_zero_mode(cfg: VerifyConfig) -> CheckResult:
     worst = 0.0
     for n, k in ((4, 1), (5, 2)):
         params = SphereParams(n, k)
-        for eta in (-min(2.0, cfg.eta_cap), min(2.0, cfg.eta_cap)):
-            rule = theta_rule(n, k, cfg.quad_order)
-            a = equality_attainer(params, eta, 0, cfg.quad_order)
-            value = functional_I(0, params, eta, a, order=cfg.quad_order)
-            norm = moment(params, eta, 0, cfg.quad_order) * float(
+        for eta in (-2.0, 2.0):
+            rule = theta_rule(n, k)
+            a = equality_attainer(params, eta, 0)
+            value = functional_I(0, params, eta, a)
+            norm = moment(params, eta, 0) * float(
                 np.sum(rule.weights * np.exp(-eta * rule.sin2) * a * a)
             )
             worst = max(worst, abs(value) / norm)
@@ -307,10 +303,9 @@ def _check_decomposed_vs_direct(cfg: VerifyConfig) -> CheckResult:
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     for params, eta in ((SphereParams(4, 1), 3.0), (SphereParams(5, 2), -2.0)):
-        eta = float(np.clip(eta, -cfg.eta_cap, cfg.eta_cap))
         point = critical_point(params, eta)
         for _ in range(5):
-            top = random_smooth_perturbation(params, eta, rng, cfg.quad_order)
+            top = random_smooth_perturbation(params, eta, rng)
             direct = quadratic_form_direct(point, assemble_sphere_function(top))
             decomposed = quadratic_form_decomposed(point, top)
             worst = max(worst, abs(direct - decomposed) / (1.0 + abs(direct)))
@@ -335,7 +330,6 @@ def _check_bingham_axial(cfg: VerifyConfig) -> CheckResult:
 def _check_fixed_point(cfg: VerifyConfig) -> CheckResult:
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
-    detail = ""
     for n, alpha in ((3, 20.0), (4, 30.0)):
         for _ in range(5):
             result = solve_fixed_point(n, alpha, OrderTensor.random_unit(n, rng))
@@ -354,28 +348,24 @@ def _check_fixed_point(cfg: VerifyConfig) -> CheckResult:
                 return CheckResult("fixed_point", False, np.inf, cfg.tolerance(1e-8), f"no axial structure at n={n}")
             value, k = positive[0]
             eta = n * value / (n - k)
-            if abs(eta) <= cfg.eta_cap:
-                branch = sigma_value(SphereParams(n, k), eta, cfg.quad_order)
-                worst = max(worst, abs(branch - alpha) / alpha * 1e-2)
-            else:
-                detail = "sigma consistency skipped beyond eta cap"
-    return _result("fixed_point", cfg, worst, 1e-8, detail)
+            branch = sigma_value(SphereParams(n, k), eta)
+            worst = max(worst, abs(branch - alpha) / alpha * 1e-2)
+    return _result("fixed_point", cfg, worst, 1e-8)
 
 
 def _check_classification(cfg: VerifyConfig) -> CheckResult:
-    cap = cfg.eta_cap
     p1 = SphereParams(5, 1)
     p2 = SphereParams(5, 2)
-    star = find_eta_star(p1, cfg.quad_order).eta_star
+    star = find_eta_star(p1).eta_star
     threshold = 17.5
     cases = (
-        (classify(p1, star + 1.0, order=cfg.quad_order), STABLE),
-        (classify(p1, min(0.5, 0.5 * star), order=cfg.quad_order), UNSTABLE),
-        (classify(p1, -min(1.0, cap), order=cfg.quad_order), UNSTABLE),
-        (classify(p2, min(2.0, cap), order=cfg.quad_order), UNSTABLE),
-        (classify(p2, -min(2.0, cap), order=cfg.quad_order), UNSTABLE),
-        (classify(p1, 0.0, alpha=0.8 * threshold, order=cfg.quad_order), STABLE),
-        (classify(p1, 0.0, alpha=1.2 * threshold, order=cfg.quad_order), UNSTABLE),
+        (classify(p1, star + 1.0), STABLE),
+        (classify(p1, min(0.5, 0.5 * star)), UNSTABLE),
+        (classify(p1, -1.0), UNSTABLE),
+        (classify(p2, 2.0), UNSTABLE),
+        (classify(p2, -2.0), UNSTABLE),
+        (classify(p1, 0.0, alpha=0.8 * threshold), STABLE),
+        (classify(p1, 0.0, alpha=1.2 * threshold), UNSTABLE),
     )
     mismatches = 0
     for report, expected in cases:
@@ -389,30 +379,25 @@ def _check_classification(cfg: VerifyConfig) -> CheckResult:
 
 def _check_spectrum_kernel_gap(cfg: VerifyConfig) -> CheckResult:
     params = SphereParams(4, 1)
-    star = find_eta_star(params, cfg.quad_order).eta_star
+    star = find_eta_star(params).eta_star
     problems = []
-    detail = ""
-    reports = [full_spectrum(params, min(2.0, cfg.eta_cap), 32, order=cfg.quad_order)]
-    below = reports[0]
+    below = full_spectrum(params, 2.0, 32)
+    above = full_spectrum(params, star + 1.0, 32)
+    reports = [below, above]
     if below.kernel_dim != 3:
         problems.append(f"kernel_dim {below.kernel_dim} below the fold")
     if not below.gap < 0:
         problems.append("no negative direction below the fold")
-    if star + 1.0 <= cfg.eta_cap:
-        above = full_spectrum(params, star + 1.0, 32, order=cfg.quad_order)
-        reports.append(above)
-        if above.kernel_dim != 3:
-            problems.append(f"kernel_dim {above.kernel_dim} above the fold")
-        if not above.gap > 0:
-            problems.append("no positive gap above the fold")
-    else:
-        detail = "stable side skipped beyond eta cap"
+    if above.kernel_dim != 3:
+        problems.append(f"kernel_dim {above.kernel_dim} above the fold")
+    if not above.gap > 0:
+        problems.append("no positive gap above the fold")
     projections = [r.kernel_projection for r in reports if r.kernel_projection is not None]
     if len(projections) != len(reports) or min(projections) < 1.0 - 1e-6:
         problems.append("kernel modes misaligned with the rotational profile")
     ok = not problems
     return CheckResult("spectrum_kernel_gap", ok, 0.0 if ok else float(len(problems)), 0.5,
-                       "; ".join(problems) or detail)
+                       "; ".join(problems))
 
 
 _CHECKS = (

@@ -8,7 +8,8 @@ from onsager_ms import moments
 @pytest.fixture
 def moment_passes(monkeypatch):
     """The (n, k, eta, order) of every ``scaled_moments`` pass made while the
-    test runs, counted in every library module that binds the function."""
+    test runs, counted in every library module that binds the function;
+    order is None where the caller left it at the default."""
     calls = []
     original = moments.scaled_moments
 

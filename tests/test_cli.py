@@ -16,7 +16,8 @@ def run(tmp_path, *argv):
 
 def test_parser_defaults():
     args = build_parser().parse_args(["sigma", "--n", "3", "--k", "1"])
-    assert args.quad_order == 128
+    assert not hasattr(args, "quad_order")
+    assert build_parser().parse_args(["verify"]).quad_order == 128
     assert args.grid == 64
     assert args.seed == 0
     assert args.eta_min == -10.0
@@ -107,20 +108,19 @@ def test_classify_stable_json(tmp_path):
 
 
 def test_classify_unstable_witness_structure(tmp_path):
-    code, raw = run(tmp_path, "classify", "--n", "5", "--k", "2", "--eta", "2.0",
-                    "--quad-order", "48")
+    code, raw = run(tmp_path, "classify", "--n", "5", "--k", "2", "--eta", "2.0")
     assert code == 0
     data = json.loads(raw)
     assert data["classification"] == "Unstable"
     assert data["witness_value"] < 0
     witness = data["witness"]
     assert sorted(witness) == ["b", "coefficients", "theta"]
-    assert len(witness["theta"]) == 48
-    assert len(witness["b"]) == 48
+    assert len(witness["theta"]) == 128
+    assert len(witness["b"]) == 128
     for key, vals in witness["coefficients"].items():
         family, rest = key.split("(")
         assert family in ("Omega_A", "Omega_B", "Xi_A", "Xi_B", "Theta")
-        assert len(vals) == 48
+        assert len(vals) == 128
 
 
 def test_classify_isotropic_requires_alpha(tmp_path, capsys):
@@ -199,6 +199,28 @@ def test_verify_order_four_fails(tmp_path):
     assert "polynomial_exactness" in [
         line.split()[1] for line in text.splitlines() if line.startswith("FAIL")
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sigma", "--n", "4", "--k", "1"],
+        ["phase-diagram", "--n", "4"],
+        ["eta-star", "--n", "4", "--k", "1"],
+        ["classify", "--n", "5", "--k", "2", "--eta", "2.0"],
+        ["spectrum", "--n", "4", "--k", "1", "--eta", "2.0"],
+        ["solve-m", "--n", "3", "--alpha", "20"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_quad_order_belongs_to_verify(tmp_path, capsys, argv):
+    """The analysis subcommands run at the library's one order and reject
+    --quad-order as a usage error; verify keeps it for its rule checks."""
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--quad-order", "48", "--out", str(tmp_path / "out.txt")])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --quad-order 48" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_verify_order_eight_with_loose_tol(tmp_path):

@@ -77,6 +77,8 @@ def test_spec_rejects_nonorthogonal_rotation():
     params = SphereParams(3, 1)
     with pytest.raises(ValueError):
         CriticalPointSpec(params, 0.0, 5.0, rotation=np.diag([2.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="rotation must be orthogonal"):
+        critical_point(params, 1.0, rotation=np.full((3, 3), np.nan))
 
 
 def test_isotropic_point_accepts_any_alpha():
@@ -116,6 +118,8 @@ def test_density_rejects_off_sphere_points():
     spec = isotropic_point(3, 1.0)
     with pytest.raises(ValueError):
         density(spec, np.array([1.0, 1.0, 0.0]))
+    with pytest.raises(ValueError, match="unit sphere"):
+        density(spec, np.array([np.nan, 0.0, 0.0]))
 
 
 def test_euler_lagrange_residual_discriminates():
@@ -296,8 +300,9 @@ def test_solve_fixed_point_recovers_branch():
 
 def test_solve_fixed_point_guards():
     start = OrderTensor.random_unit(3, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        solve_fixed_point(3, 20.0, start, tol=1e-14)
+    for tol in (1e-14, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol must be finite and at least 1e-12"):
+            solve_fixed_point(3, 20.0, start, tol=tol)
     with pytest.raises(ValueError):
         solve_fixed_point(3, -1.0, start)
     with pytest.raises(ValueError):

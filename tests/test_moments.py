@@ -1,9 +1,14 @@
+import dataclasses
+import inspect
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+import onsager_ms
 from onsager_ms.equilibrium import critical_point
 from onsager_ms.moments import ETA_MAX, moment, recurrence_residual, scaled_moments
 from onsager_ms.quadrature import DEFAULT_ORDER, SphereParams, theta_rule
@@ -142,6 +147,44 @@ def test_order_is_keyword_only():
     fine = scaled_moments(SphereParams(4, 1), 1.0)
     for field in ("a0", "mean", "s", "s_sin2", "s_cos2"):
         assert getattr(coarse, field) == pytest.approx(getattr(fine, field), rel=1e-14)
+
+
+def _exported_signatures():
+    """Every exported function, public method and dataclass ``__init__``."""
+    for name, obj in vars(onsager_ms).items():
+        if name.startswith("_") or isinstance(obj, types.ModuleType) or not callable(obj):
+            continue
+        if not inspect.isclass(obj):
+            yield name, inspect.signature(obj)
+            continue
+        if dataclasses.is_dataclass(obj):
+            yield f"{name}.__init__", inspect.signature(obj.__init__)
+        for attr, member in vars(obj).items():
+            func = getattr(member, "__func__", member)  # staticmethod, classmethod
+            if not attr.startswith("_") and inspect.isfunction(func):
+                yield f"{name}.{attr}", inspect.signature(func)
+
+
+def test_order_is_a_parameter_of_the_rule_layer_only():
+    """Above the rule layer everything runs at DEFAULT_ORDER: the theta
+    order is a parameter of the four rule-layer functions alone, and the
+    only other ``order`` is the required order of a product rule, or the
+    one a built theta rule records."""
+    orders = {
+        name: sig.parameters["order"].default
+        for name, sig in _exported_signatures()
+        if "order" in sig.parameters
+    }
+    empty = inspect.Parameter.empty
+    assert orders == {
+        "build_weighted_quadrature": DEFAULT_ORDER,
+        "theta_rule": DEFAULT_ORDER,
+        "scaled_moments": DEFAULT_ORDER,
+        "moment": DEFAULT_ORDER,
+        "WeightedQuadrature.__init__": empty,
+        "build_sphere_quadrature": empty,
+        "sphere_rule": empty,
+    }
 
 
 @pytest.mark.parametrize("eta", [np.inf, -np.inf, np.nan])

@@ -169,6 +169,21 @@ def test_invert_alpha_past_the_domain_raises(alpha):
         invert_alpha(SphereParams(4, 1), alpha)
 
 
+@pytest.mark.parametrize("n,k,eta", [(3, 1, 3.0), (5, 2, -4.0), (6, 3, 30.0), (4, 1, 650.0)])
+def test_invert_alpha_evaluates_each_eta_once(moment_passes, n, k, eta):
+    """Brent's method reuses the bracket search's values, and the fold's own
+    alpha^* serves at eta^*: no moment pass repeats within one call."""
+    params = SphereParams(n, k)
+    find_eta_star(params)  # the fold is cached and not part of the call
+    alpha = sigma_value(params, eta)
+    moment_passes.clear()
+    roots = invert_alpha(params, alpha)
+    assert len(roots) == 2
+    assert min(abs(r - eta) for r in roots) <= 1e-8 * max(1.0, abs(eta))
+    assert moment_passes
+    assert len(set(moment_passes)) == len(moment_passes)
+
+
 def test_invert_alpha_round_trip_near_the_edge():
     params = SphereParams(4, 1)
     roots = invert_alpha(params, sigma_value(params, 650.0))
@@ -206,10 +221,10 @@ def test_phase_diagram_reflected_branch_mirrors():
         assert s_hi.sigma == pytest.approx(s_lo.sigma, rel=1e-10)
 
 
-def test_fold_cache_covers_every_branch_to_fifty_at_two_orders():
+def test_fold_cache_covers_every_branch_to_fifty():
     from onsager_ms.sigma import _eta_star_cached
 
-    assert _eta_star_cached.cache_info().maxsize >= 2 * sum(n - 1 for n in range(3, 51))
+    assert _eta_star_cached.cache_info().maxsize == sum(n - 1 for n in range(3, 51)) == 1224
     params = SphereParams(9, 2)
     assert find_eta_star(params) is find_eta_star(params)
 

@@ -276,3 +276,8 @@ def test_gap_estimate_reports_decayed_certificate():
 def test_isotropic_threshold(n):
     got = isotropic_threshold(n, tol=1e-8)
     assert got == pytest.approx(n * (n + 2) / 2.0, abs=1e-6)
+    for tol in (0.0, -1e-8, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            isotropic_threshold(n, tol=tol)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        isotropic_threshold(n + 0.7)

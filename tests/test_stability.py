@@ -79,6 +79,8 @@ def test_basis_eval_rejects_non_unit():
     idx = BasisIndex("Theta", (1, 1))
     with pytest.raises(ValueError):
         basis_eval(idx, np.array([2.0, 0.0]), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="omega must be a unit vector"):
+        basis_eval(idx, np.array([np.nan, 0.0]), np.array([1.0, 0.0]))
 
 
 def test_basis_eval_theta_product():
@@ -133,17 +135,17 @@ def test_wx_vector_against_direct_quadrature():
 
 def test_functional_rejects_bad_gamma_and_grid():
     params = SphereParams(4, 1)
-    rule = theta_rule(4, 1, 32)
+    rule = theta_rule(4, 1)
     vals = np.ones_like(rule.nodes)
     with pytest.raises(ValueError):
-        functional_I(4, params, 1.0, vals, order=32)
+        functional_I(4, params, 1.0, vals)
     for gamma in (7, -1, 2.5):
         with pytest.raises(ValueError, match="gamma must be one of 0, 1, 2, 3"):
             equality_attainer(params, 1.0, gamma)
     with pytest.raises(ValueError):
-        functional_I(0, params, 1.0, vals[:-1], order=32)
+        functional_I(0, params, 1.0, vals[:-1])
     with pytest.raises(ValueError):
-        functional_I(3, params, 1.0, vals, order=32)  # not mean-zero
+        functional_I(3, params, 1.0, vals)  # not mean-zero
 
 
 @pytest.mark.parametrize("gamma", [0, 1, 2, 3])
@@ -152,13 +154,12 @@ def test_attainer_reaches_block_extreme(gamma):
     times a positive moment factor; gamma = 0 vanishes on the branch."""
     params = SphereParams(5, 2)
     eta = 1.8
-    order = 128
-    a = equality_attainer(params, eta, gamma, order)
-    got = functional_I(gamma, params, eta, a, order=order)
-    a0 = moment(params, eta, 0, order)
-    a2 = moment(params, eta, 2, order)
-    a4 = moment(params, eta, 4, order)
-    d1, d2, d3 = d_quantities(params, eta, order=order)
+    a = equality_attainer(params, eta, gamma)
+    got = functional_I(gamma, params, eta, a)
+    a0 = moment(params, eta, 0)
+    a2 = moment(params, eta, 2)
+    a4 = moment(params, eta, 4)
+    d1, d2, d3 = d_quantities(params, eta)
     scale = np.exp(-2.0 * max(eta, 0.0))
     if gamma == 0:
         expected = 0.0
@@ -331,7 +332,7 @@ def test_assemble_requires_function_handles():
 def test_assemble_matches_manual_evaluation():
     params = SphereParams(4, 2)
     idx = BasisIndex("Theta", (2, 1))
-    top = PerturbationTop.from_functions(params, {idx: lambda th: np.sin(th) ** 2}, order=32)
+    top = PerturbationTop.from_functions(params, {idx: lambda th: np.sin(th) ** 2})
     phi = assemble_sphere_function(top)
     pt = np.array([0.3, 0.5, 0.6, np.sqrt(1.0 - 0.3**2 - 0.5**2 - 0.6**2)])
     theta = np.arcsin(np.sqrt(0.3**2 + 0.5**2))
@@ -403,8 +404,12 @@ def test_decomposed_form_makes_one_moment_pass(moment_passes):
     spec = critical_point(params, 1.0)
     assert quadratic_form_decomposed(spec, top) == want
     assert len(moment_passes) == 1
-    # A perturbation on another grid gets one pass at its own order.
-    coarse = random_smooth_perturbation(params, 1.0, np.random.default_rng(3), order=64)
+    # A perturbation built directly on another grid gets one pass at its own order.
+    rule = theta_rule(6, 3, 64)
+    coeffs = {idx: f(rule.nodes) for idx, f in top.coefficient_functions.items()}
+    b = top.b_function(rule.nodes)
+    b -= float(np.sum(rule.weights * b)) / rule.total_mass
+    coarse = PerturbationTop(params, rule, coeffs, b)
     quadratic_form_decomposed(spec, coarse)
     assert moment_passes[1:] == [(6, 3, 1.0, 64)]
 
