@@ -25,11 +25,11 @@ and of the inversion end at its edge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .moments import ETA_MAX, TiltedMeasure, scaled_moments
 from .quadrature import SphereParams
@@ -102,6 +102,64 @@ def _outward(origin: float, direction: float):
         span *= 2.0
 
 
+def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """A zero of f in [a, b] by Brent's method (Brent 1973, ch. 4), step for
+    step as scipy's ``brentq``: the same block swap, interpolation and
+    extrapolation tests and tolerance delta = (xtol + rtol |x|)/2, so it
+    returns the same evaluated point, bit for bit.
+
+    Raises ValueError when f(a) and f(b) have the same sign bit or f returns
+    NaN, and RuntimeError when maxiter steps do not converge.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; Brent's method cannot continue")
+        return fx
+
+    xtol, rtol, xpre, xcur = float(xtol), float(rtol), float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method did not converge after {maxiter} iterations, value is {xcur}")
+
+
 # Every (n, k) with n <= 50: 1,224 branches.
 @lru_cache(maxsize=1224)
 def _eta_star_cached(n: int, k: int) -> EtaStar:
@@ -110,7 +168,15 @@ def _eta_star_cached(n: int, k: int) -> EtaStar:
         # sigma_k(eta) = sigma_{n-k}(-eta) makes this branch even in eta.
         return EtaStar(params, 0.0, sigma_value(params, 0.0))
 
-    dphi = partial(sigma_prime, params)
+    # One moment pass per eta: the bracket ends are evaluated again by
+    # Brent's method, and alpha^* is read at the point it returns.
+    tilts = {}
+
+    def dphi(e: float) -> float:
+        if e not in tilts:
+            tilts[e] = scaled_moments(params, e)
+        return _branch_slope(params, tilts[e])
+
     # Bracket the sign change of sigma', doubling outward from +-8.  The
     # asymptotic slopes have opposite signs so this terminates quickly.
     for span in _outward(0.0, 1.0):
@@ -120,8 +186,8 @@ def _eta_star_cached(n: int, k: int) -> EtaStar:
         raise ValueError(
             f"the fold of the intensity curve lies outside the moment domain |eta| <= {ETA_MAX}"
         )
-    est = brentq(dphi, -span, span, xtol=1e-13, rtol=4 * np.finfo(float).eps)
-    return EtaStar(params, float(est), sigma_value(params, est))
+    est = _brent(dphi, -span, span, xtol=1e-13, rtol=4 * np.finfo(float).eps)
+    return EtaStar(params, est, _branch_alpha(params, tilts[est]))
 
 
 def find_eta_star(params: SphereParams) -> EtaStar:
@@ -175,8 +241,8 @@ def invert_alpha(params: SphereParams, alpha: float) -> list[float]:
                 f"|eta| <= {ETA_MAX}"
             )
         a, b = sorted((star.eta_star, end))
-        roots.append(brentq(g, a, b, xtol=1e-12, rtol=4 * np.finfo(float).eps))
-    return sorted(float(r) for r in roots)
+        roots.append(_brent(g, a, b, xtol=1e-12, rtol=4 * np.finfo(float).eps))
+    return sorted(roots)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .moments import TiltedMeasure, scaled_moments
 from .quadrature import (
@@ -117,6 +116,9 @@ def _rank_one_block(
     mat = np.diag(diagonal) - coefficient * np.outer(direction, direction)
     if constraint is None:
         return mat, None
+    # Deferred to keep scipy.linalg off the import path: only gap_estimate's constrained block gets here.
+    from scipy.linalg import null_space
+
     basis = null_space(constraint[None, :])
     return basis.T @ mat @ basis, basis
 

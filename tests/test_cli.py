@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import onsager_ms
 from onsager_ms.cli import build_parser, main
 from onsager_ms.quadrature import SphereParams
 from onsager_ms.sigma import find_eta_star, sigma_value
@@ -95,6 +100,27 @@ def test_eta_star_json(tmp_path):
     assert data["eta_star"] == star.eta_star
     assert data["alpha_star"] == star.alpha_star
     assert raw.endswith(b"\n")
+
+
+def test_import_floor(tmp_path):
+    """Importing the CLI loads neither scipy.optimize nor scipy.linalg, and a
+    fold search still loads no scipy.optimize: Brent's method is in-house."""
+    script = (
+        "import json, sys\n"
+        "import onsager_ms.cli as cli\n"
+        "imported = sorted(sys.modules)\n"
+        f"code = cli.main(['eta-star', '--n', '5', '--k', '2', '--out', {str(tmp_path / 'star.json')!r}])\n"
+        "print(json.dumps([code, imported, sorted(sys.modules)]))\n"
+    )
+    src = str(Path(onsager_ms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    code, imported, after_fold = json.loads(proc.stdout)
+    assert code == 0
+    assert json.loads((tmp_path / "star.json").read_text())["eta_star"] == find_eta_star(SphereParams(5, 2)).eta_star
+    assert "onsager_ms.cli" in imported and "scipy.special" in imported
+    assert not {"scipy.optimize", "scipy.linalg"} & set(imported)
+    assert "scipy.optimize" not in after_fold
 
 
 def test_classify_stable_json(tmp_path):

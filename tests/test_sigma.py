@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from onsager_ms import sigma
 from onsager_ms.quadrature import SphereParams
 from onsager_ms.sigma import (
     find_eta_star,
@@ -182,6 +186,88 @@ def test_invert_alpha_evaluates_each_eta_once(moment_passes, n, k, eta):
     assert min(abs(r - eta) for r in roots) <= 1e-8 * max(1.0, abs(eta))
     assert moment_passes
     assert len(set(moment_passes)) == len(moment_passes)
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (5, 1), (9, 7), (12, 5), (38, 3)])
+def test_fold_search_evaluates_each_eta_once(moment_passes, n, k):
+    """The bracket ends Brent's method evaluates again, and alpha^* at the
+    returned point, reuse the search's own moment passes."""
+    params = SphereParams(n, k)
+    warm = find_eta_star(params)
+    sigma._eta_star_cached.cache_clear()
+    moment_passes.clear()
+    cold = find_eta_star(params)
+    assert moment_passes
+    assert len(set(moment_passes)) == len(moment_passes)
+    assert (cold.eta_star, cold.alpha_star) == (warm.eta_star, warm.alpha_star)
+    assert cold.alpha_star == sigma_value(params, cold.eta_star)
+
+
+@pytest.fixture
+def brent_pairs(monkeypatch):
+    """(in-house root, scipy root) for every Brent search the library makes
+    while the test runs; scipy's ``brentq`` reruns each one on the same
+    function, bracket and tolerances."""
+    pairs = []
+    original = sigma._brent
+
+    def both(f, a, b, xtol, rtol, maxiter=100):
+        root = original(f, a, b, xtol, rtol, maxiter)
+        pairs.append((root, brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)))
+        return root
+
+    monkeypatch.setattr(sigma, "_brent", both)
+    return pairs
+
+
+def _same_bits(pairs):
+    return all(type(ours) is float and ours.hex() == theirs.hex() for ours, theirs in pairs)
+
+
+def test_brent_matches_scipy_on_every_fold_to_twelve(brent_pairs):
+    sigma._eta_star_cached.cache_clear()
+    for n in range(3, 13):
+        for k in range(1, n):
+            find_eta_star(SphereParams(n, k))
+    assert len(brent_pairs) == sum(n - 1 - (n % 2 == 0) for n in range(3, 13))  # k = n/2 needs no search
+    assert _same_bits(brent_pairs)
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (7, 2), (11, 9)])
+def test_brent_matches_scipy_on_invert_alpha(brent_pairs, n, k):
+    params = SphereParams(n, k)
+    alpha_star = find_eta_star(params).alpha_star
+    for factor in (1.0001, 1.3, 5.0):
+        invert_alpha(params, alpha_star * factor)
+    assert len(brent_pairs) == 6
+    assert _same_bits(brent_pairs)
+
+
+@pytest.mark.parametrize("f,a,b", [
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: np.cos(x) - x, -2.0, 3.0),
+    (lambda x: x**3 - 2.0, 0.0, 2.0),
+    (lambda x: x**3 - 2.0, 2.0, -7.5),
+    (lambda x: x**5 - x - 1.0, -0.4, 2.0),
+])
+@pytest.mark.parametrize("xtol", [2e-12, 1e-13, 1e-3, 0.1])  # 0.1: delta decides a step
+def test_brent_matches_scipy_on_analytic_functions(f, a, b, xtol):
+    rtol = 4 * np.finfo(float).eps
+    assert _same_bits([(sigma._brent(f, a, b, xtol, rtol), brentq(f, a, b, xtol=xtol, rtol=rtol))])
+
+
+@pytest.mark.parametrize("f,a,b,maxiter,error", [
+    (lambda x: x * x + 1.0, -1.0, 1.0, 100, ValueError),  # same sign, both positive
+    (lambda x: -x * x - 1.0, -1.0, 1.0, 100, ValueError),  # same sign, both negative
+    (lambda x: math.nan, 0.0, 1.0, 100, ValueError),  # NaN at an end
+    (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, 100, ValueError),  # NaN inside
+    (lambda x: math.cos(x) - x, 0.0, 1.0, 2, RuntimeError),  # too few steps
+])
+def test_brent_raises_as_scipy_does(f, a, b, maxiter, error):
+    with pytest.raises(error):
+        brentq(f, a, b, xtol=2e-12, maxiter=maxiter)
+    with pytest.raises(error):
+        sigma._brent(f, a, b, 2e-12, 4 * np.finfo(float).eps, maxiter)
 
 
 def test_invert_alpha_round_trip_near_the_edge():
