@@ -2,7 +2,9 @@
 
 Every number is printed with full round-trip precision, rows end with
 LF, JSON keys are sorted, and all randomness flows through the --seed
-default of 0, so identical invocations produce byte-identical files.
+of ``solve-m`` and ``verify`` (default 0), so identical invocations
+produce byte-identical files.  Each subcommand accepts only the options
+it reads; any other option is a usage error.
 
 Exit codes: 0 success, 1 verification or numerical failure, 2 usage or
 I/O error.
@@ -32,53 +34,43 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
-    missing = [name for name in names if getattr(args, name) is None]
-    if missing:
-        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
-        raise ValueError(f"{args.command} requires {flags}")
-
-
 def _eta_grid(args: argparse.Namespace) -> np.ndarray:
     if args.samples < 1:
         raise ValueError("samples must be at least 1")
+    if not np.isfinite([args.eta_min, args.eta_max]).all():
+        raise ValueError(f"eta-min and eta-max must be finite, got {args.eta_min} and {args.eta_max}")
     if not args.eta_min <= args.eta_max:
         raise ValueError("eta-min must not exceed eta-max")
     return np.linspace(args.eta_min, args.eta_max, args.samples)
 
 
-def cmd_sigma(args: argparse.Namespace) -> str:
-    _require(args, "n", "k")
+def cmd_sigma(args: argparse.Namespace) -> tuple[str, int]:
     params = SphereParams(args.n, args.k)
     lines = ["eta,sigma,sigma_prime,stable"]
     for eta in _eta_grid(args):
         point = sample(params, float(eta))
         tag = branch_tag(params, float(eta))
         lines.append(f"{_fmt(point.eta)},{_fmt(point.sigma)},{_fmt(point.sigma_prime)},{tag}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_phase_diagram(args: argparse.Namespace) -> str:
-    _require(args, "n")
+def cmd_phase_diagram(args: argparse.Namespace) -> tuple[str, int]:
     diagram = phase_diagram(args.n, _eta_grid(args))
     lines = ["k,eta,alpha,stability"]
     for branch in diagram.branches:
         for point, tag in zip(branch.samples, branch.tags):
             label = f"{tag} reflected" if branch.reflected else tag
             lines.append(f"{branch.k},{_fmt(point.eta)},{_fmt(point.sigma)},{label}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_eta_star(args: argparse.Namespace) -> str:
-    _require(args, "n", "k")
+def cmd_eta_star(args: argparse.Namespace) -> tuple[str, int]:
     star = find_eta_star(SphereParams(args.n, args.k))
-    return _json(
-        {"n": args.n, "k": args.k, "eta_star": star.eta_star, "alpha_star": star.alpha_star}
-    )
+    payload = {"n": args.n, "k": args.k, "eta_star": star.eta_star, "alpha_star": star.alpha_star}
+    return _json(payload), 0
 
 
-def cmd_classify(args: argparse.Namespace) -> str:
-    _require(args, "n", "k", "eta")
+def cmd_classify(args: argparse.Namespace) -> tuple[str, int]:
     report = classify(SphereParams(args.n, args.k), args.eta, args.alpha)
     payload = {
         "n": args.n,
@@ -100,11 +92,10 @@ def cmd_classify(args: argparse.Namespace) -> str:
             },
             "b": [float(x) for x in witness.b],
         }
-    return _json(payload)
+    return _json(payload), 0
 
 
-def cmd_spectrum(args: argparse.Namespace) -> str:
-    _require(args, "n", "k", "eta")
+def cmd_spectrum(args: argparse.Namespace) -> tuple[str, int]:
     report = full_spectrum(SphereParams(args.n, args.k), args.eta, args.grid, args.alpha)
     payload = {
         "n": args.n,
@@ -127,15 +118,13 @@ def cmd_spectrum(args: argparse.Namespace) -> str:
             for family, block in report.blocks.items()
         },
     }
-    return _json(payload)
+    return _json(payload), 0
 
 
-def cmd_solve_m(args: argparse.Namespace) -> str:
-    _require(args, "n", "alpha")
+def cmd_solve_m(args: argparse.Namespace) -> tuple[str, int]:
     rng = np.random.default_rng(args.seed)
     initial = OrderTensor.random_unit(args.n, rng)
-    tol = 1e-10 if args.tol is None else args.tol
-    result = solve_fixed_point(args.n, args.alpha, initial, tol=tol)
+    result = solve_fixed_point(args.n, args.alpha, initial, tol=args.tol)
     clusters = eigenvalue_structure(result.tensor)
     payload = {
         "n": args.n,
@@ -154,7 +143,7 @@ def cmd_solve_m(args: argparse.Namespace) -> str:
             "threshold": clusters.threshold,
         },
     }
-    return _json(payload)
+    return _json(payload), 0
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
@@ -179,60 +168,67 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+# One definition per option; each subcommand declares only the ones it reads.
+_OPTIONS = {
+    "--n": dict(type=int, help="ambient dimension"),
+    "--k": dict(type=int, help="branch index (1..n-1)"),
+    "--eta": dict(type=float, help="order parameter"),
+    "--alpha": dict(type=float, help="interaction strength"),
+    "--eta-min": dict(type=float, default=-10.0),
+    "--eta-max": dict(type=float, default=30.0),
+    "--samples": dict(type=int, default=401),
+    "--grid": dict(type=int, default=64, help="spectral grid size"),
+    "--seed": dict(type=int, default=0, help="random seed (default %(default)s)"),
+    "--out": dict(help="output path (default: stdout)"),
+}
+_ETA_GRID = ("--eta-min", "--eta-max", "--samples")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="onsager-ms",
         description="Critical points and stability of the Onsager model "
         "with Maier-Saupe interaction on S^(n-1).",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, help="ambient dimension")
-    common.add_argument("--k", type=int, help="branch index (1..n-1)")
-    common.add_argument("--eta", type=float, help="order parameter")
-    common.add_argument("--alpha", type=float, help="interaction strength")
-    common.add_argument("--grid", type=int, default=64, help="spectral grid size")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", default=None, help="output path (default: stdout)")
-    common.add_argument("--eta-min", type=float, default=-10.0, dest="eta_min")
-    common.add_argument("--eta-max", type=float, default=30.0, dest="eta_max")
-    common.add_argument("--samples", type=int, default=401)
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
-
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("sigma", parents=[common], help="sample sigma_k along a branch (CSV)")
-    sub.add_parser("phase-diagram", parents=[common], help="all branches of the (eta, alpha) diagram (CSV)")
-    sub.add_parser("eta-star", parents=[common], help="fold point of a branch (JSON)")
-    sub.add_parser("classify", parents=[common], help="stability verdict with witness (JSON)")
-    sub.add_parser("spectrum", parents=[common], help="discretized second-variation spectrum (JSON)")
-    sub.add_parser("solve-m", parents=[common], help="order-tensor fixed point from a seeded start (JSON)")
-    verify = sub.add_parser("verify", parents=[common], help="run the invariant check suite")
+
+    def command(name, handler, help, required, optional=()):
+        cmd = sub.add_parser(name, help=help)
+        cmd.set_defaults(handler=handler)
+        for flag in required:
+            cmd.add_argument(flag, required=True, **_OPTIONS[flag])
+        for flag in (*optional, "--out"):
+            cmd.add_argument(flag, **_OPTIONS[flag])
+        return cmd
+
+    command("sigma", cmd_sigma, "sample sigma_k along a branch (CSV)", ("--n", "--k"), _ETA_GRID)
+    command("phase-diagram", cmd_phase_diagram, "all branches of the (eta, alpha) diagram (CSV)",
+            ("--n",), _ETA_GRID)
+    command("eta-star", cmd_eta_star, "fold point of a branch (JSON)", ("--n", "--k"))
+    command("classify", cmd_classify, "stability verdict with witness (JSON)",
+            ("--n", "--k", "--eta"), ("--alpha",))
+    command("spectrum", cmd_spectrum, "discretized second-variation spectrum (JSON)",
+            ("--n", "--k", "--eta"), ("--alpha", "--grid"))
+    solve_m = command("solve-m", cmd_solve_m, "order-tensor fixed point from a seeded start (JSON)",
+                      ("--n", "--alpha"), ("--seed",))
+    solve_m.add_argument("--tol", type=float, default=1e-10,
+                         help="Picard tolerance on the update norm (default %(default)s)")
+    verify = command("verify", cmd_verify, "run the invariant check suite", (), ("--seed",))
+    verify.add_argument("--tol", type=float, help="replaces every check's own tolerance")
     verify.add_argument(
-        "--quad-order", type=int, default=DEFAULT_ORDER, dest="quad_order",
+        "--quad-order", type=int, default=DEFAULT_ORDER,
         help="theta order of the quadrature-rule checks (default %(default)s; "
         "rules above 128 lose digits); every other check runs the library as it ships",
     )
     return parser
 
 
-_HANDLERS = {
-    "sigma": cmd_sigma,
-    "phase-diagram": cmd_phase_diagram,
-    "eta-star": cmd_eta_star,
-    "classify": cmd_classify,
-    "spectrum": cmd_spectrum,
-    "solve-m": cmd_solve_m,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            text, code = cmd_verify(args)
-            _write(text, args.out)
-            return code
-        _write(_HANDLERS[args.command](args), args.out)
-        return 0
+        text, code = args.handler(args)
+        _write(text, args.out)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -104,6 +104,9 @@ class OrderTensor:
     @staticmethod
     def random_unit(n: int, rng: np.random.Generator | None = None) -> "OrderTensor":
         """Seeded random symmetric trace-free tensor with Frobenius norm 1."""
+        if not n >= 2:
+            # For n <= 1 every trace-free tensor is zero: no draw can be normalized.
+            raise ValueError(f"a unit trace-free tensor needs n >= 2, got n={n}")
         if rng is None:
             rng = np.random.default_rng(0)
         while True:

@@ -381,6 +381,8 @@ def isotropic_threshold(n: int, tol: float = 1e-8, grid_size: int = 32) -> float
         raise RuntimeError("stability sign change not bracketed in alpha")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats: tol is below their spacing
         if smallest(mid) > 0.0:
             lo = mid
         else:

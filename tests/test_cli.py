@@ -13,6 +13,42 @@ from onsager_ms.quadrature import SphereParams
 from onsager_ms.sigma import find_eta_star, sigma_value
 
 
+# Each subcommand with its required options and valid values, its optional
+# options, and a value for every option of the CLI.
+MINIMAL_ARGV = {
+    "sigma": ["sigma", "--n", "3", "--k", "1"],
+    "phase-diagram": ["phase-diagram", "--n", "3"],
+    "eta-star": ["eta-star", "--n", "3", "--k", "1"],
+    "classify": ["classify", "--n", "3", "--k", "1", "--eta", "1"],
+    "spectrum": ["spectrum", "--n", "3", "--k", "1", "--eta", "1"],
+    "solve-m": ["solve-m", "--n", "3", "--alpha", "5"],
+    "verify": ["verify"],
+}
+OPTIONAL = {
+    "sigma": ["--eta-min", "--eta-max", "--samples"],
+    "phase-diagram": ["--eta-min", "--eta-max", "--samples"],
+    "eta-star": [],
+    "classify": ["--alpha"],
+    "spectrum": ["--alpha", "--grid"],
+    "solve-m": ["--seed", "--tol"],
+    "verify": ["--quad-order", "--tol", "--seed"],
+}
+SUBCOMMANDS = list(MINIMAL_ARGV)
+OWN = {sub: set(MINIMAL_ARGV[sub][1::2]) | set(OPTIONAL[sub]) | {"--out"} for sub in SUBCOMMANDS}
+OPTION_VALUES = {
+    "--n": "4", "--k": "2", "--eta": "1.5", "--alpha": "7", "--eta-min": "-1", "--eta-max": "1",
+    "--samples": "3", "--grid": "16", "--seed": "9", "--tol": "0.001", "--quad-order": "48",
+}
+
+
+def test_help_lists_exactly_the_options_read(capsys):
+    for sub in SUBCOMMANDS:
+        with pytest.raises(SystemExit):
+            main([sub, "--help"])
+        flags = {word.rstrip(",") for word in capsys.readouterr().out.split() if word.startswith("--")}
+        assert flags == OWN[sub] | {"--help"}
+
+
 def run(tmp_path, *argv):
     out = tmp_path / "out.txt"
     code = main([*argv, "--out", str(out)])
@@ -20,16 +56,20 @@ def run(tmp_path, *argv):
 
 
 def test_parser_defaults():
-    args = build_parser().parse_args(["sigma", "--n", "3", "--k", "1"])
-    assert not hasattr(args, "quad_order")
-    assert build_parser().parse_args(["verify"]).quad_order == 128
-    assert args.grid == 64
-    assert args.seed == 0
-    assert args.eta_min == -10.0
-    assert args.eta_max == 30.0
-    assert args.samples == 401
-    assert args.tol is None
-    assert args.out is None
+    """Each default is read from the subcommand that owns the option."""
+    parse = build_parser().parse_args
+    for argv in (["sigma", "--n", "3", "--k", "1"], ["phase-diagram", "--n", "3"]):
+        args = parse(argv)
+        assert (args.eta_min, args.eta_max, args.samples) == (-10.0, 30.0, 401)
+    assert parse(["classify", "--n", "3", "--k", "1", "--eta", "1"]).alpha is None
+    args = parse(["spectrum", "--n", "3", "--k", "1", "--eta", "1"])
+    assert (args.alpha, args.grid) == (None, 64)
+    args = parse(["solve-m", "--n", "3", "--alpha", "5"])
+    assert (args.seed, args.tol) == (0, 1e-10)
+    args = parse(["verify"])
+    assert (args.seed, args.tol, args.quad_order) == (0, None, 128)
+    for sub in SUBCOMMANDS:
+        assert parse(MINIMAL_ARGV[sub]).out is None
 
 
 def test_sigma_csv_shape(tmp_path):
@@ -198,6 +238,12 @@ def test_solve_m_beyond_six_and_past_the_contour(tmp_path, capsys):
     assert "3 <= n <= 20" in captured.err
 
 
+def test_solve_m_below_two_dimensions_exits_2(capsys):
+    for n in ("1", "0"):
+        assert main(["solve-m", "--n", n, "--alpha", "5"]) == 2
+        assert f"needs n >= 2, got n={n}" in capsys.readouterr().err
+
+
 def test_bad_k_is_usage_error(tmp_path):
     code, _ = run(tmp_path, "classify", "--n", "3", "--k", "5", "--eta", "1")
     assert code == 2
@@ -227,26 +273,43 @@ def test_verify_order_four_fails(tmp_path):
     ]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["sigma", "--n", "4", "--k", "1"],
-        ["phase-diagram", "--n", "4"],
-        ["eta-star", "--n", "4", "--k", "1"],
-        ["classify", "--n", "5", "--k", "2", "--eta", "2.0"],
-        ["spectrum", "--n", "4", "--k", "1", "--eta", "2.0"],
-        ["solve-m", "--n", "3", "--alpha", "20"],
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_quad_order_belongs_to_verify(tmp_path, capsys, argv):
-    """The analysis subcommands run at the library's one order and reject
-    --quad-order as a usage error; verify keeps it for its rule checks."""
-    with pytest.raises(SystemExit) as info:
-        main([*argv, "--quad-order", "48", "--out", str(tmp_path / "out.txt")])
-    assert info.value.code == 2
-    assert "unrecognized arguments: --quad-order 48" in capsys.readouterr().err
-    assert not (tmp_path / "out.txt").exists()
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_quad_order_belongs_to_verify(tmp_path, capsys, sub):
+    """Each subcommand takes only the options it reads: --quad-order belongs
+    to verify, and every other option it does not read is a usage error too."""
+    foreign = [flag for flag in OPTION_VALUES if flag not in OWN[sub]]
+    assert (sub == "verify") == ("--quad-order" not in foreign)
+    for flag in foreign:
+        with pytest.raises(SystemExit) as info:
+            main([*MINIMAL_ARGV[sub], flag, OPTION_VALUES[flag], "--out", str(tmp_path / "out.txt")])
+        assert info.value.code == 2
+        # argparse reads a flag that prefixes one of the subcommand's own
+        # options (--eta on sigma) as an ambiguous abbreviation.
+        if any(other.startswith(flag) for other in OWN[sub]):
+            expected = f"ambiguous option: {flag}"
+        else:
+            expected = f"unrecognized arguments: {flag} {OPTION_VALUES[flag]}"
+        assert expected in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("sub", [sub for sub in SUBCOMMANDS if MINIMAL_ARGV[sub][1:]])
+def test_missing_required_option_is_usage_error(tmp_path, capsys, sub):
+    argv = MINIMAL_ARGV[sub]
+    for i in range(1, len(argv), 2):
+        with pytest.raises(SystemExit) as info:
+            main([*argv[:i], *argv[i + 2:], "--out", str(tmp_path / "out.txt")])
+        assert info.value.code == 2
+        assert f"the following arguments are required: {argv[i]}" in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("sub", ["sigma", "phase-diagram"])
+def test_non_finite_eta_range_exits_2(tmp_path, capsys, sub):
+    for flag, value in (("--eta-min", "nan"), ("--eta-max", "nan"), ("--eta-min", "-inf"), ("--eta-max", "inf")):
+        code, raw = run(tmp_path, *MINIMAL_ARGV[sub], f"{flag}={value}")
+        assert (code, raw) == (2, b"")
+        assert "eta-min and eta-max must be finite" in capsys.readouterr().err
 
 
 def test_verify_order_eight_with_loose_tol(tmp_path):

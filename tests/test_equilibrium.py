@@ -59,6 +59,13 @@ def test_random_unit_is_unit_trace_free(n, seed):
     assert abs(np.trace(t.entries)) < 1e-12
 
 
+def test_random_unit_needs_two_dimensions():
+    """For n <= 1 every trace-free tensor is zero, so no draw normalizes."""
+    for n in (1, 0):
+        with pytest.raises(ValueError, match=f"needs n >= 2, got n={n}"):
+            OrderTensor.random_unit(n)
+
+
 def test_random_unit_deterministic():
     a = OrderTensor.random_unit(4, np.random.default_rng(11))
     b = OrderTensor.random_unit(4, np.random.default_rng(11))

@@ -1,13 +1,15 @@
 """The traced benchmark run wraps library functions by name: every function
 ``perfbench/spans.py`` lists in ``TRACED`` or imports from the library must
 still exist, or ``Recorder.install`` fails with an AttributeError and a
-``--trace 1`` run dies.  It also reads the rule caches' counters."""
+``--trace 1`` run dies.  It also reads the rule caches' counters, and its
+``cli`` workload runs fixed command lines that the parser must accept."""
 
 import ast
 import importlib
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _named_functions():
@@ -48,3 +50,19 @@ def test_rule_caches_expose_the_counters_the_trace_reads():
         assert after.misses == before.misses + 1
         assert after.hits == before.hits + 1
     assert callable(polar_rule.__wrapped__)
+
+
+def test_cli_workload_argvs_parse(monkeypatch):
+    """Every command line of the ``cli`` workload parses, so a parser change
+    cannot turn its jobs into usage errors."""
+    from onsager_ms.cli import build_parser
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    parser = build_parser()
+    subcommands = set()
+    for seed in range(1, 11):
+        for sub, args, _ in workloads.cli_commands(seed):
+            assert parser.parse_args([sub, *args]).command == sub
+            subcommands.add(sub)
+    assert len(subcommands) == 7

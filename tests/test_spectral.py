@@ -274,8 +274,11 @@ def test_gap_estimate_reports_decayed_certificate():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_isotropic_threshold(n):
-    got = isotropic_threshold(n, tol=1e-8)
-    assert got == pytest.approx(n * (n + 2) / 2.0, abs=1e-6)
+    # 1e-20 is below the spacing of floats near the threshold: the
+    # bisection stops once no float lies strictly between its ends.
+    for tol in (1e-8, 1e-20):
+        got = isotropic_threshold(n, tol=tol)
+        assert got == pytest.approx(n * (n + 2) / 2.0, abs=1e-6)
     for tol in (0.0, -1e-8, np.nan, np.inf):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             isotropic_threshold(n, tol=tol)
