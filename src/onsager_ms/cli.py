@@ -189,11 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="onsager-ms",
         description="Critical points and stability of the Onsager model "
         "with Maier-Saupe interaction on S^(n-1).",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, help, required, optional=()):
-        cmd = sub.add_parser(name, help=help)
+        cmd = sub.add_parser(name, help=help, allow_abbrev=False)
         cmd.set_defaults(handler=handler)
         for flag in required:
             cmd.add_argument(flag, required=True, **_OPTIONS[flag])
@@ -217,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tol", type=float, help="replaces every check's own tolerance")
     verify.add_argument(
         "--quad-order", type=int, default=DEFAULT_ORDER,
-        help="theta order of the quadrature-rule checks (default %(default)s; "
-        "rules above 128 lose digits); every other check runs the library as it ships",
+        help="theta order of the quadrature-rule checks (default %(default)s); "
+        "every other check runs the library as it ships",
     )
     return parser
 

@@ -9,6 +9,14 @@ The substitution t = sin^2(theta) turns the polar measure into the Jacobi
 weight (1/2) t^(k/2-1) (1-t)^((n-k)/2-1) dt on [0, 1], so Gauss-Jacobi
 nodes integrate it with spectral accuracy for every admissible (n, k),
 including the half-integer exponents of the axisymmetric case k = 1.
+``gauss_jacobi`` builds every Gauss-Jacobi rule of the package in numpy
+alone, after Golub & Welsch (Math. Comp. 23, 1969): nodes are the
+eigenvalues of the Jacobi matrix, refined by one Newton step, and
+weights are Christoffel numbers from the orthonormal three-term
+recurrence.  For every (n, k) with n <= 50 and at orders 16 to 200, the
+sums of w t^j, j = 0, 4, 8, of the theta rules are within 2.1e-14
+relative of their Beta values.  The rule for (n, k) with 2k > n is the
+mirror image t -> 1 - t of the rule for (n, n - k).
 Sphere integrals use a product rule over recursive spherical angles, each
 angle carrying a symmetric Gauss-Jacobi rule, bottoming out at the two
 point set S^0; for d >= 2 it lists its first coordinate in ascending
@@ -47,10 +55,9 @@ from functools import cached_property, lru_cache, wraps
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
 
-#: The theta order of everything above the rule layer; rules from
-#: ``roots_jacobi`` lose digits above it.
+#: The theta order of everything above the rule layer, the one order whose
+#: accuracy the library states; the rule layer takes any order >= 2.
 DEFAULT_ORDER = 128
 
 #: Most nodes of any sphere rule: 48 MB of points per coordinate.
@@ -88,7 +95,90 @@ def surface_area(d: int) -> float:
     """Surface area of the unit sphere S^(d-1): 2 pi^(d/2) / Gamma(d/2)."""
     if d < 1:
         raise ValueError(f"need d >= 1, got d={d}")
-    return float(2.0 * math.exp(0.5 * d * math.log(math.pi) - gammaln(0.5 * d)))
+    return float(2.0 * math.exp(0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)))
+
+
+def _beta(x: float, y: float) -> float:
+    """Euler's Beta function B(x, y) for x, y > 0.
+
+    ``math.gamma`` keeps it to a few ulps while Gamma(x + y) is finite
+    (exp of lgamma sums loses up to 9e-15 at n = 50); beyond, it falls
+    back on ``math.lgamma``.
+    """
+    if x + y < 170.0:
+        return math.gamma(x) * math.gamma(y) / math.gamma(x + y)
+    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
+
+
+def gauss_jacobi(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule of ``order`` points for the weight (1 - x)^a (1 + x)^b on [-1, 1].
+
+    Returns ascending nodes in (-1, 1) and positive weights that sum to
+    2^(a+b+1) B(a+1, b+1); a, b > -1 and order >= 2.  The nodes are the
+    eigenvalues of the Jacobi matrix (Golub & Welsch), refined by one
+    Newton step.  One pass of the orthonormal recurrence, for the
+    probability measure so that q_0 = 1, gives q_(n-2), q_(n-1) and q_n at
+    those eigenvalues; at n = 50 and order 200 they stay below 1e27, far
+    from overflow.  The classical identity for (1 - x^2) P_m' gives the
+    derivatives, and the Christoffel-Darboux formula gives
+    K(x) = sum_(j<n) q_j(x)^2 at every x, so the weights are mass / K taken
+    at the refined nodes by one Taylor step.  A rule with a = b is made
+    exactly symmetric.
+    """
+    if order < 2:
+        raise ValueError(f"need order >= 2, got {order}")
+    if not (a > -1.0 and b > -1.0):
+        raise ValueError(f"need a, b > -1, got a={a}, b={b}")
+    n = order
+    # Monic recurrence p_(j+1) = (x - diag_j) p_j - offsq_j p_(j-1); the
+    # first terms are written apart because their general forms are 0/0 at
+    # a + b = 0 (diag_0) and a + b = -1 (offsq_1).
+    j = np.arange(1.0, n + 1.0)
+    s = 2.0 * j + (a + b)
+    diag = np.empty(n)
+    diag[0] = (b - a) / (a + b + 2.0)
+    diag[1:] = (b - a) * (b + a) / (s[:-1] * (s[:-1] + 2.0))
+    offsq = np.empty(n)  # offsq_1 .. offsq_n
+    offsq[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
+    j, s = j[1:], s[1:]
+    offsq[1:] = 4.0 * j * (j + a) * (j + b) * (j + a + b) / (s * s * (s + 1.0) * (s - 1.0))
+    root = np.sqrt(offsq)
+    jacobi = np.zeros((n, n))
+    jacobi.flat[:: n + 1] = diag
+    jacobi.flat[n :: n + 1] = root[:-1]  # the lower band, which eigvalsh reads
+    x = np.linalg.eigvalsh(jacobi)
+    # root[i] q_(i+1) = (x - diag_i) q_i - root[i-1] q_(i-1), q_0 = 1.
+    step = (x - diag[:, None]) / root[:, None]
+    ratio = (root[:-1] / root[1:]).tolist()
+    q0, q1 = np.ones(n), step[0]
+    for i in range(1, n - 1):
+        q0, q1 = q1, step[i] * q1 - ratio[i - 1] * q0
+    qn = step[n - 1] * q1 - ratio[n - 2] * q0
+
+    def times_derivative(m: int, qm: np.ndarray, qprev: np.ndarray) -> np.ndarray:
+        """(1 - x^2) q_m'(x) from q_m and q_(m-1)."""
+        sm = 2 * m + a + b
+        # sqrt(h_(m-1) / h_m) for the norms h_m of the classical P_m; the factor
+        # (m + a + b) / (2m + a + b - 1) is 0/0 at m = 1, a + b = -1, and 1 there.
+        tail = 1.0 if m == 1 else (m + a + b) / (sm - 1.0)
+        norm = math.sqrt((sm + 1.0) * m * tail / ((m + a) * (m + b)))
+        return (m * (a - b - sm * x) * qm + 2.0 * (m + a) * (m + b) * norm * qprev) / sm
+
+    span = (1.0 - x) * (1.0 + x)
+    dn, d1 = times_derivative(n, qn, q1), times_derivative(n - 1, q1, q0)
+    kernel = root[n - 1] * (dn * q1 - d1 * qn) / span
+    newton = qn * span / dn
+    # K' from q'' by the Jacobi equation (1 - x^2) y'' = (a - b + (a + b + 2) x) y' - m(m + a + b + 1) y.
+    drift = (a - b + (a + b + 2.0) * x) / span
+    ddn = (drift * dn - n * (n + a + b + 1.0) * qn) / span
+    dd1 = (drift * d1 - (n - 1) * (n + a + b) * q1) / span
+    kernel -= newton * root[n - 1] * (ddn * q1 - dd1 * qn)
+    x -= newton
+    w = (2.0 ** (a + b + 1.0) * _beta(a + 1.0, b + 1.0)) / kernel
+    if a == b:
+        x = 0.5 * (x - x[::-1])
+        w = 0.5 * (w + w[::-1])
+    return x, w
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -146,18 +236,27 @@ def build_weighted_quadrature(
     """Construct the Gauss-Jacobi rule for the polar measure.
 
     Nodes are returned as theta values in the open interval (0, pi/2);
-    weights are strictly positive and sum to (1/2) B(k/2, (n-k)/2).
+    weights are strictly positive and sum to (1/2) B(k/2, (n-k)/2).  For
+    2k > n the rule is the mirror image of the rule for (n, n - k).
     """
-    if order < 2:
-        raise ValueError(f"need order >= 2, got {order}")
+    if 2 * params.k > params.n:
+        return _mirror(build_weighted_quadrature(SphereParams(params.n, params.complement), order), params)
     a = 0.5 * (params.n - params.k - 2)
     b = 0.5 * (params.k - 2)
-    x, w = roots_jacobi(order, a, b)
+    x, w = gauss_jacobi(order, a, b)
     t = 0.5 * (x + 1.0)
     # Jacobi weight on [-1, 1] maps to the t-interval with factor 2^(-n/2).
     weights = w * 2.0 ** (-0.5 * params.n)
     _freeze(weights, t)
     return WeightedQuadrature(params, weights, order, t)
+
+
+def _mirror(rule: WeightedQuadrature, params: SphereParams) -> WeightedQuadrature:
+    """The rule of ``params`` from the rule of (n, n - k): t -> 1 - t, both arrays reversed."""
+    t = 1.0 - rule.sin2[::-1]
+    weights = rule.weights[::-1].copy()
+    _freeze(weights, t)
+    return WeightedQuadrature(params, weights, rule.order, t)
 
 
 class _CacheInfo(NamedTuple):
@@ -224,6 +323,12 @@ class _RuleCache:
         accessor.cache_info = cache_info
         return accessor
 
+    def held(self, build, *args):
+        """The kept rule of ``build(*args)``, all arguments given, or None;
+        no counter and no recency moves."""
+        with self._lock:
+            return self._rules.get((build, *args))
+
     def _keep(self, key, rule):
         if rule.nbytes > self.budget:
             return rule
@@ -241,8 +346,22 @@ _RULES = _RuleCache(_CACHE_BYTES)
 
 @_RULES
 def theta_rule(n: int, k: int, order: int = DEFAULT_ORDER) -> WeightedQuadrature:
-    """Cached accessor for :func:`build_weighted_quadrature`."""
-    return build_weighted_quadrature(SphereParams(n, k), order)
+    """Cached accessor for :func:`build_weighted_quadrature`.
+
+    A rule with 2k > n is mirrored from the kept rule of (n, n - k) when
+    the cache holds one; it is still a miss of its own key, and the
+    partner's counters do not move.
+    """
+    params = SphereParams(n, k)
+    partner = _RULES.held(_theta_build, n, n - k, order) if 2 * k > n else None
+    if partner is None:
+        return build_weighted_quadrature(params, order)
+    return _mirror(partner, params)
+
+
+# The undecorated builder, which heads the keys of theta_rule's entries; bound
+# once here, so a wrapper later rebinding ``theta_rule`` cannot hide them.
+_theta_build = theta_rule.__wrapped__
 
 
 def integrate_mu(rule: WeightedQuadrature, f) -> float:
@@ -297,7 +416,7 @@ def _sphere_nodes(d: int, order: int) -> tuple[np.ndarray, np.ndarray]:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     sub_pts, sub_w = _sphere_nodes(d - 1, order)
     mu = 0.5 * (d - 3)
-    c, w = roots_jacobi(order, mu, mu)
+    c, w = gauss_jacobi(order, mu, mu)
     s = np.sqrt(1.0 - c * c)
     m = sub_pts.shape[0]
     pts = np.empty((c.size * m, d))

@@ -116,10 +116,8 @@ def _rank_one_block(
     mat = np.diag(diagonal) - coefficient * np.outer(direction, direction)
     if constraint is None:
         return mat, None
-    # Deferred to keep scipy.linalg off the import path: only gap_estimate's constrained block gets here.
-    from scipy.linalg import null_space
-
-    basis = null_space(constraint[None, :])
+    # The right singular vectors past the first span the constraint's null space.
+    basis = np.linalg.svd(constraint[None, :])[2][1:].T
     return basis.T @ mat @ basis, basis
 
 

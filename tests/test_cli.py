@@ -142,25 +142,71 @@ def test_eta_star_json(tmp_path):
     assert raw.endswith(b"\n")
 
 
+def _run_python(script: str) -> subprocess.CompletedProcess:
+    src = str(Path(onsager_ms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+
+
+def _scipy_modules(names) -> list[str]:
+    return [name for name in names if name == "scipy" or name.startswith("scipy.")]
+
+
 def test_import_floor(tmp_path):
-    """Importing the CLI loads neither scipy.optimize nor scipy.linalg, and a
-    fold search still loads no scipy.optimize: Brent's method is in-house."""
+    """Importing the CLI loads no scipy module, and neither does a fold search
+    (eta-star) or a stability verdict (classify): the runtime is numpy only."""
     script = (
         "import json, sys\n"
         "import onsager_ms.cli as cli\n"
         "imported = sorted(sys.modules)\n"
         f"code = cli.main(['eta-star', '--n', '5', '--k', '2', '--out', {str(tmp_path / 'star.json')!r}])\n"
-        "print(json.dumps([code, imported, sorted(sys.modules)]))\n"
+        "after_fold = sorted(sys.modules)\n"
+        f"code += cli.main(['classify', '--n', '5', '--k', '2', '--eta', '3', '--out', {str(tmp_path / 'c.json')!r}])\n"
+        "print(json.dumps([code, imported, after_fold, sorted(sys.modules)]))\n"
     )
-    src = str(Path(onsager_ms.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    code, imported, after_fold = json.loads(proc.stdout)
+    code, imported, after_fold, after_classify = json.loads(_run_python(script).stdout)
     assert code == 0
     assert json.loads((tmp_path / "star.json").read_text())["eta_star"] == find_eta_star(SphereParams(5, 2)).eta_star
-    assert "onsager_ms.cli" in imported and "scipy.special" in imported
-    assert not {"scipy.optimize", "scipy.linalg"} & set(imported)
-    assert "scipy.optimize" not in after_fold
+    assert json.loads((tmp_path / "c.json").read_text())["classification"] == "Unstable"
+    assert "onsager_ms.cli" in imported and "numpy" in imported
+    assert _scipy_modules(imported) == []
+    assert _scipy_modules(after_fold) == []
+    assert _scipy_modules(after_classify) == []
+
+
+def test_runs_where_scipy_cannot_be_imported(tmp_path):
+    """With every ``import scipy`` made to fail, classify, spectrum, verify and
+    the constrained block of gap_estimate still succeed."""
+    script = (
+        "import json, sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "try:\n"
+        "    import scipy\n"
+        "    raise SystemExit('scipy imported')\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "import onsager_ms.cli as cli\n"
+        "from onsager_ms import SphereParams, gap_estimate\n"
+        f"out = {str(tmp_path)!r}\n"
+        "codes = [\n"
+        "    cli.main(['classify', '--n', '4', '--k', '1', '--eta', '6', '--out', out + '/c.json']),\n"
+        "    cli.main(['spectrum', '--n', '4', '--k', '2', '--eta', '1', '--grid', '16', '--out', out + '/s.json']),\n"
+        "    cli.main(['verify', '--quad-order', '48', '--out', out + '/v.txt']),\n"
+        "]\n"
+        "gap = gap_estimate(SphereParams(3, 1), 8.0, grid_size=16)\n"
+        "print(json.dumps([codes, gap, sorted(sys.modules)]))\n"
+    )
+    codes, gap, modules = json.loads(_run_python(script).stdout)
+    assert codes == [0, 0, 0]
+    assert _scipy_modules(modules) == []
+    assert json.loads((tmp_path / "c.json").read_text())["classification"] == "Stable"
+    assert json.loads((tmp_path / "s.json").read_text())["kernel_dim"] == 4
+    assert (tmp_path / "v.txt").read_text().splitlines()[-1] == "20/20 checks passed"
+    assert np.isfinite(gap)
 
 
 def test_classify_stable_json(tmp_path):
@@ -283,13 +329,9 @@ def test_quad_order_belongs_to_verify(tmp_path, capsys, sub):
         with pytest.raises(SystemExit) as info:
             main([*MINIMAL_ARGV[sub], flag, OPTION_VALUES[flag], "--out", str(tmp_path / "out.txt")])
         assert info.value.code == 2
-        # argparse reads a flag that prefixes one of the subcommand's own
-        # options (--eta on sigma) as an ambiguous abbreviation.
-        if any(other.startswith(flag) for other in OWN[sub]):
-            expected = f"ambiguous option: {flag}"
-        else:
-            expected = f"unrecognized arguments: {flag} {OPTION_VALUES[flag]}"
-        assert expected in capsys.readouterr().err
+        # No abbreviations: a flag that prefixes one of the subcommand's own
+        # options (--eta on sigma) is unrecognized like any other.
+        assert f"unrecognized arguments: {flag} {OPTION_VALUES[flag]}" in capsys.readouterr().err
         assert not (tmp_path / "out.txt").exists()
 
 
@@ -316,6 +358,33 @@ def test_verify_order_eight_with_loose_tol(tmp_path):
     code, raw = run(tmp_path, "verify", "--quad-order", "8", "--tol", "1e-1")
     assert code == 0
     assert "20/20 checks passed" in raw.decode()
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_verify_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
+    """An infinite --tol would pass every check, so it is a usage error."""
+    assert run(tmp_path, "verify", "--quad-order", "4", "--tol", tol) == (2, b"")
+    assert "tol must be finite and positive" in capsys.readouterr().err
+
+
+def test_verify_order_200_passes(tmp_path):
+    code, raw = run(tmp_path, "verify", "--quad-order", "200")
+    assert code == 0
+    assert raw.decode().splitlines()[-1] == "20/20 checks passed"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--quad", "4"],
+    ["solve-m", "--n", "3", "--a", "5", "--s", "2"],
+    ["classify", "--n", "3", "--k", "1", "--et", "1"],
+])
+def test_abbreviated_options_are_usage_errors(tmp_path, capsys, argv):
+    """Each option has one spelling: argparse's prefix matching is off."""
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--out", str(tmp_path / "out.txt")])
+    assert info.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_classify_outside_the_domain_exits_2(capsys):

@@ -1,3 +1,5 @@
+import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from onsager_ms.quadrature import (
     bromwich_rule,
     build_sphere_quadrature,
     build_weighted_quadrature,
+    gauss_jacobi,
     integrate_mu,
     polar_rule,
     sphere_rule,
@@ -74,6 +77,94 @@ def test_polynomial_exactness(pair, j, order):
     got = float(np.sum(rule.weights * rule.sin2**j))
     exact = 0.5 * special.beta((k + 2 * j) / 2.0, (n - k) / 2.0)
     assert got == pytest.approx(exact, rel=1e-12)
+
+
+# Pairs of the accuracy test: small n, both special cases a + b = 0 (n = 4)
+# and b = -1/2 (k = 1), middle and extreme k, and their mirror images.
+ACCURACY_PAIRS = [(3, 1), (3, 2), (4, 1), (4, 2), (8, 3), (8, 5), (20, 1), (38, 19), (50, 1), (50, 49)]
+
+
+@pytest.fixture(scope="module")
+def beta_40_digits():
+    mp = pytest.importorskip("mpmath")
+
+    @functools.lru_cache(maxsize=None)
+    def value(x2: int, y2: int) -> float:
+        """0.5 B(x2 / 2, y2 / 2) to 40 digits, rounded once."""
+        with mp.workdps(40):
+            return float(mp.beta(mp.mpf(x2) / 2, mp.mpf(y2) / 2) / 2)
+
+    return value
+
+
+@pytest.mark.parametrize("order", [16, 64, 128, 200])
+@pytest.mark.parametrize("n,k", ACCURACY_PAIRS)
+def test_theta_rule_moments_against_mpmath(beta_40_digits, n, k, order):
+    """sum w t^j = (1/2) B(k/2 + j, (n-k)/2) to 1e-13 relative for j = 0, 4, 8;
+    rules with 2k > n are mirror images and are held to the same bound."""
+    rule = theta_rule(n, k, order)
+    assert rule.order == order and rule.weights.size == order
+    for j in (0, 4, 8):
+        got = math.fsum(rule.weights * rule.sin2**j)
+        exact = beta_40_digits(k + 2 * j, n - k)
+        assert abs(got - exact) <= 1e-13 * exact, (n, k, order, j)
+
+
+def test_mirrored_theta_rule_is_a_miss_of_its_own_key(monkeypatch):
+    """theta_rule(n, k) with 2k > n flips the kept rule of (n, n - k) with no
+    new Jacobi solve; the partner's counters do not move, and the result is
+    the uncached build's.  A wrapper rebinding ``theta_rule``, as a tracer
+    does, does not hide the kept partner."""
+    partner = theta_rule(9, 2, 24)
+    solves = []
+    solve = quadrature.gauss_jacobi
+    monkeypatch.setattr(quadrature, "gauss_jacobi", lambda *args: solves.append(args) or solve(*args))
+    monkeypatch.setattr(quadrature, "theta_rule", functools.wraps(theta_rule)(lambda *args: theta_rule(*args)))
+    before = theta_rule.cache_info()
+    rule = quadrature.theta_rule(9, 7, 24)
+    after = theta_rule.cache_info()
+    assert solves == []
+    assert (after.hits, after.misses) == (before.hits, before.misses + 1)
+    assert rule.params == SphereParams(9, 7)
+    assert np.array_equal(rule.sin2, 1.0 - partner.sin2[::-1])
+    assert np.array_equal(rule.weights, partner.weights[::-1])
+    built = build_weighted_quadrature(SphereParams(9, 7), 24)
+    assert np.array_equal(built.sin2, rule.sin2) and np.array_equal(built.weights, rule.weights)
+    assert theta_rule(9, 7, 24) is rule
+    # Without a kept partner the mirror solves for it and does not keep it.
+    solves.clear()
+    lone = theta_rule(9, 6, 23)
+    assert len(solves) == 1 and theta_rule.cache_info().misses == after.misses + 1
+    assert np.array_equal(lone.weights, theta_rule(9, 3, 23).weights[::-1])
+    assert theta_rule.cache_info().misses == after.misses + 2
+
+
+@pytest.mark.parametrize("d", range(2, 12))
+def test_sphere_factor_rules_match_roots_jacobi(d):
+    """The symmetric factor of the product rule on S^(d-1) agrees with
+    scipy's roots_jacobi, a test-only reference, to its digits; it is
+    symmetric and its odd moments vanish."""
+    mu = 0.5 * (d - 3)
+    for order in (4, 8, 16, 32, 64):
+        x, w = gauss_jacobi(order, mu, mu)
+        ref_x, ref_w = special.roots_jacobi(order, mu, mu)
+        assert float(np.max(np.abs(x - ref_x))) <= 4.5e-16
+        assert float(np.max(np.abs(w / ref_w - 1.0))) <= 1e-11
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert math.fsum(w) == pytest.approx(2.0 ** (2 * mu + 1) * special.beta(mu + 1, mu + 1), rel=1e-14)
+
+
+def test_gauss_jacobi_rejects_bad_input():
+    with pytest.raises(ValueError, match="order >= 2"):
+        gauss_jacobi(1, 0.0, 0.0)
+    with pytest.raises(ValueError, match="a, b > -1"):
+        gauss_jacobi(8, -1.0, 0.5)
+
+
+def test_theta_rule_mass_beyond_the_gamma_range(beta_40_digits):
+    """At n = 400 Gamma(n/2) overflows, and the mass falls back on lgamma."""
+    rule = build_weighted_quadrature(SphereParams(400, 1), order=16)
+    assert math.fsum(rule.weights) == pytest.approx(beta_40_digits(1, 399), rel=1e-13)
 
 
 def test_integrate_mu_matches_manual_sum():
