@@ -42,12 +42,15 @@ with n <= 50 at orders 128 and 64.  A rule larger than the budget is
 returned and not kept.  Each accessor's ``cache_info()`` reports its hits
 and misses, ``maxsize`` as the byte budget and ``currsize`` as the bytes
 of its rules that the cache holds.  The cache is guarded by a lock.
+Every argument of the three accessors must be an integer; anything else,
+40.0 included, raises ValueError before the lookup.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -80,6 +83,9 @@ class SphereParams:
     def __post_init__(self) -> None:
         if int(self.n) != self.n or int(self.k) != self.k:
             raise ValueError("n and k must be integers")
+        # Integral floats become ints, which the rule accessors require.
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "k", int(self.k))
         if self.n < 3:
             raise ValueError(f"need n >= 3, got n={self.n}")
         if not 1 <= self.k <= self.n - 1:
@@ -181,6 +187,19 @@ def gauss_jacobi(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray
     return x, w
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as an int by ``operator.index``; ValueError naming it otherwise.
+
+    A rule's size and dimensions must be integers: 40.0 would equal the
+    key of the rule of order 40, so a cached accessor would answer it only
+    once that rule exists, and raise in a cold process.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _freeze(*arrays: np.ndarray) -> None:
     for a in arrays:
         a.flags.writeable = False
@@ -271,8 +290,9 @@ class _CacheInfo(NamedTuple):
 class _RuleCache:
     """One least-recently-used store for rules, bounded by their ``nbytes``.
 
-    Decorating a builder with an instance gives a cached accessor.  Keys
-    hold every argument with defaults filled in, so ``f(a, b)`` and
+    Decorating a builder with an instance gives a cached accessor.  Every
+    argument must be an integer (``_as_int``), checked before the lookup.
+    Keys hold every argument with defaults filled in, so ``f(a, b)`` and
     ``f(a, b, <default>)`` share an entry.  Keeping a rule evicts the least
     recently used ones until the store is within ``budget``; a rule above
     the budget is returned and not kept.  A miss builds outside the lock,
@@ -288,8 +308,9 @@ class _RuleCache:
 
     def __call__(self, build):
         signature = inspect.signature(build)
+        names = tuple(signature.parameters)
         defaults = build.__defaults__ or ()
-        arity = len(signature.parameters)
+        arity = len(names)
         required = arity - len(defaults)
         rules, lock = self._rules, self._lock
         counts = [0, 0]  # hits, misses
@@ -302,7 +323,10 @@ class _RuleCache:
                 args = bound.args
             elif len(args) < arity:
                 args += defaults[len(args) - required:]
-            key = (build, *args)
+            try:
+                key = (build, *map(operator.index, args))
+            except TypeError:
+                key = (build, *map(_as_int, names, args))  # raises, naming the argument
             lock.acquire()  # ``with lock`` would double the cost of a hit
             try:
                 rule = rules.get(key)
@@ -313,7 +337,7 @@ class _RuleCache:
                 counts[1] += 1
             finally:
                 lock.release()
-            return self._keep(key, build(*args))
+            return self._keep(key, build(*key[1:]))
 
         def cache_info() -> _CacheInfo:
             with self._lock:

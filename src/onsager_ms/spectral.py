@@ -4,15 +4,16 @@ In the weighted metric <a, a>_w = int e^{-eta sin^2} a^2 dmu each block
 functional I_gamma is A_0 times the identity minus a rank-one term: on
 the grid the matrix A_0 I - c q q^T, restricted to mean-zero profiles
 for the b block.  Its spectrum follows from that structure (Golub, SIAM
-Rev. 15, 1973): one complete QR factorization of q, with the mean
-constraint as a leading column for b, gives an orthonormal eigenbasis
-whose first free column is the downdated direction, with eigenvalue
-A_0 - c |Pq|^2, and whose other columns span the A_0 eigenspace.  On
-every call that grid eigenvalue is compared with its closed form from
-the moments (one of the sign scalars D1, D2, D3, or exactly zero for
-the mixed block on an anisotropic branch); a disagreement means the
-grid cannot resolve the exponential weight and raises instead of
-returning garbage.
+Rev. 15, 1973) without a factorization: A_0 on the complement of q, and
+the downdated value A_0 - c |Pq|^2, where P projects q off the mean
+constraint for b (one Gram-Schmidt step and one re-orthogonalisation)
+and is the identity otherwise.  The eigenvectors are built on first
+read, from a complete QR factorization of q with the constraint as a
+leading column for b.  On every call the grid eigenvalue is compared
+with its closed form from the moments (one of the sign scalars D1, D2,
+D3, or exactly zero for the mixed block on an anisotropic branch); a
+disagreement means the grid cannot resolve the exponential weight and
+raises instead of returning garbage.
 
 The zero modes of the mixed block are the rotational kernel of the
 equilibrium: k (n-k) modes, one per basis slot, each a multiple of
@@ -24,7 +25,8 @@ bound in the plain L^2 metric for stable k = 1 states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -34,6 +36,7 @@ from .moments import TiltedMeasure, scaled_moments
 from .quadrature import (
     SphereParams,
     WeightedQuadrature,
+    _as_int,
     _freeze,
     surface_area,
     theta_rule,
@@ -79,6 +82,33 @@ def family_multiplicities(params: SphereParams) -> dict[str, int]:
 
 
 @dataclass(frozen=True)
+class _Downdate:
+    """A block's grid columns on ``rule`` at ``eta``, the mean constraint
+    (b only) and then the rank-one direction q; ``free`` is Pq, the part
+    of q that satisfies the constraint."""
+
+    rule: WeightedQuadrature
+    eta: float
+    columns: tuple[np.ndarray, ...]
+    free: np.ndarray
+
+    @cached_property
+    def to_profile(self) -> np.ndarray:
+        """The map from grid coordinates to profiles a(theta_i)."""
+        scale = np.exp(0.5 * self.eta * self.rule.sin2) / np.sqrt(self.rule.weights)
+        _freeze(scale)
+        return scale
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """The profiles of the complete QR factorization's free columns."""
+        q = np.linalg.qr(np.column_stack(self.columns), mode="complete")[0]
+        profiles = q[:, len(self.columns) - 1 :] * self.to_profile[:, None]
+        _freeze(profiles)
+        return profiles
+
+
+@dataclass(frozen=True)
 class BlockSpectrum:
     """Spectrum of one block in the weighted metric, from its rank-one
     structure.
@@ -89,8 +119,10 @@ class BlockSpectrum:
     two agree to the grid-resolution check's tolerance.
     ``eigenvectors`` columns hold the coefficient profiles a(theta_i) on
     the grid of ``rule``, orthonormal in the weighted metric, the
-    downdated direction first.  The constrained b block has one
-    eigenpair fewer than grid points.
+    downdated direction first.  They come from a complete QR
+    factorization made on first read and shared by the copies that
+    ``full_spectrum`` makes for blocks of one gamma.  The constrained b
+    block has one eigenpair fewer than grid points.
     """
 
     params: SphereParams
@@ -101,7 +133,11 @@ class BlockSpectrum:
     rule: WeightedQuadrature
     eigenvalues: np.ndarray
     closed_form: np.ndarray
-    eigenvectors: np.ndarray
+    _downdate: _Downdate = field(repr=False, compare=False)
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._downdate.eigenvectors
 
 
 def _rank_one_block(
@@ -155,7 +191,7 @@ def _block_spectrum(
     params: SphereParams, tilt: TiltedMeasure, family: str, grid_size: int, alpha: float
 ) -> BlockSpectrum:
     """``block_spectrum`` from the moment pass ``tilt``, with alpha resolved."""
-    if grid_size < MIN_GRID:
+    if _as_int("grid_size", grid_size) < MIN_GRID:
         raise ValueError(f"grid_size must be at least {MIN_GRID}")
     eta, a0, shift = tilt.eta, tilt.a0, tilt.shift
     gamma = _GAMMA_BY_BLOCK[family]
@@ -164,14 +200,16 @@ def _block_spectrum(
     growth = np.exp(eta * t - shift)
     root_mass = np.sqrt(w * growth)
     direction = root_mass * _profile(gamma, t)
-    # The mean constraint of b leads, so the first free column of Q is
-    # the part of the direction that satisfies it; R[free, free] is its norm.
-    columns = (root_mass, direction) if gamma == 3 else (direction,)
-    q, r = np.linalg.qr(np.column_stack(columns), mode="complete")
-    free = len(columns) - 1
-    evecs = q[:, free:]
-    evals = np.full(evecs.shape[1], a0)
-    evals[0] = a0 - _rank_one_coefficient(gamma, params) * alpha * r[free, free] ** 2
+    if gamma == 3:
+        # Project q off the mean constraint, twice for orthogonality to rounding.
+        unit = root_mass / np.sqrt(root_mass @ root_mass)
+        free = direction - (unit @ direction) * unit
+        free -= (unit @ free) * unit
+        columns = (root_mass, direction)
+    else:
+        free, columns = direction, (direction,)
+    evals = np.full(w.size - len(columns) + 1, a0)
+    evals[0] = a0 - _rank_one_coefficient(gamma, params) * alpha * (free @ free)
     low = _block_low(gamma, params, tilt, alpha)
     closed = np.concatenate(([low], np.full(evals.size - 1, a0)))
     closed.sort()
@@ -185,11 +223,9 @@ def _block_spectrum(
     factor = float(np.exp(shift))
     evals = evals * factor
     closed = closed * factor
-    profiles = evecs * (np.exp(0.5 * eta * t) / np.sqrt(w))[:, None]
-    _freeze(evals, closed, profiles)
-    return BlockSpectrum(
-        params, family, gamma, eta, alpha, rule, evals, closed, profiles
-    )
+    _freeze(evals, closed)
+    downdate = _Downdate(rule, eta, columns, free)
+    return BlockSpectrum(params, family, gamma, eta, alpha, rule, evals, closed, downdate)
 
 
 @dataclass(frozen=True)
@@ -277,8 +313,14 @@ def full_spectrum(
             g = _attainer(theta_block.rule, tilt, 0)
             g_norm = float(np.sum(w * g * g))
             fractions = []
+            downdate = theta_block._downdate
             for column in zero_columns:
-                a = theta_block.eigenvectors[:, column]
+                # Column 0 is Pq up to sign and scale, which the ratio below
+                # ignores; only a bulk column needs the QR basis.
+                if column == 0:
+                    a = downdate.free * downdate.to_profile
+                else:
+                    a = theta_block.eigenvectors[:, column]
                 overlap = float(np.sum(w * a * g)) ** 2
                 fractions.append(overlap / (float(np.sum(w * a * a)) * g_norm))
             projection = float(min(fractions))
@@ -312,7 +354,7 @@ def gap_estimate(params: SphereParams, eta: float, grid_size: int = 64) -> float
     """
     if params.k != 1:
         raise ValueError("the gap certificate covers the k = 1 branch")
-    if grid_size < MIN_GRID:
+    if _as_int("grid_size", grid_size) < MIN_GRID:
         raise ValueError(f"grid_size must be at least {MIN_GRID}")
     eta = float(eta)
     star = find_eta_star(params).eta_star

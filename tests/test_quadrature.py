@@ -194,6 +194,23 @@ def test_theta_rule_default_order_shares_the_entry():
     assert theta_rule(n=6, k=2, order=DEFAULT_ORDER) is rule
 
 
+def test_float_order_fails_alike_cold_and_warm(cold_and_warm):
+    """A float order or dimension equals the key of its integer rule, so it
+    must be refused before the lookup, with or without that rule kept."""
+    calls = ["theta_rule(5, 2, 40.0)", "sphere_rule(3, 6.0)", "polar_rule(5, 2, 32.0, 3)", "sphere_rule(3.0, 6)"]
+    warm = ["theta_rule(5, 2, 40)", "sphere_rule(3, 6)", "polar_rule(5, 2, 32, 3)"]
+    cold, hot = cold_and_warm("from onsager_ms.quadrature import polar_rule, sphere_rule, theta_rule", calls, warm)
+    assert cold == hot == [
+        "ValueError: order must be an integer, got 40.0",
+        "ValueError: order must be an integer, got 6.0",
+        "ValueError: theta_order must be an integer, got 32.0",
+        "ValueError: d must be an integer, got 3.0",
+    ]
+    # numpy integers index like ints and share the integer rule's entry.
+    assert theta_rule(5, 2, np.int64(40)) is theta_rule(5, 2, 40)
+    assert type(SphereParams(5.0, 2.0).n) is int
+
+
 def test_rule_arrays_are_frozen():
     rule = theta_rule(3, 1, 16)
     for array in (rule.nodes, rule.weights, rule.sin2, rule.moment_rows[1]):

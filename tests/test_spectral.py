@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from onsager_ms.moments import moment, scaled_moments
 from onsager_ms.quadrature import SphereParams, theta_rule
-from onsager_ms.sigma import _branch_alpha, find_eta_star, sigma_value
+from onsager_ms.sigma import _branch_alpha, find_eta_star, invert_alpha, sigma_value
 from onsager_ms.spectral import (
     _CLOSED_FORM_RTOL,
     BLOCK_FAMILIES,
@@ -16,10 +18,13 @@ from onsager_ms.spectral import (
 )
 from onsager_ms.stability import (
     GAMMA_BY_FAMILY,
+    THETA,
+    _attainer,
     _block_low,
     _profile,
     _rank_one_coefficient,
     basis_indices,
+    classify,
     d_quantities,
 )
 
@@ -228,6 +233,131 @@ def test_full_spectrum_makes_one_moment_pass(moment_passes, n, k, eta):
         assert block.alpha == report.alpha
         assert np.array_equal(block.eigenvalues, alone.eigenvalues)
         assert np.array_equal(block.eigenvectors, alone.eigenvectors)
+
+
+def _qr_profiles(rule, tilt, gamma):
+    """The profiles of a complete QR factorization of the block's columns,
+    the mean constraint leading for b, built here from the rule and the pass."""
+    w, t = rule.weights, rule.sin2
+    root_mass = np.sqrt(w * np.exp(tilt.eta * t - tilt.shift))
+    direction = root_mass * _profile(gamma, t)
+    columns = (root_mass, direction) if gamma == 3 else (direction,)
+    q = np.linalg.qr(np.column_stack(columns), mode="complete")[0]
+    return q[:, len(columns) - 1 :] * (np.exp(0.5 * tilt.eta * t) / np.sqrt(w))[:, None]
+
+
+@pytest.mark.parametrize("n,k,eta", [(3, 1, 2.5), (6, 3, -1.5), (12, 5, 4.0), (38, 19, 1.0)])
+def test_eigenvectors_are_the_complete_qr(n, k, eta):
+    """Eigenvectors are built on first read, bit for bit the complete QR of
+    the block's columns, frozen, and shared by the blocks of one gamma."""
+    params = SphereParams(n, k)
+    tilt = scaled_moments(params, eta)
+    report = full_spectrum(params, eta)
+    by_gamma = {}
+    for family, block in report.blocks.items():
+        assert np.array_equal(block.eigenvectors, _qr_profiles(block.rule, tilt, block.gamma))
+        assert not block.eigenvectors.flags.writeable
+        assert block.eigenvectors is by_gamma.setdefault(block.gamma, block.eigenvectors)
+
+
+@pytest.mark.parametrize("n,k", [(5, 1), (12, 6), (38, 19)])
+def test_branch_study_makes_no_qr(monkeypatch, n, k):
+    """A branch study factorizes nothing; the first read of the eigenvectors
+    makes one complete QR per gamma, and later reads make none."""
+    shapes = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    params = SphereParams(n, k)
+    star = find_eta_star(params)
+    roots = invert_alpha(params, 1.3 * star.alpha_star)
+    reports = [classify(params, root) for root in roots]
+    spectra = [full_spectrum(params, root) for root in roots]
+    assert len(reports) == 2 and shapes == []
+    for report in spectra:
+        gammas = {block.gamma for block in report.blocks.values()}
+        for _ in range(2):
+            for block in report.blocks.values():
+                block.eigenvectors
+        assert len(shapes) == len(gammas)
+        shapes.clear()
+
+
+def test_full_spectrum_allocates_no_grid_square():
+    """Beyond its O(grid) vectors a call allocates nothing: no grid x grid
+    matrix, 2 MiB at grid_size 512."""
+    params, grid_size = SphereParams(5, 1), 512
+    full_spectrum(params, 3.0, grid_size=grid_size)  # builds the rule
+    tracemalloc.start()
+    try:
+        full_spectrum(params, 3.0, grid_size=grid_size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid_size * grid_size * 8 / 8
+
+
+def _qr_kernel_projection(report, tilt):
+    """The worst alignment with the rotational profile over the Theta
+    block's zero columns, taken from a complete QR basis."""
+    block = report.blocks[THETA]
+    w, g = block.rule.weights, _attainer(block.rule, tilt, 0)
+    zero = np.nonzero(np.abs(block.eigenvalues) < report.threshold)[0]
+    profiles = _qr_profiles(block.rule, tilt, 0)[:, zero]
+    return zero, min(np.sum(w * a * g) ** 2 / (np.sum(w * a * a) * np.sum(w * g * g)) for a in profiles.T)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_kernel_projection_matches_qr_columns(n):
+    """The kernel projection from the downdated direction is the one from
+    the QR basis's zero column, at eta^* +- {0.3, 3} on grids 16 and 64."""
+    for k in range(1, n):
+        params = SphereParams(n, k)
+        star = find_eta_star(params).eta_star
+        for eta in (star - 3.0, star - 0.3, star + 0.3, star + 3.0):
+            tilt = scaled_moments(params, eta)
+            for grid_size in (16, 64):
+                report = full_spectrum(params, eta, grid_size=grid_size)
+                zero, expected = _qr_kernel_projection(report, tilt)
+                assert list(zero) == [0]
+                assert report.kernel_projection == pytest.approx(expected, rel=0, abs=1e-14)
+
+
+def test_kernel_projection_over_bulk_columns():
+    """At an alpha far off the branch the A_0 bulk falls below the kernel
+    threshold; the projection then reads the QR basis's bulk columns."""
+    params, eta = SphereParams(4, 1), 2.0
+    report = full_spectrum(params, eta, grid_size=16, alpha=1e9)
+    zero, expected = _qr_kernel_projection(report, scaled_moments(params, eta))
+    assert list(zero) == list(range(1, 16))
+    assert report.kernel_projection == expected
+
+
+def test_float_grid_size_fails_alike_cold_and_warm(cold_and_warm):
+    setup = (
+        "from onsager_ms.quadrature import SphereParams\n"
+        "from onsager_ms.spectral import block_spectrum, full_spectrum, gap_estimate"
+    )
+    calls = [
+        "full_spectrum(SphereParams(5, 2), 1.0, grid_size=48.0)",
+        "gap_estimate(SphereParams(3, 1), 5.0, grid_size=16.5)",
+        "block_spectrum(SphereParams(4, 1), 1.0, 'Theta', grid_size=32.0)",
+    ]
+    warm = [
+        "full_spectrum(SphereParams(5, 2), 1.0, grid_size=48)",
+        "gap_estimate(SphereParams(3, 1), 5.0, grid_size=16)",
+        "block_spectrum(SphereParams(4, 1), 1.0, 'Theta', grid_size=32)",
+    ]
+    cold, hot = cold_and_warm(setup, calls, warm)
+    assert cold == hot == [
+        "ValueError: grid_size must be an integer, got 48.0",
+        "ValueError: grid_size must be an integer, got 16.5",
+        "ValueError: grid_size must be an integer, got 32.0",
+    ]
 
 
 def test_full_spectrum_isotropic_explicit_alpha():
