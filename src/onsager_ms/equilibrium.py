@@ -67,7 +67,7 @@ def sphere_order_for(n: int, alpha: float) -> int:
     return min(base, _SPHERE_ORDER_CAP[n])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderTensor:
     """Symmetric trace-free n x n tensor; entries are stored read-only."""
 
@@ -124,7 +124,7 @@ class OrderTensor:
         return np.linalg.eigvalsh(self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriticalPointSpec:
     """An equilibrium h^(k): axis pattern k, order parameter eta, frame R.
 

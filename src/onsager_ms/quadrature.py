@@ -20,9 +20,10 @@ mirror image t -> 1 - t of the rule for (n, n - k).
 Sphere integrals use a product rule over recursive spherical angles, each
 angle carrying a symmetric Gauss-Jacobi rule, bottoming out at the two
 point set S^0; for d >= 2 it lists its first coordinate in ascending
-order.  Integrands of low degree in the block directions omega and xi of
+order.  Integrands of degree <= 5 in the block directions omega and xi of
 m = (sin(theta) omega, cos(theta) xi) use the polar rule: the polar Gauss
-rule in theta times two small product rules on S^(k-1) and S^(n-k-1).
+rule in theta times the fully symmetric degree-5 rule on S^(k-1) and on
+S^(n-k-1), 2d^2 nodes on S^(d-1).
 The node budget ``_MAX_SPHERE_NODES`` is the one limit on the dimension
 of both kinds of sphere rule: a rule above it raises ValueError unbuilt.
 
@@ -205,7 +206,7 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedQuadrature:
     """Gauss rule for the polar measure of a given (n, k).
 
@@ -406,14 +407,14 @@ def integrate_mu(rule: WeightedQuadrature, f) -> float:
     return float(rule.weights @ vals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereQuadrature:
-    """Product cubature on the unit sphere S^(dimension-1).
+    """Cubature on the unit sphere S^(dimension-1): a product or a polar rule.
 
     ``points`` has shape (count, dimension) with unit rows; ``weights``
-    sum to the surface area.  Exact for polynomials in the coordinates of
-    total degree up to 2*order - 1 (odd monomials vanish by symmetry of
-    the node set).
+    sum to the surface area.  A product rule of order p is exact for
+    polynomials of total degree up to 2p - 1; ``polar_rule`` states its
+    own exactness.  Odd monomials vanish by symmetry of the node set.
     """
 
     dimension: int
@@ -472,33 +473,46 @@ def sphere_rule(d: int, order: int) -> SphereQuadrature:
     return build_sphere_quadrature(d, order)
 
 
+def _degree5_nodes(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fully symmetric rule on S^(d-1) exact to degree 5 (Stroud, 1971): the
+    2d points +-e_i, each weighted |S^(d-1)| (4 - d) / (2d(d + 2)), negative
+    from d = 5 on, and the 2d(d - 1) points (+-e_i +- e_j) / sqrt(2), each
+    weighted |S^(d-1)| / (d(d + 2)).  At d = 1 it is {+1, -1}."""
+    axes = np.eye(d)
+    i, j = np.triu_indices(d, 1)
+    pairs = np.concatenate((axes[i] + axes[j], axes[i] - axes[j])) / math.sqrt(2.0)
+    pts = np.concatenate((axes, -axes, pairs, -pairs))
+    scale = surface_area(d) / (d * (d + 2))
+    w = np.full(len(pts), scale)
+    w[: 2 * d] = 0.5 * (4 - d) * scale
+    return pts, w
+
+
 @_RULES
-def polar_rule(n: int, k: int, theta_order: int, factor_order: int) -> SphereQuadrature:
+def polar_rule(n: int, k: int, theta_order: int) -> SphereQuadrature:
     """Polar product rule on S^(n-1) at the points m = (sin(theta) omega, cos(theta) xi).
 
     The surface measure is sin^(k-1) cos^(n-k-1) dtheta domega dxi, so the
-    weights are those of ``theta_rule(n, k, theta_order)`` times those of the
-    product rules of ``factor_order`` on S^(k-1) and S^(n-k-1).  The rule is
-    exact for integrands of degree up to 2*factor_order - 1 in omega and in
-    xi times a polynomial in sin^2(theta) of degree up to 2*theta_order - 1.
-    Points are listed theta-major, so nodes of equal theta form runs.
-    A rule whose node count, theta_order times 2 f^(k-1) and 2 f^(n-k-1)
-    for the factors of order f, exceeds the node budget raises ValueError
-    before it is built.  At orders (32, 3) the rule outgrows the cache's
-    byte budget from n = 10 on (74 MB; 242 MB at n = 11), so it is
-    rebuilt on every call there.
+    weights are those of ``theta_rule(n, k, theta_order)`` times those of
+    the degree-5 rules on S^(k-1) and S^(n-k-1) (``_degree5_nodes``).  The
+    rule is exact for integrands of degree up to 5 in omega and in xi times
+    a polynomial in sin^2(theta) of degree up to 2*theta_order - 1.  Points
+    are listed theta-major, so nodes of equal theta form runs.  A rule
+    whose node count, 4 theta_order k^2 (n-k)^2, exceeds the node budget
+    raises ValueError before it is built: at theta order 32 that admits
+    every k up to n = 29.
     """
     params = SphereParams(n, k)
-    count = 4 * theta_order * factor_order ** (n - 2)
-    _check_budget(count, f"polar rule of orders ({theta_order}, {factor_order}) on S^{n - 1}")
+    count = 4 * theta_order * k * k * params.complement ** 2
+    _check_budget(count, f"polar rule of theta order {theta_order} on S^{n - 1}")
     theta = theta_rule(n, k, theta_order)
-    omega = build_sphere_quadrature(k, factor_order)
-    xi = build_sphere_quadrature(params.complement, factor_order)
+    om_pts, om_w = _degree5_nodes(k)
+    xi_pts, xi_w = _degree5_nodes(params.complement)
     s, c = np.sqrt(theta.sin2), np.sqrt(1.0 - theta.sin2)
-    pts = np.empty((theta.order, omega.count, xi.count, n))
-    pts[..., :k] = s[:, None, None, None] * omega.points[None, :, None, :]
-    pts[..., k:] = c[:, None, None, None] * xi.points[None, None, :, :]
-    w = theta.weights[:, None, None] * omega.weights[None, :, None] * xi.weights[None, None, :]
+    pts = np.empty((theta.order, len(om_w), len(xi_w), n))
+    pts[..., :k] = s[:, None, None, None] * om_pts[None, :, None, :]
+    pts[..., k:] = c[:, None, None, None] * xi_pts[None, None, :, :]
+    w = theta.weights[:, None, None] * om_w[None, :, None] * xi_w[None, None, :]
     pts, w = pts.reshape(-1, n), w.reshape(-1)
     _freeze(pts, w)
     return SphereQuadrature(n, pts, w)

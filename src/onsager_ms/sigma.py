@@ -270,10 +270,10 @@ def phase_diagram(n: int, eta_grid=None) -> PhaseDiagram:
 
     Defaults to 401 evenly spaced eta values on [-10, 30].  Tags follow
     the branch stability rule (stable / unstable / marginal) from the
-    stability module.  Raises ValueError for n < 3, as ``SphereParams`` does.
+    stability module.  n is checked by ``SphereParams``: an integral float
+    such as 3.0 is taken as 3, and n < 3 or 3.5 raises ValueError.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got n={n}")
+    n = SphereParams(n, 1).n
     if eta_grid is None:
         eta_grid = np.linspace(-10.0, 30.0, 401)
     grid = np.asarray(eta_grid, dtype=float)

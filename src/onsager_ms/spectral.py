@@ -81,7 +81,7 @@ def family_multiplicities(params: SphereParams) -> dict[str, int]:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Downdate:
     """A block's grid columns on ``rule`` at ``eta``, the mean constraint
     (b only) and then the rank-one direction q; ``free`` is Pq, the part
@@ -108,7 +108,7 @@ class _Downdate:
         return profiles
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockSpectrum:
     """Spectrum of one block in the weighted metric, from its rank-one
     structure.
@@ -228,7 +228,7 @@ def _block_spectrum(
     return BlockSpectrum(params, family, gamma, eta, alpha, rule, evals, closed, downdate)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
     """Aggregated block spectra with kernel and gap diagnostics.
 

@@ -23,10 +23,10 @@ decomposed form value is verified to be strictly negative.
 
 The direct form, the decomposition's oracle, integrates the undecomposed
 second variation on the polar product rule (``quadrature.polar_rule``):
-phi^2 and phi m m^T have degree 4 in omega and in xi, so order-3 factor
-rules are exact there, and a theta order other than the blocks' leaves
-the two forms no shared nodes.  The rule's node budget is its only
-limit: it checks the decomposition for every n <= 11 and raises above.
+phi^2 and phi m m^T have degree 4 in omega and in xi, so its degree-5
+factor rules are exact there, and a theta order other than the blocks'
+leaves the two forms no shared nodes.  The rule's node budget is its
+only limit: it checks the decomposition at every k up to n = 29.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ from .moments import TiltedMeasure, _checked_eta, scaled_moments
 from .quadrature import (
     SphereParams,
     WeightedQuadrature,
+    _degree5_nodes,
     _freeze,
     polar_rule,
-    sphere_rule,
     surface_area,
     theta_rule,
 )
@@ -64,12 +64,11 @@ FAMILIES = (OMEGA_A, OMEGA_B, XI_A, XI_B, THETA)
 # Functional index served by each basis family in the decomposition.
 GAMMA_BY_FAMILY = {OMEGA_A: 1, OMEGA_B: 1, XI_A: 2, XI_B: 2, THETA: 0}
 
-# Polar-rule orders of the direct form: the theta order differs from the
-# blocks' DEFAULT_ORDER.  Order-3 factor rules integrate degree 5 exactly,
-# and every block integrand (phi^2, phi m m^T, the Gram products) has
-# degree <= 4 in omega and in xi, so the Gram quadrature uses them too.
+# Theta order of the direct form's polar rule, other than the blocks'
+# DEFAULT_ORDER.  Every block integrand (phi^2, phi m m^T, the Gram
+# products) has degree <= 4 in omega and in xi, so the degree-5 factor
+# rules of the polar rule serve the Gram quadrature too.
 _DIRECT_THETA_ORDER = 32
-_DIRECT_FACTOR_ORDER = 3
 
 # Points per block when an assembled perturbation is evaluated: 128 KiB
 # per array, so one block's temporaries stay in cache.
@@ -193,41 +192,28 @@ def gram_matrix(params: SphereParams) -> np.ndarray:
 
 
 def gram_matrix_quadrature(params: SphereParams) -> np.ndarray:
-    """Quadrature evaluation of the Gram matrix (same conventions), exact on order-3 rules."""
+    """Quadrature evaluation of the Gram matrix (same conventions), exact on
+    the degree-5 rules of each factor sphere."""
     idxs = basis_indices(params)
-    om_rule = sphere_rule(params.k, _DIRECT_FACTOR_ORDER)
-    xi_rule = sphere_rule(params.complement, _DIRECT_FACTOR_ORDER)
-    om_pts, om_w = om_rule.points, om_rule.weights
-    xi_pts, xi_w = xi_rule.points, xi_rule.weights
-    ones_om = np.ones(len(om_pts))
-    ones_xi = np.ones(len(xi_pts))
-
-    factors = []
+    om_pts, om_w = _degree5_nodes(params.k)
+    xi_pts, xi_w = _degree5_nodes(params.complement)
+    # Each slot's values on the omega nodes and on the xi nodes; a slot
+    # that does not depend on one block is 1 there.
+    rows = []
     for idx in idxs:
         if idx.family in (OMEGA_A, OMEGA_B):
-            factors.append((_basis_values(idx, om_pts, xi_pts[:0]), ones_xi))
+            rows.append((_basis_values(idx, om_pts, xi_pts[:0]), np.ones(len(xi_w))))
         elif idx.family in (XI_A, XI_B):
-            factors.append((ones_om, _basis_values(idx, om_pts[:0], xi_pts)))
+            rows.append((np.ones(len(om_w)), _basis_values(idx, om_pts[:0], xi_pts)))
         else:
             i, j = idx.indices
-            factors.append((om_pts[:, i - 1], xi_pts[:, j - 1]))
-
-    omega_like = {OMEGA_A, OMEGA_B}
-    xi_like = {XI_A, XI_B}
-    out = np.zeros((len(idxs), len(idxs)))
-    for a, ia in enumerate(idxs):
-        for b in range(a, len(idxs)):
-            ib = idxs[b]
-            om_factor = float(np.sum(om_w * factors[a][0] * factors[b][0]))
-            xi_factor = float(np.sum(xi_w * factors[a][1] * factors[b][1]))
-            if ia.family in omega_like and ib.family in omega_like:
-                entry = om_factor
-            elif ia.family in xi_like and ib.family in xi_like:
-                entry = xi_factor
-            else:
-                entry = om_factor * xi_factor
-            out[a, b] = out[b, a] = entry
-    return out
+            rows.append((om_pts[:, i - 1], xi_pts[:, j - 1]))
+    om, xi = (np.array(side) for side in zip(*rows))
+    om_gram, xi_gram = (om * om_w) @ om.T, (xi * xi_w) @ xi.T
+    # Omega-only pairs integrate over S^(k-1) alone, xi-only pairs over S^(n-k-1).
+    gamma = np.array([GAMMA_BY_FAMILY[idx.family] for idx in idxs])
+    pair = np.where(gamma[:, None] == gamma[None, :], gamma, 0)
+    return np.select([pair == 1, pair == 2], [om_gram, xi_gram], om_gram * xi_gram)
 
 
 def _wx_vector(d: int, l: int) -> np.ndarray:
@@ -356,7 +342,7 @@ def _d_values(params: SphereParams, tilt: TiltedMeasure, alpha: float | None) ->
     return tuple(_block_low(gamma, params, tilt, alpha) * factor for gamma in (1, 2, 3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbationTop:
     """A perturbation in the decomposable subspace, stored by collocation.
 
@@ -507,13 +493,13 @@ def quadratic_form_direct(spec: CriticalPointSpec, phi: Callable) -> float:
 
     phi maps an (N, n) array of unit vectors to N values and must have
     zero mean over the sphere.  Independent of the block decomposition;
-    used as its oracle.  The integrals run on ``polar_rule`` at orders
-    (32, 3), placed in the spec's frame; its node budget admits n <= 11,
-    and larger n raises ValueError.
+    used as its oracle.  The integrals run on ``polar_rule`` at theta
+    order 32, placed in the spec's frame; its node budget admits every k
+    up to n = 29, and a rule above it, such as (30, 15), raises ValueError.
     """
     params = spec.params
     n, k = params.n, params.k
-    rule = polar_rule(n, k, _DIRECT_THETA_ORDER, _DIRECT_FACTOR_ORDER)
+    rule = polar_rule(n, k, _DIRECT_THETA_ORDER)
     canonical, w = rule.points, rule.weights
     identity = np.array_equal(spec.rotation, np.eye(n))
     pts = canonical if identity else canonical @ spec.rotation

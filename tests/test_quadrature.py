@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -197,8 +198,8 @@ def test_theta_rule_default_order_shares_the_entry():
 def test_float_order_fails_alike_cold_and_warm(cold_and_warm):
     """A float order or dimension equals the key of its integer rule, so it
     must be refused before the lookup, with or without that rule kept."""
-    calls = ["theta_rule(5, 2, 40.0)", "sphere_rule(3, 6.0)", "polar_rule(5, 2, 32.0, 3)", "sphere_rule(3.0, 6)"]
-    warm = ["theta_rule(5, 2, 40)", "sphere_rule(3, 6)", "polar_rule(5, 2, 32, 3)"]
+    calls = ["theta_rule(5, 2, 40.0)", "sphere_rule(3, 6.0)", "polar_rule(5, 2, 32.0)", "sphere_rule(3.0, 6)"]
+    warm = ["theta_rule(5, 2, 40)", "sphere_rule(3, 6)", "polar_rule(5, 2, 32)"]
     cold, hot = cold_and_warm("from onsager_ms.quadrature import polar_rule, sphere_rule, theta_rule", calls, warm)
     assert cold == hot == [
         "ValueError: order must be an integer, got 40.0",
@@ -329,32 +330,56 @@ def test_default_order_value():
     assert DEFAULT_ORDER == 128
 
 
+@pytest.mark.parametrize("d", range(1, 11))
+def test_degree5_rule_is_exact(d):
+    """The factor rule of the polar rule integrates every monomial of degree
+    <= 5 on S^(d-1): the even ones to 2 prod Gamma((a_i + 1)/2) /
+    Gamma((|a| + d)/2), the odd ones to 0; its weights sum to the area."""
+    pts, w = quadrature._degree5_nodes(d)
+    assert pts.shape == (2 * d * d, d) and w.shape == (2 * d * d,)
+    assert np.allclose(np.sum(pts**2, axis=1), 1.0, atol=1e-15)
+    assert math.fsum(w) == pytest.approx(surface_area(d), rel=1e-15)
+    for degree in range(6):
+        for combo in itertools.combinations_with_replacement(range(d), degree):
+            a = np.bincount(np.array(combo, dtype=int), minlength=d)
+            got = float(w @ np.prod(pts**a, axis=1))
+            want = 0.0
+            if not np.any(a % 2):
+                want = 2.0 * math.prod(math.gamma(0.5 * (e + 1)) for e in a) / math.gamma(0.5 * (degree + d))
+            assert abs(got - want) <= 4e-15 * surface_area(d), (a, got, want)
+
+
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(3, 7) for k in range(1, n)])
 def test_polar_rule_mass(n, k):
-    rule = polar_rule(n, k, 32, 3)
-    assert rule.count == 32 * build_sphere_quadrature(k, 3).count * build_sphere_quadrature(n - k, 3).count
+    rule = polar_rule(n, k, 32)
+    assert rule.count == 4 * 32 * k**2 * (n - k) ** 2
     assert np.allclose(np.sum(rule.points**2, axis=1), 1.0, atol=1e-15)
     assert float(np.sum(rule.weights)) == pytest.approx(surface_area(n), rel=1e-13)
 
 
 def test_polar_rule_node_budget():
-    """The direct form's rule, orders (32, 3), fits the node budget up to
-    n = 11, where its 242 MB exceed the cache's budget: it is returned and
-    not kept.  At n = 12 it is refused before any array is allocated."""
-    theta_rule(11, 5, 32)  # the rule's theta factor, kept beforehand
+    """The direct form's rule, theta order 32, fits the cache's byte budget
+    at (11, 5) and is kept; at (14, 7) its 37 MB exceed it, so it is
+    returned and not kept.  At (30, 15) it is above the node budget and is
+    refused before any array is allocated."""
+    rule = polar_rule(11, 5, 32)
+    assert rule.count == 4 * 32 * 5**2 * 6**2 == 115_200
+    assert polar_rule(11, 5, 32) is rule
+    assert rule.nbytes <= polar_rule.cache_info().currsize
+    theta_rule(14, 7, 32)  # the rule's theta factor, kept beforehand
     held, before = quadrature._RULES.nbytes, polar_rule.cache_info()
-    rule = polar_rule(11, 5, 32, 3)
+    rule = polar_rule(14, 7, 32)
     after = polar_rule.cache_info()
     assert (after.misses, after.currsize) == (before.misses + 1, before.currsize)
     assert quadrature._RULES.nbytes == held
     assert rule.nbytes > quadrature._CACHE_BYTES
-    assert rule.count == 32 * 2 * 3**4 * 2 * 3**5 == 2_519_424
-    assert float(np.sum(rule.weights)) == pytest.approx(surface_area(11), rel=1e-13)
+    assert rule.count == 4 * 32 * 7**2 * 7**2 == 307_328
+    assert float(np.sum(rule.weights)) == pytest.approx(surface_area(14), rel=1e-13)
     del rule
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="node budget"):
-            polar_rule(12, 6, 32, 3)
+            polar_rule(30, 15, 32)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -390,6 +415,6 @@ def _block_moments(rule, k, degree, sin2_powers):
 def test_polar_rule_integrates_block_monomials(n, k):
     """Block monomials of degree <= 5 times sin^2 powers 0..2 integrate as on
     a product rule exact to total degree 13."""
-    got = _block_moments(polar_rule(n, k, 32, 3), k, 5, 3)
+    got = _block_moments(polar_rule(n, k, 32), k, 5, 3)
     want = _block_moments(sphere_rule(n, 7), k, 5, 3)
     assert float(np.max(np.abs(got - want))) <= 1e-13 * surface_area(n)

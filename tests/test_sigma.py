@@ -321,6 +321,15 @@ def test_phase_diagram_rejects_small_n(n):
         phase_diagram(n, np.array([0.0]))
 
 
+def test_phase_diagram_takes_n_as_sphere_params_do():
+    """An integral float n is the integer n; any other float is refused."""
+    diagram = phase_diagram(3.0, np.array([-1.0, 2.0]))
+    assert diagram.n == 3 and type(diagram.n) is int
+    assert tuple(b.k for b in diagram.branches) == (1, 2)
+    with pytest.raises(ValueError, match="integers"):
+        phase_diagram(3.5, np.array([0.0]))
+
+
 def test_phase_diagram_rejects_bad_grid():
     with pytest.raises(ValueError):
         phase_diagram(4, np.array([np.nan]))

@@ -5,17 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onsager_ms.equilibrium import critical_point, density, isotropic_point, log_density
+from onsager_ms.equilibrium import (
+    OrderTensor,
+    critical_point,
+    density,
+    isotropic_point,
+    log_density,
+    solve_fixed_point,
+)
 from onsager_ms.moments import moment, scaled_moments
-from onsager_ms.quadrature import SphereParams, polar_rule, sphere_rule, surface_area, theta_rule
+from onsager_ms.quadrature import (
+    SphereParams,
+    build_sphere_quadrature,
+    build_weighted_quadrature,
+    polar_rule,
+    sphere_rule,
+    surface_area,
+    theta_rule,
+)
 from onsager_ms.sigma import find_eta_star, sigma_prime, sigma_value
-from onsager_ms.spectral import block_spectrum
+from onsager_ms.spectral import block_spectrum, full_spectrum
 from onsager_ms.stability import (
     FAMILIES,
     MARGINAL,
     STABLE,
     UNSTABLE,
-    _DIRECT_FACTOR_ORDER,
     _DIRECT_THETA_ORDER,
     GAMMA_BY_FAMILY,
     BasisIndex,
@@ -96,7 +110,7 @@ def test_gram_matrix_is_diagonal_positive():
     assert np.all(np.diag(g) > 0)
 
 
-@pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (8, 4), (10, 5), (12, 6)])
+@pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (8, 4), (10, 5), (12, 6), (14, 7), (20, 1)])
 def test_gram_closed_form_matches_quadrature(n, k):
     params = SphereParams(n, k)
     closed = gram_matrix(params)
@@ -350,7 +364,7 @@ def test_assemble_matches_nodewise_evaluation(n, k):
     params = SphereParams(n, k)
     top = random_smooth_perturbation(params, 1.5, np.random.default_rng(10 * n + k))
     phi = assemble_sphere_function(top)
-    polar = polar_rule(n, k, _DIRECT_THETA_ORDER, _DIRECT_FACTOR_ORDER)
+    polar = polar_rule(n, k, _DIRECT_THETA_ORDER)
     for pts in (polar.points, sphere_rule(n, 8).points):
         s2 = np.sum(pts[:, :k] ** 2, axis=-1)
         theta = np.arcsin(np.sqrt(s2))
@@ -373,13 +387,20 @@ def test_decomposed_matches_direct_form():
     assert abs(direct - dec) <= 1e-6 * (1.0 + abs(direct))
 
 
+# Every k at n = 7 and 8, k in {1, n // 2, n - 1} for n = 9..14, and the two
+# ends at n = 20; a few points keep an eta of their own.
+_BEYOND_SIX_ETA = {(7, 1): 2.0, (7, 3): -1.5, (7, 6): -2.0, (8, 1): 3.0, (8, 4): 1.0, (8, 7): -3.0, (10, 5): 1.0}
+_BEYOND_SIX = [(n, k) for n in (7, 8) for k in range(1, n)]
+_BEYOND_SIX += [(n, k) for n in range(9, 15) for k in sorted({1, n // 2, n - 1})] + [(20, 1), (20, 19)]
+
+
 @pytest.mark.parametrize(
-    "n,k,eta",
-    [(7, 1, 2.0), (7, 3, -1.5), (7, 6, -2.0), (8, 1, 3.0), (8, 4, 1.0), (8, 7, -3.0), (10, 5, 1.0)],
+    "n,k,eta", [(n, k, _BEYOND_SIX_ETA.get((n, k), 2.0 if 2 * k <= n else -2.0)) for n, k in _BEYOND_SIX]
 )
 def test_decomposed_matches_direct_form_beyond_six(n, k, eta):
     """The node budget, not a dimension cap, bounds the direct form: it
-    checks the decomposition past n = 6, at test_07's tolerance."""
+    checks the decomposition past n = 6, up to n = 20, at test_07's
+    tolerance."""
     params = SphereParams(n, k)
     spec = critical_point(params, eta)
     top = random_smooth_perturbation(params, eta, np.random.default_rng(n + k))
@@ -578,3 +599,28 @@ def test_branch_tag_matches_classify(n, k):
     params = SphereParams(n, k)
     for eta in (-6.0, -1.5, 0.7, 4.0, 9.0):
         assert branch_tag(params, eta) == classify(params, eta).classification.lower()
+
+
+_ARRAY_HOLDERS = {
+    "OrderTensor": lambda: OrderTensor.zero(3),
+    "CriticalPointSpec": lambda: critical_point(SphereParams(4, 1), 2.0),
+    "WeightedQuadrature": lambda: build_weighted_quadrature(SphereParams(4, 1), 16),
+    "SphereQuadrature": lambda: build_sphere_quadrature(3, 4),
+    "_Downdate": lambda: block_spectrum(SphereParams(4, 1), 1.0, "Theta", 16)._downdate,
+    "BlockSpectrum": lambda: block_spectrum(SphereParams(4, 1), 1.0, "Theta", 16),
+    "SpectrumReport": lambda: full_spectrum(SphereParams(4, 1), 1.0, 16),
+    "PerturbationTop": lambda: random_smooth_perturbation(SphereParams(4, 1), 1.0, np.random.default_rng(0)),
+    "FixedPointResult": lambda: solve_fixed_point(3, 10.0, OrderTensor.zero(3)),
+    "StabilityReport": lambda: classify(SphereParams(4, 1), -1.0),
+}
+
+
+@pytest.mark.parametrize("name", _ARRAY_HOLDERS)
+def test_array_holders_compare_and_hash(name):
+    """Objects that carry arrays, or hold such objects, compare to a bool
+    and hash without raising; two built alike need not be equal."""
+    a, b = _ARRAY_HOLDERS[name](), _ARRAY_HOLDERS[name]()
+    assert type(a).__name__ == name
+    assert (a == a) is True
+    assert isinstance(a == b, bool)
+    hash(a)
