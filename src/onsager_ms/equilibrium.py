@@ -36,7 +36,7 @@ import numpy as np
 
 from .moments import TiltedMeasure, scaled_moments
 from .quadrature import SphereParams, _freeze, bromwich_rule, surface_area
-from .sigma import _branch_alpha
+from .sigma import _alpha_at, _branch_alpha
 
 #: Largest n at which ``bingham_second_moments`` keeps 1e-10 relative
 #: accuracy; beyond it the contour loses digits near eta = 0.
@@ -147,16 +147,11 @@ class CriticalPointSpec:
         n = self.params.n
         tilt = scaled_moments(self.params, self.eta)
         _freeze(tilt.weights)
-        alpha = self.alpha
-        if alpha is None:
-            if tilt.eta == 0.0:
-                raise ValueError("eta = 0 is the isotropic point; pass alpha explicitly")
-            alpha = _branch_alpha(self.params, tilt)
+        if self.alpha is None and tilt.eta == 0.0:
+            raise ValueError("eta = 0 is the isotropic point; pass alpha explicitly")
         object.__setattr__(self, "_tilt", tilt)
         object.__setattr__(self, "eta", tilt.eta)
-        object.__setattr__(self, "alpha", float(alpha))
-        if not np.isfinite(self.alpha) or self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        object.__setattr__(self, "alpha", _alpha_at(self.params, tilt, self.alpha))
         rot = np.eye(n) if self.rotation is None else np.asarray(self.rotation, float)
         if rot.shape != (n, n):
             raise ValueError(f"rotation must be {n}x{n}, got {rot.shape}")
@@ -263,8 +258,7 @@ def euler_lagrange_residual(spec: CriticalPointSpec, alpha: float | None = None)
     moments behind sigma_k, so the residual stays an independent check of
     alpha = sigma_k(eta).  Supports n <= 20.
     """
-    if alpha is None:
-        alpha = spec.alpha
+    alpha = _alpha_at(spec.params, spec._tilt, spec.alpha if alpha is None else alpha)
     exponent = np.zeros(spec.params.n)
     exponent[: spec.params.k] = spec.eta
     b = exponent - alpha * bingham_second_moments(exponent)

@@ -94,20 +94,21 @@ def moment(
     return float(np.exp(tilt.shift) * scaled)
 
 
-def recurrence_residual(params: SphereParams, eta: float, tilt: TiltedMeasure, l: int) -> float:
+def recurrence_residual(tilt: TiltedMeasure, l: int) -> float:
     """Relative residual |lhs - rhs| / A_l of the moment recurrence
     A_{l+2} - A_{l+4} = ((n+l) A_{l+2} - (k+l) A_l) / (2 eta), l = 0, 2, 4
     (the eta-derivative identity integrated by parts), from the pass
-    ``tilt`` at eta; the identity is linear, so the common scale drops
-    out.  It divides by eta: eta = 0 is a domain error (use the Beta closed
-    forms there), and |eta| below about 1e-4 is ill-conditioned.
+    ``tilt``, which carries eta and (n, k); the identity is linear, so the
+    common scale drops out.  It divides by eta: eta = 0 is a domain error
+    (use the Beta closed forms there), and |eta| below about 1e-4 is
+    ill-conditioned.
     """
-    eta = float(eta)
+    eta = tilt.eta
     if eta == 0.0:
         raise ValueError("recurrence divides by eta; use Beta closed forms at eta=0")
     if l not in (0, 2, 4):
         raise ValueError(f"recurrence index l must be one of 0, 2, 4, got {l}")
     t = tilt.rule.sin2
     al, al2, al4 = (float(tilt.weights @ t ** (j // 2)) for j in (l, l + 2, l + 4))
-    n, k = params.n, params.k
+    n, k = tilt.rule.params.n, tilt.rule.params.k
     return abs(al2 - al4 - ((n + l) * al2 - (k + l) * al) / (2.0 * eta)) / al

@@ -40,6 +40,15 @@ def _branch_alpha(params: SphereParams, tilt: TiltedMeasure) -> float:
     return params.k * params.complement / (2.0 * tilt.s)
 
 
+def _alpha_at(params: SphereParams, tilt: TiltedMeasure, alpha: float | None) -> float:
+    """alpha as a float, or sigma_k(eta) from the moment pass ``tilt`` when
+    None; ValueError unless it is positive and finite."""
+    alpha = _branch_alpha(params, tilt) if alpha is None else float(alpha)
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    return alpha
+
+
 def _branch_slope(params: SphereParams, tilt: TiltedMeasure) -> float:
     """sigma_k' = -k (n-k) Cov(t, t(1-t)) / (2 s^2), the covariance as a centred sum."""
     centred_t = tilt.weights * (tilt.rule.sin2 - tilt.mean)

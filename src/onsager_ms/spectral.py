@@ -41,7 +41,7 @@ from .quadrature import (
     surface_area,
     theta_rule,
 )
-from .sigma import _branch_alpha, find_eta_star
+from .sigma import _alpha_at, _branch_alpha, find_eta_star
 from .stability import (
     FAMILIES,
     GAMMA_BY_FAMILY,
@@ -179,14 +179,6 @@ def block_spectrum(
     return _block_spectrum(params, tilt, family, grid_size, _alpha_at(params, tilt, alpha))
 
 
-def _alpha_at(params: SphereParams, tilt: TiltedMeasure, alpha: float | None) -> float:
-    """alpha, checked, or sigma_k(eta) from the moment pass ``tilt`` when None."""
-    alpha = _branch_alpha(params, tilt) if alpha is None else float(alpha)
-    if not np.isfinite(alpha) or alpha <= 0:
-        raise ValueError("alpha must be positive and finite")
-    return alpha
-
-
 def _block_spectrum(
     params: SphereParams, tilt: TiltedMeasure, family: str, grid_size: int, alpha: float
 ) -> BlockSpectrum:
@@ -310,7 +302,7 @@ def full_spectrum(
         zero_columns = np.nonzero(np.abs(theta_block.eigenvalues) < threshold)[0]
         if zero_columns.size:
             w = theta_block.rule.weights
-            g = _attainer(theta_block.rule, tilt, 0)
+            g = _attainer(theta_block.rule.sin2, tilt, 0)
             g_norm = float(np.sum(w * g * g))
             fractions = []
             downdate = theta_block._downdate
@@ -380,7 +372,7 @@ def gap_estimate(params: SphereParams, eta: float, grid_size: int = 64) -> float
         )
         return float(np.linalg.eigvalsh(mat)[0])
 
-    kernel_direction = sqw * _attainer(rule, tilt, 0)
+    kernel_direction = sqw * _attainer(t, tilt, 0)
     lam_xi = block_minimum(2, None)
     lam_theta = block_minimum(0, kernel_direction)
     lam_b = block_minimum(3, sqw)

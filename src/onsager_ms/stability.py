@@ -17,9 +17,12 @@ up to alpha = n(n+2)/2; branches with 2 <= k <= n-2 are always unstable;
 the k = 1 branch is stable exactly for eta above the fold eta_1^*, and
 k = n-1 mirrors it under eta -> -eta.
 
-Unstable verdicts carry an explicit witness: the Cauchy-Schwarz equality
-profile of the violated functional, placed in a single basis slot, whose
-decomposed form value is verified to be strictly negative.
+A perturbation (``PerturbationTop``) is given by its profiles, functions
+of theta; the decomposed form reads their values on the blocks' theta
+rule.  Unstable verdicts carry an explicit witness: the Cauchy-Schwarz
+equality profile of the violated functional, placed in a single basis
+slot, whose decomposed form value is verified to be strictly negative,
+and which the direct form can check on the sphere.
 
 The direct form, the decomposition's oracle, integrates the undecomposed
 second variation on the polar product rule (``quadrature.polar_rule``):
@@ -31,7 +34,7 @@ only limit: it checks the decomposition at every k up to n = 29.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -48,7 +51,7 @@ from .quadrature import (
     surface_area,
     theta_rule,
 )
-from .sigma import _branch_alpha, _branch_slope, find_eta_star
+from .sigma import _alpha_at, _branch_alpha, _branch_slope, find_eta_star
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
@@ -303,8 +306,7 @@ def functional_I(
         raise ValueError("coefficient values must be sampled on the quadrature grid")
     if not np.all(np.isfinite(vals)):
         raise ValueError("coefficient values must be finite")
-    if alpha is None:
-        alpha = _branch_alpha(params, tilt)
+    alpha = _alpha_at(params, tilt, alpha)
     if gamma == 3:
         w = tilt.rule.weights
         mean = float(np.sum(w * vals))
@@ -337,75 +339,61 @@ def d_quantities(
 
 def _d_values(params: SphereParams, tilt: TiltedMeasure, alpha: float | None) -> tuple[float, float, float]:
     """``d_quantities`` from the moment pass ``tilt``."""
-    alpha = _branch_alpha(params, tilt) if alpha is None else alpha
+    alpha = _alpha_at(params, tilt, alpha)
     factor = float(np.exp(tilt.shift))
     return tuple(_block_low(gamma, params, tilt, alpha) * factor for gamma in (1, 2, 3))
 
 
 @dataclass(frozen=True, eq=False)
 class PerturbationTop:
-    """A perturbation in the decomposable subspace, stored by collocation.
+    """A perturbation in the decomposable subspace, given by its profiles.
 
-    ``coefficients`` maps basis slots to values a(theta_i) on the grid of
-    ``rule``; ``b`` holds the radial profile, which must have zero mean
-    against the measure.  When built from callables the function handles
-    are retained so the perturbation can also be assembled pointwise on
-    the full sphere.
+    ``coefficient_functions`` maps basis slots to profiles a(theta), and
+    ``b_function`` is the radial profile b(theta), zero when None; each
+    maps an array of theta to one value per entry.  ``coefficients`` and
+    ``b`` hold their values on ``rule``, the theta rule at DEFAULT_ORDER,
+    derived once and read-only: they must be finite, and b must have zero
+    mean against the measure.
     """
 
     params: SphereParams
-    rule: WeightedQuadrature
-    coefficients: Mapping[BasisIndex, np.ndarray]
-    b: np.ndarray
-    coefficient_functions: Mapping[BasisIndex, Callable] | None = None
+    coefficient_functions: Mapping[BasisIndex, Callable]
     b_function: Callable | None = None
+    rule: WeightedQuadrature = field(init=False)
+    coefficients: Mapping[BasisIndex, np.ndarray] = field(init=False)
+    b: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.rule.params != self.params:
-            raise ValueError("quadrature rule does not match the parameters")
-        coeffs: dict[BasisIndex, np.ndarray] = {}
-        for idx, vals in self.coefficients.items():
+        rule = theta_rule(self.params.n, self.params.k)
+        funcs = dict(self.coefficient_functions)
+        coeffs = {}
+        for idx, f in funcs.items():
             _check_ranges(idx, self.params)
-            arr = np.asarray(vals, dtype=float)
-            if arr.shape != self.rule.weights.shape:
-                raise ValueError(f"values for {idx} do not match the grid")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"values for {idx} must be finite")
-            arr = arr.copy()
-            _freeze(arr)
-            coeffs[idx] = arr
-        object.__setattr__(self, "coefficients", MappingProxyType(coeffs))
-        b = np.asarray(self.b, dtype=float).copy()
-        if b.shape != self.rule.weights.shape:
-            raise ValueError("b values do not match the grid")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("b values must be finite")
-        w = self.rule.weights
+            coeffs[idx] = _grid_values(f, rule, f"values for {idx}")
+        w = rule.weights
+        b = np.zeros_like(w) if self.b_function is None else _grid_values(self.b_function, rule, "b values")
         if abs(float(np.sum(w * b))) > 1e-10 * max(1.0, float(np.sum(w * np.abs(b)))):
             raise ValueError("b must have zero mean against the measure")
         _freeze(b)
+        object.__setattr__(self, "coefficient_functions", MappingProxyType(funcs))
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "coefficients", MappingProxyType(coeffs))
         object.__setattr__(self, "b", b)
 
     @property
     def theta_grid(self) -> np.ndarray:
         return self.rule.nodes
 
-    @staticmethod
-    def from_functions(
-        params: SphereParams,
-        coefficient_functions: Mapping[BasisIndex, Callable],
-        b_function: Callable | None = None,
-    ) -> "PerturbationTop":
-        rule = theta_rule(params.n, params.k)
-        theta = rule.nodes
-        coeffs = {
-            idx: np.asarray(f(theta), dtype=float)
-            for idx, f in coefficient_functions.items()
-        }
-        b = np.zeros_like(theta) if b_function is None else np.asarray(b_function(theta), float)
-        return PerturbationTop(
-            params, rule, coeffs, b, dict(coefficient_functions), b_function
-        )
+
+def _grid_values(f: Callable, rule: WeightedQuadrature, name: str) -> np.ndarray:
+    """A profile's values at ``rule``'s nodes, checked and read-only."""
+    arr = np.array(f(rule.nodes), dtype=float)
+    if arr.shape != rule.weights.shape:
+        raise ValueError(f"{name} do not match the grid")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    _freeze(arr)
+    return arr
 
 
 def _polar_angles(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -413,7 +401,8 @@ def _polar_angles(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.n
     s2 = sum(x * x for x in pts[:, :k].T)
     if np.any(s2 <= 0.0) or np.any(s2 >= 1.0):
         raise ValueError(
-            "a point has a vanishing coordinate block; even-order product rules avoid this"
+            "a point has a vanishing coordinate block, where the polar angle is undefined; "
+            "the nodes of polar_rule avoid this"
         )
     s = np.sqrt(s2)
     return np.arcsin(np.clip(s, 0.0, 1.0)), s, np.sqrt(1.0 - s2)
@@ -429,13 +418,8 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assemble_sphere_function(p: PerturbationTop) -> Callable:
-    """Pointwise evaluator of the assembled perturbation on S^{n-1}.
-
-    Needs the function-handle form (from_functions); collocation values
-    alone do not determine the profiles off the grid.
-    """
-    if p.coefficient_functions is None:
-        raise ValueError("perturbation carries grid values only; build it with from_functions")
+    """Pointwise evaluator of the assembled perturbation on S^{n-1}, from
+    its profiles; points where either coordinate block vanishes raise."""
     funcs = dict(p.coefficient_functions)
     b_func = p.b_function
     k = p.params.k
@@ -467,25 +451,27 @@ def assemble_sphere_function(p: PerturbationTop) -> Callable:
 def quadratic_form_decomposed(spec: CriticalPointSpec, p: PerturbationTop) -> float:
     """Second-variation value of the assembled perturbation, via the blocks
     (``p`` has checked its values and b's zero mean), from the spec's own
-    moment pass; a ``p`` built directly on a theta rule of another order
-    gets one pass on its own grid."""
+    moment pass, on whose grid ``p`` carries its values."""
     if p.params != spec.params:
         raise ValueError("perturbation and spec parameters differ")
-    tilt = spec._tilt
-    if p.rule.order != tilt.rule.order:
-        tilt = scaled_moments(spec.params, spec.eta, order=p.rule.order)
-    return _decomposed_value(spec, p, tilt)
+    return _area_squared(spec.params) * _block_sum(spec, p)
 
 
-def _decomposed_value(spec: CriticalPointSpec, p: PerturbationTop, tilt: TiltedMeasure) -> float:
-    params = spec.params
+def _area_squared(params: SphereParams) -> float:
+    """(|S^(k-1)| |S^(n-k-1)|)^2, the positive factor of the decomposed form."""
+    return (surface_area(params.k) * surface_area(params.complement)) ** 2
+
+
+def _block_sum(spec: CriticalPointSpec, p: PerturbationTop) -> float:
+    """The decomposed form over ``_area_squared``: each slot's I_gamma over
+    its d_gamma, plus I_3 of b, from the spec's moment pass."""
+    params, tilt = spec.params, spec._tilt
     total = 0.0
     for idx, vals in p.coefficients.items():
         gamma = GAMMA_BY_FAMILY[idx.family]
         term = _functional_value(gamma, params, tilt, vals, spec.alpha)
         total += term / _slot_denominator(gamma, params)
-    total += _functional_value(3, params, tilt, p.b, spec.alpha)
-    return (surface_area(params.k) * surface_area(params.complement)) ** 2 * total
+    return total + _functional_value(3, params, tilt, p.b, spec.alpha)
 
 
 def quadratic_form_direct(spec: CriticalPointSpec, phi: Callable) -> float:
@@ -528,12 +514,11 @@ def equality_attainer(params: SphereParams, eta: float, gamma: int) -> np.ndarra
     of 0, 1, 2, 3.
     """
     tilt = scaled_moments(params, eta)
-    return _attainer(tilt.rule, tilt, gamma)
+    return _attainer(tilt.rule.sin2, tilt, gamma)
 
 
-def _attainer(rule: WeightedQuadrature, tilt: TiltedMeasure, gamma: int) -> np.ndarray:
-    """``equality_attainer`` on ``rule``'s grid, from the moment pass ``tilt``."""
-    t = rule.sin2
+def _attainer(t: np.ndarray, tilt: TiltedMeasure, gamma: int) -> np.ndarray:
+    """``equality_attainer`` at t = sin^2(theta), from the moment pass ``tilt``."""
     base = np.exp(tilt.eta * t - tilt.shift)
     if gamma == 3:
         return base * (tilt.mean - t)
@@ -552,13 +537,15 @@ class StabilityReport:
 
 
 def _attainer_top(params: SphereParams, tilt: TiltedMeasure, gamma: int) -> PerturbationTop:
-    rule = tilt.rule
-    values = _attainer(rule, tilt, gamma)
-    zero = np.zeros_like(rule.weights)
+    """The equality profile of I_gamma in one basis slot (b for gamma = 3)."""
+
+    def profile(theta):
+        return _attainer(np.sin(theta) ** 2, tilt, gamma)
+
     if gamma == 3:
-        return PerturbationTop(params, rule, {}, values)
+        return PerturbationTop(params, {}, profile)
     slot = {0: BasisIndex(THETA, (1, 1)), 1: BasisIndex(OMEGA_A, (0, 1)), 2: BasisIndex(XI_A, (0, 1))}
-    return PerturbationTop(params, rule, {slot[gamma]: values}, zero)
+    return PerturbationTop(params, {slot[gamma]: profile})
 
 
 def _branch_verdict(params: SphereParams, eta: float) -> str:
@@ -623,10 +610,15 @@ def classify(
     if verdict != UNSTABLE:
         return StabilityReport(params, eta, spec.alpha, verdict, dq)
     top = _attainer_top(params, tilt, gamma)
-    value = _decomposed_value(spec, top, tilt)
-    if not value < 0.0:
+    # The sign comes from the block sum, before the positive area factor,
+    # which underflows at large n.
+    total = _block_sum(spec, top)
+    if not total < 0.0:
         # The boundary sits below floating-point resolution here.
         return StabilityReport(params, eta, spec.alpha, MARGINAL, dq)
+    value = _area_squared(params) * total
+    if not -value >= np.finfo(float).tiny:
+        raise ValueError(f"the witness value underflows at n = {n}: the block sum is {total:g}")
     return StabilityReport(params, eta, spec.alpha, UNSTABLE, dq, top, float(value))
 
 
@@ -679,4 +671,4 @@ def random_smooth_perturbation(
     raw = _polynomial_profile(-1, b_coeffs, eta)(rule.nodes)
     offset = float(np.sum(rule.weights * raw)) / rule.total_mass
     b_function = _polynomial_profile(-1, b_coeffs, eta, offset)
-    return PerturbationTop.from_functions(params, funcs, b_function)
+    return PerturbationTop(params, funcs, b_function)

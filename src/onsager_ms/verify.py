@@ -178,7 +178,7 @@ def _check_moment_recurrence(cfg: VerifyConfig) -> CheckResult:
         for eta in (-cap, -0.3 * cap, 0.3 * cap, cap):
             tilt = scaled_moments(params, eta, order=cfg.quad_order)
             for l in (0, 2, 4):
-                worst = max(worst, recurrence_residual(params, eta, tilt, l))
+                worst = max(worst, recurrence_residual(tilt, l))
     return _result("moment_recurrence", cfg, worst, 1e-9)
 
 

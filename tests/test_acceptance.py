@@ -104,7 +104,7 @@ def test_05_moment_recurrence():
             params = SphereParams(n, k)
             tilt = scaled_moments(params, eta)
             for l in (0, 2, 4):
-                worst = max(worst, recurrence_residual(params, eta, tilt, l))
+                worst = max(worst, recurrence_residual(tilt, l))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 2.0
     _report(5, "moment recurrence", ok, f"worst rel {worst:.2e}, {elapsed:.2f}s")

@@ -244,6 +244,23 @@ def test_classify_isotropic_requires_alpha(tmp_path, capsys):
         assert "alpha must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("sigma", "--n", "3", "--k", "1", "--samples", "0"), "samples must be at least 1"),
+    (("phase-diagram", "--n", "3", "--eta-min", "3", "--eta-max", "1"), "eta-min must not exceed eta-max"),
+    (("verify", "--quad-order", "1"), "quad_order must be at least 2"),
+])
+def test_bad_option_values_exit_2(tmp_path, capsys, argv, message):
+    assert run(tmp_path, *argv) == (2, b"")
+    assert message in capsys.readouterr().err
+
+
+def test_runtime_error_exits_1(tmp_path, capsys):
+    """A grid too coarse for the weight is a RuntimeError of the library:
+    exit code 1, the message on stderr and no output."""
+    assert run(tmp_path, "spectrum", "--n", "3", "--k", "1", "--eta", "50", "--grid", "8") == (1, b"")
+    assert "increase grid_size" in capsys.readouterr().err
+
+
 def test_spectrum_json(tmp_path):
     code, raw = run(tmp_path, "spectrum", "--n", "3", "--k", "1", "--eta", "3.5",
                     "--grid", "16")

@@ -36,6 +36,13 @@ def test_order_tensor_rejects_trace():
         OrderTensor(3, np.diag([1.0, 0.0, 0.0]))
 
 
+def test_order_tensor_rejects_bad_shape_and_values():
+    with pytest.raises(ValueError, match="entries must be 3x3, got \\(2, 2\\)"):
+        OrderTensor(3, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="entries must be finite"):
+        OrderTensor(3, np.diag([np.inf, 0.0, 0.0]))
+
+
 def test_order_tensor_entries_frozen():
     t = OrderTensor.zero(4)
     with pytest.raises(ValueError):
@@ -86,6 +93,8 @@ def test_spec_rejects_nonorthogonal_rotation():
         CriticalPointSpec(params, 0.0, 5.0, rotation=np.diag([2.0, 1.0, 1.0]))
     with pytest.raises(ValueError, match="rotation must be orthogonal"):
         critical_point(params, 1.0, rotation=np.full((3, 3), np.nan))
+    with pytest.raises(ValueError, match="rotation must be 3x3"):
+        critical_point(params, 1.0, rotation=np.eye(2))
 
 
 def test_isotropic_point_accepts_any_alpha():
@@ -127,6 +136,8 @@ def test_density_rejects_off_sphere_points():
         density(spec, np.array([1.0, 1.0, 0.0]))
     with pytest.raises(ValueError, match="unit sphere"):
         density(spec, np.array([np.nan, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="points must have 3 components"):
+        density(spec, np.array([1.0, 0.0]))
 
 
 def test_euler_lagrange_residual_discriminates():
@@ -316,6 +327,8 @@ def test_solve_fixed_point_guards():
         solve_fixed_point(21, 20.0, OrderTensor.random_unit(21, np.random.default_rng(0)))
     with pytest.raises(ValueError):
         solve_fixed_point(4, 20.0, start)
+    with pytest.raises(ValueError, match="the moment map supports n <= 20"):
+        fixed_point_map(OrderTensor.random_unit(21, np.random.default_rng(0)), 20.0)
 
 
 def test_eigenvalue_structure_isotropic_single_cluster():

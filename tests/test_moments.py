@@ -91,14 +91,14 @@ def test_recurrence(pair, eta, l):
         return
     params = SphereParams(*pair)
     tilt = scaled_moments(params, eta)
-    assert recurrence_residual(params, eta, tilt, l) <= 1e-9
+    assert recurrence_residual(tilt, l) <= 1e-9
 
 
 def test_recurrence_rejects_eta_zero():
     params = SphereParams(4, 1)
     tilt = scaled_moments(params, 0.0)
     with pytest.raises(ValueError):
-        recurrence_residual(params, 0.0, tilt, 0)
+        recurrence_residual(tilt, 0)
 
 
 def test_moment_vector_monotone():
@@ -134,9 +134,9 @@ def test_recurrence_residual_is_relative():
     params = SphereParams(4, 1)
     tilt = scaled_moments(params, 5.0)
     for l in (0, 2, 4):
-        assert recurrence_residual(params, 5.0, tilt, l) <= 1e-10
+        assert recurrence_residual(tilt, l) <= 1e-10
     with pytest.raises(ValueError):
-        recurrence_residual(params, 5.0, tilt, 6)
+        recurrence_residual(tilt, 6)
 
 
 def test_order_is_keyword_only():

@@ -1,7 +1,8 @@
 """The traced benchmark run wraps library functions by name: every function
 ``perfbench/spans.py`` lists in ``TRACED`` or imports from the library must
 still exist, or ``Recorder.install`` fails with an AttributeError and a
-``--trace 1`` run dies.  It also reads the rule caches' counters, and its
+``--trace 1`` run dies.  The workloads and the traced entry scripts call the
+library by name too.  The run also reads the rule caches' counters, and its
 ``cli`` workload runs fixed command lines that the parser must accept."""
 
 import ast
@@ -10,6 +11,7 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
+CALLERS = ("workloads.py", "traced.py", "cli_child.py")
 
 
 def _named_functions():
@@ -34,6 +36,45 @@ def test_benchmark_traced_functions_exist():
         for module, attr in sorted(names)
         if not callable(getattr(importlib.import_module(f"onsager_ms.{module}"), attr, None))
     ]
+    assert not missing
+
+
+def _library_reads(path):
+    """(module, name) of every name ``path`` imports from the library and of
+    every attribute it reads on a library module bound to an alias."""
+    tree = ast.parse(path.read_text())
+    aliases, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "onsager_ms":
+            for a in node.names:
+                reads.add((node.module, a.name))
+                if node.module == "onsager_ms":  # a submodule
+                    aliases[a.asname or a.name] = f"onsager_ms.{a.name}"
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "onsager_ms" and a.asname:
+                    aliases[a.asname] = a.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            reads.add((aliases[node.value.id], node.attr))
+    return reads
+
+
+def test_benchmark_library_calls_exist():
+    """Every library name the workloads and the traced entry scripts import, and
+    every attribute they read on a library module alias, exists."""
+    reads = set()
+    for name in CALLERS:
+        reads |= _library_reads(PERFBENCH / name)
+    assert {
+        ("onsager_ms.stability", "assemble_sphere_function"),
+        ("onsager_ms.equilibrium", "eigenvalue_structure"),
+        ("onsager_ms.sigma", "sample"),
+        ("onsager_ms.cli", "main"),
+    } <= reads
+    missing = sorted(
+        f"{module}.{attr}" for module, attr in reads if not hasattr(importlib.import_module(module), attr)
+    )
     assert not missing
 
 

@@ -162,6 +162,15 @@ def test_gauss_jacobi_rejects_bad_input():
         gauss_jacobi(8, -1.0, 0.5)
 
 
+def test_sphere_sizes_reject_bad_input():
+    with pytest.raises(ValueError, match="need d >= 1, got d=0"):
+        surface_area(0)
+    with pytest.raises(ValueError, match="need d >= 1, got d=0"):
+        build_sphere_quadrature(0, 4)
+    with pytest.raises(ValueError, match="need order >= 2, got 1"):
+        build_sphere_quadrature(3, 1)
+
+
 def test_theta_rule_mass_beyond_the_gamma_range(beta_40_digits):
     """At n = 400 Gamma(n/2) overflows, and the mass falls back on lgamma."""
     rule = build_weighted_quadrature(SphereParams(400, 1), order=16)
@@ -174,12 +183,16 @@ def test_integrate_mu_matches_manual_sum():
     f = lambda th: np.cos(th) + 0.25 * np.sin(th) ** 2
     expected = float(np.sum(rule.weights * f(rule.nodes)))
     assert integrate_mu(rule, f) == pytest.approx(expected, rel=1e-15)
+    # A scalar integrand is a constant.
+    assert integrate_mu(rule, lambda th: 2.0) == pytest.approx(2.0 * rule.total_mass, rel=1e-15)
 
 
 def test_integrate_mu_rejects_nonfinite():
     rule = build_weighted_quadrature(SphereParams(4, 1), order=8)
     with pytest.raises(ValueError):
         integrate_mu(rule, lambda th: np.where(th > 0.5, np.nan, 1.0))
+    with pytest.raises(ValueError, match="integrand returned shape \\(7,\\), expected \\(8,\\)"):
+        integrate_mu(rule, lambda th: th[:-1])
 
 
 def test_theta_rule_is_cached():

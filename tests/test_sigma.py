@@ -165,6 +165,12 @@ def test_invert_alpha_round_trip(excess):
         assert sigma_value(params, eta) == pytest.approx(alpha, rel=1e-8)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, 0.0, -3.0])
+def test_invert_alpha_rejects_bad_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        invert_alpha(SphereParams(4, 1), alpha)
+
+
 @pytest.mark.parametrize("alpha", [3e3, 1e5])
 def test_invert_alpha_past_the_domain_raises(alpha):
     """A root beyond |eta| = 700 is reported, not bracketed outside the

@@ -111,6 +111,8 @@ def test_grid_resolution_check_fires():
 def test_block_spectrum_missing_family_raises():
     with pytest.raises(ValueError):
         block_spectrum(SphereParams(4, 1), 1.0, "Omega_A")
+    with pytest.raises(ValueError, match="unknown block family 'Omega_C'"):
+        block_spectrum(SphereParams(4, 1), 1.0, "Omega_C")
 
 
 def test_block_low_eigenvalues_match_sign_scalars():
@@ -305,7 +307,7 @@ def _qr_kernel_projection(report, tilt):
     """The worst alignment with the rotational profile over the Theta
     block's zero columns, taken from a complete QR basis."""
     block = report.blocks[THETA]
-    w, g = block.rule.weights, _attainer(block.rule, tilt, 0)
+    w, g = block.rule.weights, _attainer(block.rule.sin2, tilt, 0)
     zero = np.nonzero(np.abs(block.eigenvalues) < report.threshold)[0]
     profiles = _qr_profiles(block.rule, tilt, 0)[:, zero]
     return zero, min(np.sum(w * a * g) ** 2 / (np.sum(w * a * a) * np.sum(w * g * g)) for a in profiles.T)
@@ -391,6 +393,8 @@ def test_gap_estimate_preconditions():
         gap_estimate(SphereParams(4, 2), 3.0)
     with pytest.raises(ValueError):
         gap_estimate(params, star - 0.5)
+    with pytest.raises(ValueError, match="grid_size must be at least"):
+        gap_estimate(params, star + 1.0, grid_size=2)
 
 
 def test_gap_estimate_reports_decayed_certificate():
@@ -414,3 +418,5 @@ def test_isotropic_threshold(n):
             isotropic_threshold(n, tol=tol)
     with pytest.raises(ValueError, match="n must be an integer"):
         isotropic_threshold(n + 0.7)
+    with pytest.raises(ValueError, match="n must be at least 3"):
+        isotropic_threshold(n - 2)

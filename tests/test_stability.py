@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onsager_ms.equilibrium import (
+    CriticalPointSpec,
     OrderTensor,
     critical_point,
     density,
+    euler_lagrange_residual,
     isotropic_point,
     log_density,
     solve_fixed_point,
@@ -85,6 +88,15 @@ def test_basis_indices_deterministic_order():
 def test_basis_index_validation():
     with pytest.raises(ValueError):
         BasisIndex("Omega_C", (0, 1))
+    for family, pair, message in (
+        ("Omega_A", (1, 2), "A-family indices are \\(0, l\\)"),
+        ("Xi_A", (0, 0), "A-family indices are \\(0, l\\)"),
+        ("Omega_B", (2, 2), "B-family indices are pairs"),
+        ("Xi_B", (0, 1), "B-family indices are pairs"),
+        ("Theta", (0, 1), "Theta indices are \\(i, j\\)"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            BasisIndex(family, pair)
     with pytest.raises(ValueError):
         basis_eval(BasisIndex("Theta", (3, 1)), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
@@ -160,6 +172,8 @@ def test_functional_rejects_bad_gamma_and_grid():
         functional_I(0, params, 1.0, vals[:-1])
     with pytest.raises(ValueError):
         functional_I(3, params, 1.0, vals)  # not mean-zero
+    with pytest.raises(ValueError, match="coefficient values must be finite"):
+        functional_I(0, params, 1.0, np.where(rule.nodes < 0.5, np.nan, 1.0))
 
 
 @pytest.mark.parametrize("gamma", [0, 1, 2, 3])
@@ -320,33 +334,48 @@ def test_d_quantities_unscaled_finite_on_the_domain(n):
 
 def test_perturbation_top_validation():
     params = SphereParams(4, 1)
-    rule = theta_rule(4, 1, 16)
-    ones = np.ones_like(rule.nodes)
+    rule = theta_rule(4, 1)
+    theta_slot = BasisIndex("Theta", (1, 1))
+    with pytest.raises(ValueError, match="zero mean"):
+        PerturbationTop(params, {}, np.ones_like)  # b not mean-zero
+    with pytest.raises(ValueError, match="do not match the grid"):
+        PerturbationTop(params, {theta_slot: lambda th: np.ones(th.size - 1)})
+    with pytest.raises(ValueError, match="do not match the grid"):
+        PerturbationTop(params, {}, lambda th: 0.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        PerturbationTop(params, {theta_slot: lambda th: np.full(th.shape, np.nan)})
+    with pytest.raises(ValueError, match="must be finite"):
+        PerturbationTop(params, {}, lambda th: np.where(th < 0.5, np.inf, 0.0))
+    with pytest.raises(ValueError, match="out of range"):
+        PerturbationTop(params, {BasisIndex("Theta", (2, 1)): np.ones_like})
+    top = PerturbationTop(params, {theta_slot: np.ones_like})
     with pytest.raises(ValueError):
-        PerturbationTop(params, rule, {}, ones)  # b not mean-zero
+        top.coefficients[theta_slot][0] = 2.0
     with pytest.raises(ValueError):
-        PerturbationTop(params, rule, {BasisIndex("Theta", (1, 1)): ones[:-1]}, 0.0 * ones)
-    top = PerturbationTop(params, rule, {BasisIndex("Theta", (1, 1)): ones}, 0.0 * ones)
-    with pytest.raises(ValueError):
-        top.coefficients[BasisIndex("Theta", (1, 1))][0] = 2.0
+        top.b[0] = 2.0
     with pytest.raises(TypeError):
-        top.coefficients[BasisIndex("Theta", (1, 2))] = ones
+        top.coefficients[BasisIndex("Theta", (1, 2))] = np.ones_like(rule.nodes)
+    with pytest.raises(TypeError):
+        top.coefficient_functions[BasisIndex("Theta", (1, 2))] = np.ones_like
+    assert top.rule is rule
     assert np.array_equal(top.theta_grid, rule.nodes)
+    assert np.array_equal(top.coefficients[theta_slot], np.ones_like(rule.nodes))
+    assert np.array_equal(top.b, np.zeros_like(rule.nodes))
 
 
-def test_assemble_requires_function_handles():
-    params = SphereParams(4, 1)
-    rule = theta_rule(4, 1, 16)
-    zero = np.zeros_like(rule.nodes)
-    top = PerturbationTop(params, rule, {}, zero)
-    with pytest.raises(ValueError):
-        assemble_sphere_function(top)
+def test_perturbation_top_is_its_profiles():
+    """The profiles are the only inputs; the rule and the grid values are
+    derived from them, not settable."""
+    init = [f.name for f in dataclasses.fields(PerturbationTop) if f.init]
+    assert init == ["params", "coefficient_functions", "b_function"]
+    with pytest.raises(TypeError):
+        PerturbationTop(SphereParams(4, 1), {}, None, theta_rule(4, 1))
 
 
 def test_assemble_matches_manual_evaluation():
     params = SphereParams(4, 2)
     idx = BasisIndex("Theta", (2, 1))
-    top = PerturbationTop.from_functions(params, {idx: lambda th: np.sin(th) ** 2})
+    top = PerturbationTop(params, {idx: lambda th: np.sin(th) ** 2})
     phi = assemble_sphere_function(top)
     pt = np.array([0.3, 0.5, 0.6, np.sqrt(1.0 - 0.3**2 - 0.5**2 - 0.6**2)])
     theta = np.arcsin(np.sqrt(0.3**2 + 0.5**2))
@@ -375,6 +404,18 @@ def test_assemble_matches_nodewise_evaluation(n, k):
             want += func(theta) * _basis_values(idx, omega, xi)
         want += top.b_function(theta)
         assert np.array_equal(phi(pts), want)
+
+
+def test_forms_reject_mismatched_input():
+    params = SphereParams(4, 1)
+    spec = critical_point(params, 3.0)
+    other = random_smooth_perturbation(SphereParams(4, 2), 3.0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="perturbation and spec parameters differ"):
+        quadratic_form_decomposed(spec, other)
+    with pytest.raises(ValueError, match="one value per quadrature point"):
+        quadratic_form_direct(spec, lambda m: m[:-1, 0])
+    with pytest.raises(ValueError, match="zero mean over the sphere"):
+        quadratic_form_direct(spec, lambda m: m[:, 0] ** 2)
 
 
 def test_decomposed_matches_direct_form():
@@ -425,14 +466,6 @@ def test_decomposed_form_makes_one_moment_pass(moment_passes):
     spec = critical_point(params, 1.0)
     assert quadratic_form_decomposed(spec, top) == want
     assert len(moment_passes) == 1
-    # A perturbation built directly on another grid gets one pass at its own order.
-    rule = theta_rule(6, 3, 64)
-    coeffs = {idx: f(rule.nodes) for idx, f in top.coefficient_functions.items()}
-    b = top.b_function(rule.nodes)
-    b -= float(np.sum(rule.weights * b)) / rule.total_mass
-    coarse = PerturbationTop(params, rule, coeffs, b)
-    quadratic_form_decomposed(spec, coarse)
-    assert moment_passes[1:] == [(6, 3, 1.0, 64)]
 
 
 def test_spec_carries_one_read_only_moment_pass(moment_passes):
@@ -583,6 +616,67 @@ def test_classify_witness_is_reusable():
     spec = critical_point(params, 2.0)
     again = quadratic_form_decomposed(spec, report.witness)
     assert again == pytest.approx(report.witness_value, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(3, 9) for k in range(1, n)])
+def test_every_witness_checks_on_the_direct_form(n, k):
+    """Every Unstable report's witness assembles on the sphere, and the
+    direct form, independent of the blocks, gives it the reported
+    negative value: on the branch at eta in {-3, -0.7, 0.6, 2, 5} (and
+    eta^* - 0.3 on k = 1), and at the isotropic point above its threshold."""
+    params = SphereParams(n, k)
+    points = [(eta, None) for eta in (-3.0, -0.7, 0.6, 2.0, 5.0)]
+    if k == 1:
+        points.append((find_eta_star(params).eta_star - 0.3, None))
+    points.append((0.0, 1.3 * n * (n + 2) / 2.0))
+    unstable = 0
+    for eta, alpha in points:
+        report = classify(params, eta, alpha=alpha)
+        if report.classification != UNSTABLE:
+            continue
+        unstable += 1
+        spec = CriticalPointSpec(params, report.eta, report.alpha)
+        direct = quadratic_form_direct(spec, assemble_sphere_function(report.witness))
+        assert direct < 0.0
+        assert abs(direct - report.witness_value) <= 1e-10 * abs(report.witness_value)
+    assert unstable >= 4
+
+
+_ALPHA_TAKERS = {
+    "d_quantities": lambda alpha: d_quantities(SphereParams(5, 2), 1.0, alpha=alpha),
+    "functional_I": lambda alpha: functional_I(
+        1, SphereParams(5, 2), 1.0, equality_attainer(SphereParams(5, 2), 1.0, 1), alpha=alpha
+    ),
+    "euler_lagrange_residual": lambda alpha: euler_lagrange_residual(
+        critical_point(SphereParams(5, 2), 1.0), alpha=alpha
+    ),
+    "block_spectrum": lambda alpha: block_spectrum(SphereParams(5, 2), 1.0, "Theta", 16, alpha=alpha),
+    "full_spectrum": lambda alpha: full_spectrum(SphereParams(5, 2), 1.0, 16, alpha=alpha),
+}
+
+
+@pytest.mark.parametrize("name", _ALPHA_TAKERS)
+def test_explicit_alpha_is_checked_alike(name):
+    """Every entry point with an explicit alpha refuses one that is not
+    positive and finite with the same message, and takes a sound one."""
+    call = _ALPHA_TAKERS[name]
+    for alpha in (np.nan, np.inf, -np.inf, 0.0, -3.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="alpha must be positive and finite"):
+                call(alpha)
+    call(7.0)
+
+
+@pytest.mark.parametrize("n,k,eta", [(270, 1, 5.0), (300, 150, 1.0)])
+def test_classify_refuses_an_underflowing_witness_value(n, k, eta):
+    """The block sum is negative, but the positive area factor takes the
+    witness value below the normal doubles: a ValueError names n rather
+    than a Marginal verdict on an unstable branch."""
+    params = SphereParams(n, k)
+    assert branch_tag(params, eta) == "unstable"
+    with pytest.raises(ValueError, match=f"underflows at n = {n}"):
+        classify(params, eta)
 
 
 def test_branch_tag_is_lowercase_and_continuous_at_zero():
