@@ -36,7 +36,7 @@ import numpy as np
 
 from .moments import TiltedMeasure, scaled_moments
 from .quadrature import SphereParams, _freeze, bromwich_rule, surface_area
-from .sigma import _alpha_at, _branch_alpha
+from .sigma import _alpha_at, _branch_alpha, _checked_alpha
 
 #: Largest n at which ``bingham_second_moments`` keeps 1e-10 relative
 #: accuracy; beyond it the contour loses digits near eta = 0.
@@ -287,6 +287,7 @@ def fixed_point_map(tensor: OrderTensor, alpha: float) -> OrderTensor:
     """One application of the normalized moment map to an order tensor."""
     if tensor.n > MAX_CONTOUR_DIM:
         raise ValueError(f"the moment map supports n <= {MAX_CONTOUR_DIM}, got n={tensor.n}")
+    alpha = _checked_alpha(alpha)
     lam, frame = np.linalg.eigh(tensor.entries)
     new_lam = _picard_step(lam, alpha)
     return OrderTensor(tensor.n, (frame * new_lam) @ frame.T)
@@ -309,8 +310,7 @@ def solve_fixed_point(
     """
     if not 3 <= n <= MAX_CONTOUR_DIM:
         raise ValueError(f"fixed point solver supports 3 <= n <= {MAX_CONTOUR_DIM}, got n={n}")
-    if not np.isfinite(alpha) or alpha <= 0:
-        raise ValueError("alpha must be positive")
+    alpha = _checked_alpha(alpha)
     if not 1e-12 <= tol < np.inf:
         raise ValueError("tol must be finite and at least 1e-12, the contour's resolution")
     if initial.n != n:

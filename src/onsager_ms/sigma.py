@@ -41,9 +41,14 @@ def _branch_alpha(params: SphereParams, tilt: TiltedMeasure) -> float:
 
 
 def _alpha_at(params: SphereParams, tilt: TiltedMeasure, alpha: float | None) -> float:
-    """alpha as a float, or sigma_k(eta) from the moment pass ``tilt`` when
-    None; ValueError unless it is positive and finite."""
-    alpha = _branch_alpha(params, tilt) if alpha is None else float(alpha)
+    """alpha, or sigma_k(eta) from the moment pass ``tilt`` when None, as
+    ``_checked_alpha`` returns it."""
+    return _checked_alpha(_branch_alpha(params, tilt) if alpha is None else alpha)
+
+
+def _checked_alpha(alpha: float) -> float:
+    """alpha as a float; ValueError unless it is positive and finite."""
+    alpha = float(alpha)
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     return alpha
@@ -222,9 +227,7 @@ def invert_alpha(params: SphereParams, alpha: float) -> list[float]:
     it raises ValueError.  Each eta is evaluated once per call: Brent's
     method starts from bracket ends the search has already evaluated.
     """
-    alpha = float(alpha)
-    if not np.isfinite(alpha) or alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    alpha = _checked_alpha(alpha)
     star = find_eta_star(params)
     if abs(alpha - star.alpha_star) <= 1e-9 * star.alpha_star:
         return [star.eta_star]

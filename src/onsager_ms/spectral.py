@@ -17,15 +17,16 @@ raises instead of returning garbage.
 
 The zero modes of the mixed block are the rotational kernel of the
 equilibrium: k (n-k) modes, one per basis slot, each a multiple of
-e^{eta sin^2} sin cos.  ``full_spectrum`` aggregates all blocks with
-their multiplicities, identifies the kernel, and reports the spectral
-gap; ``gap_estimate`` turns the block minima into an explicit lower
-bound in the plain L^2 metric for stable k = 1 states.
+e^{eta sin^2} sin cos.  ``full_spectrum`` builds one block per gamma,
+shared by every family that gamma serves, pools the blocks with their
+multiplicities, identifies the kernel, and reports the spectral gap;
+``gap_estimate`` turns the block minima into an explicit lower bound in
+the plain L^2 metric for stable k = 1 states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
@@ -82,18 +83,36 @@ def family_multiplicities(params: SphereParams) -> dict[str, int]:
 
 
 @dataclass(frozen=True, eq=False)
-class _Downdate:
-    """A block's grid columns on ``rule`` at ``eta``, the mean constraint
-    (b only) and then the rank-one direction q; ``free`` is Pq, the part
-    of q that satisfies the constraint."""
+class BlockSpectrum:
+    """Spectrum of one block functional I_gamma in the weighted metric,
+    from its rank-one structure.
 
-    rule: WeightedQuadrature
+    Every basis family served by one gamma carries this same block, so
+    ``full_spectrum`` builds one per gamma and maps each of its families
+    to it.  ``eigenvalues`` is ascending: the downdated value
+    A_0 - c |Pq|^2 of the grid, then A_0 for every other eigenpair.
+    ``closed_form`` is the same spectrum with the low value taken from
+    the moments; the two agree to the grid-resolution check's tolerance.
+    ``eigenvectors`` columns hold the coefficient profiles a(theta_i) on
+    the grid of ``rule``, orthonormal in the weighted metric, the
+    downdated direction first.  They come from a complete QR
+    factorization of the block's grid columns (the mean constraint for
+    b, then q), made on first read.  The constrained b block has one
+    eigenpair fewer than grid points.
+    """
+
+    params: SphereParams
+    gamma: int
     eta: float
-    columns: tuple[np.ndarray, ...]
-    free: np.ndarray
+    alpha: float
+    rule: WeightedQuadrature
+    eigenvalues: np.ndarray
+    closed_form: np.ndarray
+    _columns: tuple[np.ndarray, ...] = field(repr=False)
+    _free: np.ndarray = field(repr=False)  # Pq, the part of q that meets the constraint
 
     @cached_property
-    def to_profile(self) -> np.ndarray:
+    def _to_profile(self) -> np.ndarray:
         """The map from grid coordinates to profiles a(theta_i)."""
         scale = np.exp(0.5 * self.eta * self.rule.sin2) / np.sqrt(self.rule.weights)
         _freeze(scale)
@@ -101,43 +120,17 @@ class _Downdate:
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
-        """The profiles of the complete QR factorization's free columns."""
-        q = np.linalg.qr(np.column_stack(self.columns), mode="complete")[0]
-        profiles = q[:, len(self.columns) - 1 :] * self.to_profile[:, None]
+        q = np.linalg.qr(np.column_stack(self._columns), mode="complete")[0]
+        profiles = q[:, len(self._columns) - 1 :] * self._to_profile[:, None]
         _freeze(profiles)
         return profiles
 
 
-@dataclass(frozen=True, eq=False)
-class BlockSpectrum:
-    """Spectrum of one block in the weighted metric, from its rank-one
-    structure.
-
-    ``eigenvalues`` is ascending: the downdated value A_0 - c |Pq|^2 of
-    the grid, then A_0 for every other eigenpair.  ``closed_form`` is
-    the same spectrum with the low value taken from the moments; the
-    two agree to the grid-resolution check's tolerance.
-    ``eigenvectors`` columns hold the coefficient profiles a(theta_i) on
-    the grid of ``rule``, orthonormal in the weighted metric, the
-    downdated direction first.  They come from a complete QR
-    factorization made on first read and shared by the copies that
-    ``full_spectrum`` makes for blocks of one gamma.  The constrained b
-    block has one eigenpair fewer than grid points.
-    """
-
-    params: SphereParams
-    family: str
-    gamma: int
-    eta: float
-    alpha: float
-    rule: WeightedQuadrature
-    eigenvalues: np.ndarray
-    closed_form: np.ndarray
-    _downdate: _Downdate = field(repr=False, compare=False)
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        return self._downdate.eigenvectors
+def _grid_rule(params: SphereParams, grid_size: int) -> WeightedQuadrature:
+    """The theta rule of ``grid_size`` points; ValueError below MIN_GRID."""
+    if _as_int("grid_size", grid_size) < MIN_GRID:
+        raise ValueError(f"grid_size must be at least {MIN_GRID}")
+    return theta_rule(params.n, params.k, grid_size)
 
 
 def _rank_one_block(
@@ -183,11 +176,9 @@ def _block_spectrum(
     params: SphereParams, tilt: TiltedMeasure, family: str, grid_size: int, alpha: float
 ) -> BlockSpectrum:
     """``block_spectrum`` from the moment pass ``tilt``, with alpha resolved."""
-    if _as_int("grid_size", grid_size) < MIN_GRID:
-        raise ValueError(f"grid_size must be at least {MIN_GRID}")
+    rule = _grid_rule(params, grid_size)
     eta, a0, shift = tilt.eta, tilt.a0, tilt.shift
     gamma = _GAMMA_BY_BLOCK[family]
-    rule = theta_rule(params.n, params.k, grid_size)
     w, t = rule.weights, rule.sin2
     growth = np.exp(eta * t - shift)
     root_mass = np.sqrt(w * growth)
@@ -216,8 +207,7 @@ def _block_spectrum(
     evals = evals * factor
     closed = closed * factor
     _freeze(evals, closed)
-    downdate = _Downdate(rule, eta, columns, free)
-    return BlockSpectrum(params, family, gamma, eta, alpha, rule, evals, closed, downdate)
+    return BlockSpectrum(params, gamma, eta, alpha, rule, evals, closed, columns, free)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,10 +247,10 @@ def full_spectrum(
 ) -> SpectrumReport:
     """Spectrum of the full discretized second variation at (k, eta).
 
-    One moment pass and one alpha (sigma_k(eta) by default)
-    serve every block.  Blocks of one functional share a spectrum, so a
-    block is built once per gamma; the pooled eigenvalues are built from
-    each block's distinct values and their multiplicities.
+    One moment pass and one alpha (sigma_k(eta) by default) serve every
+    block.  A block is its functional: ``blocks`` maps every family of
+    one gamma to the same ``BlockSpectrum``.  The pooled eigenvalues are
+    built from each block's distinct values and their multiplicities.
     """
     tilt = scaled_moments(params, eta)
     alpha = _alpha_at(params, tilt, alpha)
@@ -272,12 +262,9 @@ def full_spectrum(
         if count == 0:
             continue
         gamma = _GAMMA_BY_BLOCK[family]
-        if gamma in by_gamma:
-            block = replace(by_gamma[gamma], family=family)
-        else:
-            block = _block_spectrum(params, tilt, family, grid_size, alpha)
-            by_gamma[gamma] = block
-        blocks[family] = block
+        if gamma not in by_gamma:
+            by_gamma[gamma] = _block_spectrum(params, tilt, family, grid_size, alpha)
+        block = blocks[family] = by_gamma[gamma]
         # The downdated value, then the bulk at A_0.
         size = block.eigenvalues.size
         pairs += [(block.eigenvalues[0], count), (block.eigenvalues[-1], count * (size - 1))]
@@ -305,12 +292,11 @@ def full_spectrum(
             g = _attainer(theta_block.rule.sin2, tilt, 0)
             g_norm = float(np.sum(w * g * g))
             fractions = []
-            downdate = theta_block._downdate
             for column in zero_columns:
                 # Column 0 is Pq up to sign and scale, which the ratio below
                 # ignores; only a bulk column needs the QR basis.
                 if column == 0:
-                    a = downdate.free * downdate.to_profile
+                    a = theta_block._free * theta_block._to_profile
                 else:
                     a = theta_block.eigenvectors[:, column]
                 overlap = float(np.sum(w * a * g)) ** 2
@@ -346,8 +332,7 @@ def gap_estimate(params: SphereParams, eta: float, grid_size: int = 64) -> float
     """
     if params.k != 1:
         raise ValueError("the gap certificate covers the k = 1 branch")
-    if _as_int("grid_size", grid_size) < MIN_GRID:
-        raise ValueError(f"grid_size must be at least {MIN_GRID}")
+    rule = _grid_rule(params, grid_size)
     eta = float(eta)
     star = find_eta_star(params).eta_star
     if not eta > star:
@@ -356,7 +341,6 @@ def gap_estimate(params: SphereParams, eta: float, grid_size: int = 64) -> float
     tilt = scaled_moments(params, eta)
     alpha = _branch_alpha(params, tilt)
     a0_scaled = tilt.a0
-    rule = theta_rule(params.n, 1, grid_size)
     w, t = rule.weights, rule.sin2
     decay = np.exp(-eta * t)
     sqw = np.sqrt(w)

@@ -451,19 +451,29 @@ def assemble_sphere_function(p: PerturbationTop) -> Callable:
 def quadratic_form_decomposed(spec: CriticalPointSpec, p: PerturbationTop) -> float:
     """Second-variation value of the assembled perturbation, via the blocks
     (``p`` has checked its values and b's zero mean), from the spec's own
-    moment pass, on whose grid ``p`` carries its values."""
+    moment pass, on whose grid ``p`` carries its values.
+
+    The block sum is scaled by (|S^(k-1)| |S^(n-k-1)|)^2, about 5e-296 at
+    (n, k) = (255, 1) and smaller beyond.  Where a nonzero sum times it
+    leaves the normal doubles (below 2.2e-308), as it does at
+    (n, k, eta) = (270, 1, 5), ValueError names n."""
     if p.params != spec.params:
         raise ValueError("perturbation and spec parameters differ")
-    return _area_squared(spec.params) * _block_sum(spec, p)
+    return _scaled_form(spec.params, _block_sum(spec, p))
 
 
-def _area_squared(params: SphereParams) -> float:
-    """(|S^(k-1)| |S^(n-k-1)|)^2, the positive factor of the decomposed form."""
-    return (surface_area(params.k) * surface_area(params.complement)) ** 2
+def _scaled_form(params: SphereParams, total: float) -> float:
+    """The decomposed form from its block sum ``total``: that times the
+    positive factor (|S^(k-1)| |S^(n-k-1)|)^2.  ValueError naming n when
+    a nonzero sum underflows there to zero or a subnormal."""
+    value = (surface_area(params.k) * surface_area(params.complement)) ** 2 * total
+    if total != 0.0 and abs(value) < np.finfo(float).tiny:
+        raise ValueError(f"the decomposed form underflows at n = {params.n}: the block sum is {total:g}")
+    return value
 
 
 def _block_sum(spec: CriticalPointSpec, p: PerturbationTop) -> float:
-    """The decomposed form over ``_area_squared``: each slot's I_gamma over
+    """The decomposed form before its area factor: each slot's I_gamma over
     its d_gamma, plus I_3 of b, from the spec's moment pass."""
     params, tilt = spec.params, spec._tilt
     total = 0.0
@@ -492,6 +502,8 @@ def quadratic_form_direct(spec: CriticalPointSpec, phi: Callable) -> float:
     vals = np.asarray(phi(pts), dtype=float)
     if vals.shape != w.shape:
         raise ValueError("phi must return one value per quadrature point")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("phi values must be finite")
     if abs(float(np.sum(w * vals))) > 1e-9 * max(1.0, float(np.sum(w * np.abs(vals)))):
         raise ValueError("phi must have zero mean over the sphere")
     s2 = np.einsum("ij,ij->i", canonical[:, :k], canonical[:, :k])
@@ -616,9 +628,7 @@ def classify(
     if not total < 0.0:
         # The boundary sits below floating-point resolution here.
         return StabilityReport(params, eta, spec.alpha, MARGINAL, dq)
-    value = _area_squared(params) * total
-    if not -value >= np.finfo(float).tiny:
-        raise ValueError(f"the witness value underflows at n = {n}: the block sum is {total:g}")
+    value = _scaled_form(params, total)
     return StabilityReport(params, eta, spec.alpha, UNSTABLE, dq, top, float(value))
 
 

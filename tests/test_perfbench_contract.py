@@ -2,8 +2,9 @@
 ``perfbench/spans.py`` lists in ``TRACED`` or imports from the library must
 still exist, or ``Recorder.install`` fails with an AttributeError and a
 ``--trace 1`` run dies.  The workloads and the traced entry scripts call the
-library by name too.  The run also reads the rule caches' counters, and its
-``cli`` workload runs fixed command lines that the parser must accept."""
+library by name too, and their checks read fields of its results.  The run
+also reads the rule caches' counters, and its ``cli`` workload runs fixed
+command lines that the parser must accept."""
 
 import ast
 import importlib
@@ -93,13 +94,17 @@ def test_rule_caches_expose_the_counters_the_trace_reads():
     assert callable(polar_rule.__wrapped__)
 
 
+def _workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("workloads")
+
+
 def test_cli_workload_argvs_parse(monkeypatch):
     """Every command line of the ``cli`` workload parses, so a parser change
     cannot turn its jobs into usage errors."""
     from onsager_ms.cli import build_parser
 
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    workloads = importlib.import_module("workloads")
+    workloads = _workloads(monkeypatch)
     parser = build_parser()
     subcommands = set()
     for seed in range(1, 11):
@@ -107,3 +112,16 @@ def test_cli_workload_argvs_parse(monkeypatch):
             assert parser.parse_args([sub, *args]).command == sub
             subcommands.add(sub)
     assert len(subcommands) == 7
+
+
+def test_one_benchmark_job_of_each_kind_passes_its_check(monkeypatch):
+    """The first branch, diagram and threshold job of a ``branches`` round
+    and one ``low_bundle`` of a ``sphere`` round run and pass their checks,
+    so a renamed or removed result field fails here, not in a benchmark run."""
+    workloads = _workloads(monkeypatch)
+    jobs = {}
+    for job in workloads.branches_round(1) + workloads.sphere_round(1):
+        jobs.setdefault(job.kind, job)
+    for kind in ("branch", "diagram", "threshold", "low_bundle"):
+        job = jobs[kind]
+        assert job.check(job.run()) == 0, kind

@@ -8,6 +8,7 @@ from onsager_ms.quadrature import SphereParams, theta_rule
 from onsager_ms.sigma import _branch_alpha, find_eta_star, invert_alpha, sigma_value
 from onsager_ms.spectral import (
     _CLOSED_FORM_RTOL,
+    _GAMMA_BY_BLOCK,
     BLOCK_FAMILIES,
     _rank_one_block,
     block_spectrum,
@@ -220,6 +221,20 @@ def test_full_spectrum_pools_multiplicities():
             if count > 0
         ]))
         assert np.array_equal(report.eigenvalues, tiled)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(3, 9) for k in range(1, n)])
+def test_families_of_one_gamma_share_one_block(n, k):
+    """A block is its functional: ``full_spectrum`` maps every nonempty
+    family of one gamma to the same block, and different gammas to
+    different blocks."""
+    params = SphereParams(n, k)
+    report = full_spectrum(params, 1.0, grid_size=16)
+    assert set(report.blocks) == {f for f, count in family_multiplicities(params).items() if count}
+    for family, block in report.blocks.items():
+        assert block.gamma == _GAMMA_BY_BLOCK[family]
+        for other, other_block in report.blocks.items():
+            assert (block is other_block) == (_GAMMA_BY_BLOCK[family] == _GAMMA_BY_BLOCK[other])
 
 
 @pytest.mark.parametrize("n,k,eta", [(4, 1, 3.0), (6, 3, -1.5)])

@@ -12,6 +12,7 @@ from onsager_ms.equilibrium import (
     critical_point,
     density,
     euler_lagrange_residual,
+    fixed_point_map,
     isotropic_point,
     log_density,
     solve_fixed_point,
@@ -26,7 +27,7 @@ from onsager_ms.quadrature import (
     surface_area,
     theta_rule,
 )
-from onsager_ms.sigma import find_eta_star, sigma_prime, sigma_value
+from onsager_ms.sigma import find_eta_star, invert_alpha, sigma_prime, sigma_value
 from onsager_ms.spectral import block_spectrum, full_spectrum
 from onsager_ms.stability import (
     FAMILIES,
@@ -416,6 +417,11 @@ def test_forms_reject_mismatched_input():
         quadratic_form_direct(spec, lambda m: m[:-1, 0])
     with pytest.raises(ValueError, match="zero mean over the sphere"):
         quadratic_form_direct(spec, lambda m: m[:, 0] ** 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                quadratic_form_direct(spec, lambda m, bad=bad: np.full(len(m), bad))
 
 
 def test_decomposed_matches_direct_form():
@@ -652,6 +658,9 @@ _ALPHA_TAKERS = {
     ),
     "block_spectrum": lambda alpha: block_spectrum(SphereParams(5, 2), 1.0, "Theta", 16, alpha=alpha),
     "full_spectrum": lambda alpha: full_spectrum(SphereParams(5, 2), 1.0, 16, alpha=alpha),
+    "invert_alpha": lambda alpha: invert_alpha(SphereParams(5, 2), alpha),
+    "fixed_point_map": lambda alpha: fixed_point_map(OrderTensor.random_unit(4, np.random.default_rng(0)), alpha),
+    "solve_fixed_point": lambda alpha: solve_fixed_point(3, alpha, OrderTensor.zero(3)),
 }
 
 
@@ -679,6 +688,21 @@ def test_classify_refuses_an_underflowing_witness_value(n, k, eta):
         classify(params, eta)
 
 
+def test_decomposed_form_refuses_an_underflow():
+    """The area factor (|S^0| |S^(n-2)|)^2 takes a nonzero block sum below
+    the normal doubles at n = 270: a ValueError names n rather than a
+    silent 0.0.  At n = 200 the form is still a normal double."""
+
+    def form(n):
+        params = SphereParams(n, 1)
+        top = PerturbationTop(params, {BasisIndex("Theta", (1, 1)): lambda th: np.sin(th) * np.cos(th)})
+        return quadratic_form_decomposed(critical_point(params, 5.0), top)
+
+    assert np.finfo(float).tiny <= form(200) < 1e-200
+    with pytest.raises(ValueError, match="underflows at n = 270"):
+        form(270)
+
+
 def test_branch_tag_is_lowercase_and_continuous_at_zero():
     for n, k in PAIRS:
         tag = branch_tag(SphereParams(n, k), 0.0)
@@ -700,7 +724,6 @@ _ARRAY_HOLDERS = {
     "CriticalPointSpec": lambda: critical_point(SphereParams(4, 1), 2.0),
     "WeightedQuadrature": lambda: build_weighted_quadrature(SphereParams(4, 1), 16),
     "SphereQuadrature": lambda: build_sphere_quadrature(3, 4),
-    "_Downdate": lambda: block_spectrum(SphereParams(4, 1), 1.0, "Theta", 16)._downdate,
     "BlockSpectrum": lambda: block_spectrum(SphereParams(4, 1), 1.0, "Theta", 16),
     "SpectrumReport": lambda: full_spectrum(SphereParams(4, 1), 1.0, 16),
     "PerturbationTop": lambda: random_smooth_perturbation(SphereParams(4, 1), 1.0, np.random.default_rng(0)),
