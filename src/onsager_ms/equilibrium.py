@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .moments import TiltedMeasure, scaled_moments
-from .quadrature import SphereParams, _freeze, bromwich_rule, surface_area
+from .quadrature import SphereParams, _freeze, _whole, bromwich_rule, surface_area
 from .sigma import _alpha_at, _branch_alpha, _checked_alpha
 
 #: Largest n at which ``bingham_second_moments`` keeps 1e-10 relative
@@ -151,7 +151,7 @@ class CriticalPointSpec:
             raise ValueError("eta = 0 is the isotropic point; pass alpha explicitly")
         object.__setattr__(self, "_tilt", tilt)
         object.__setattr__(self, "eta", tilt.eta)
-        object.__setattr__(self, "alpha", _alpha_at(self.params, tilt, self.alpha))
+        object.__setattr__(self, "alpha", _alpha_at(tilt, self.alpha))
         rot = np.eye(n) if self.rotation is None else np.asarray(self.rotation, float)
         if rot.shape != (n, n):
             raise ValueError(f"rotation must be {n}x{n}, got {rot.shape}")
@@ -161,7 +161,7 @@ class CriticalPointSpec:
         _freeze(rot)
         object.__setattr__(self, "rotation", rot)
         if self.eta != 0.0:
-            target = _branch_alpha(self.params, tilt)
+            target = _branch_alpha(tilt)
             if abs(self.alpha - target) > 1e-10 * target:
                 raise ValueError(
                     f"alpha={self.alpha} is not sigma_k(eta)={target} "
@@ -258,7 +258,7 @@ def euler_lagrange_residual(spec: CriticalPointSpec, alpha: float | None = None)
     moments behind sigma_k, so the residual stays an independent check of
     alpha = sigma_k(eta).  Supports n <= 20.
     """
-    alpha = _alpha_at(spec.params, spec._tilt, spec.alpha if alpha is None else alpha)
+    alpha = _alpha_at(spec._tilt, spec.alpha if alpha is None else alpha)
     exponent = np.zeros(spec.params.n)
     exponent[: spec.params.k] = spec.eta
     b = exponent - alpha * bingham_second_moments(exponent)
@@ -308,6 +308,7 @@ def solve_fixed_point(
     stall there.  Non-convergence after 500 steps is reported in the
     result, not raised.
     """
+    n = _whole("n", n)
     if not 3 <= n <= MAX_CONTOUR_DIM:
         raise ValueError(f"fixed point solver supports 3 <= n <= {MAX_CONTOUR_DIM}, got n={n}")
     alpha = _checked_alpha(alpha)

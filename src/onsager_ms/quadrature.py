@@ -82,11 +82,9 @@ class SphereParams:
     k: int
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or int(self.k) != self.k:
-            raise ValueError("n and k must be integers")
         # Integral floats become ints, which the rule accessors require.
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "n", _whole("n", self.n))
+        object.__setattr__(self, "k", _whole("k", self.k))
         if self.n < 3:
             raise ValueError(f"need n >= 3, got n={self.n}")
         if not 1 <= self.k <= self.n - 1:
@@ -100,7 +98,7 @@ class SphereParams:
 
 def surface_area(d: int) -> float:
     """Surface area of the unit sphere S^(d-1): 2 pi^(d/2) / Gamma(d/2)."""
-    if d < 1:
+    if not 1 <= d < math.inf:
         raise ValueError(f"need d >= 1, got d={d}")
     return float(2.0 * math.exp(0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)))
 
@@ -199,6 +197,18 @@ def _as_int(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _whole(name: str, value) -> int:
+    """``value`` as an int when it equals one, an integral float such as
+    3.0 included; ValueError naming it otherwise (3.5, nan, inf, None)."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return whole
 
 
 def _freeze(*arrays: np.ndarray) -> None:

@@ -35,15 +35,16 @@ from .moments import ETA_MAX, TiltedMeasure, scaled_moments
 from .quadrature import SphereParams
 
 
-def _branch_alpha(params: SphereParams, tilt: TiltedMeasure) -> float:
-    """sigma_k = k (n-k) / (2 s); the moment pass guarantees s = E[t(1-t)] > 0."""
+def _branch_alpha(tilt: TiltedMeasure) -> float:
+    """sigma_k = k (n-k) / (2 s), (n, k) and s = E[t(1-t)] > 0 from the moment pass ``tilt``."""
+    params = tilt.rule.params
     return params.k * params.complement / (2.0 * tilt.s)
 
 
-def _alpha_at(params: SphereParams, tilt: TiltedMeasure, alpha: float | None) -> float:
+def _alpha_at(tilt: TiltedMeasure, alpha: float | None) -> float:
     """alpha, or sigma_k(eta) from the moment pass ``tilt`` when None, as
     ``_checked_alpha`` returns it."""
-    return _checked_alpha(_branch_alpha(params, tilt) if alpha is None else alpha)
+    return _checked_alpha(_branch_alpha(tilt) if alpha is None else alpha)
 
 
 def _checked_alpha(alpha: float) -> float:
@@ -54,16 +55,17 @@ def _checked_alpha(alpha: float) -> float:
     return alpha
 
 
-def _branch_slope(params: SphereParams, tilt: TiltedMeasure) -> float:
-    """sigma_k' = -k (n-k) Cov(t, t(1-t)) / (2 s^2), the covariance as a centred sum."""
-    centred_t = tilt.weights * (tilt.rule.sin2 - tilt.mean)
-    cov = float(centred_t @ (tilt.rule.moment_rows[2] - tilt.s)) / tilt.a0  # row 2: t(1-t)
-    return -params.k * params.complement * cov / (2.0 * tilt.s * tilt.s)
+def _branch_slope(tilt: TiltedMeasure) -> float:
+    """sigma_k' = -k (n-k) Cov(t, t(1-t)) / (2 s^2) from ``tilt``, the covariance as a centred sum."""
+    rule = tilt.rule
+    centred_t = tilt.weights * (rule.sin2 - tilt.mean)
+    cov = float(centred_t @ (rule.moment_rows[2] - tilt.s)) / tilt.a0  # row 2: t(1-t)
+    return -rule.params.k * rule.params.complement * cov / (2.0 * tilt.s * tilt.s)
 
 
 def sigma_value(params: SphereParams, eta: float) -> float:
     """Interaction strength alpha = sigma_k(eta) carrying the k-branch."""
-    return _branch_alpha(params, scaled_moments(params, eta))
+    return _branch_alpha(scaled_moments(params, eta))
 
 
 def sigma_prime(params: SphereParams, eta: float) -> float:
@@ -72,7 +74,7 @@ def sigma_prime(params: SphereParams, eta: float) -> float:
     sigma_k' = -k(n-k) Cov(t, t(1-t)) / (2 s^2).  The covariance is summed
     centred and keeps absolute accuracy near its zero at the fold.
     """
-    return _branch_slope(params, scaled_moments(params, eta))
+    return _branch_slope(scaled_moments(params, eta))
 
 
 def sigma_prime_fd(params: SphereParams, eta: float) -> float:
@@ -92,7 +94,7 @@ class SigmaSample:
 
 def sample(params: SphereParams, eta: float) -> SigmaSample:
     tilt = scaled_moments(params, eta)
-    return SigmaSample(tilt.eta, _branch_alpha(params, tilt), _branch_slope(params, tilt))
+    return SigmaSample(tilt.eta, _branch_alpha(tilt), _branch_slope(tilt))
 
 
 @dataclass(frozen=True)
@@ -189,7 +191,7 @@ def _eta_star_cached(n: int, k: int) -> EtaStar:
     def dphi(e: float) -> float:
         if e not in tilts:
             tilts[e] = scaled_moments(params, e)
-        return _branch_slope(params, tilts[e])
+        return _branch_slope(tilts[e])
 
     # Bracket the sign change of sigma', doubling outward from +-8.  The
     # asymptotic slopes have opposite signs so this terminates quickly.
@@ -201,7 +203,7 @@ def _eta_star_cached(n: int, k: int) -> EtaStar:
             f"the fold of the intensity curve lies outside the moment domain |eta| <= {ETA_MAX}"
         )
     est = _brent(dphi, -span, span, xtol=1e-13, rtol=4 * np.finfo(float).eps)
-    return EtaStar(params, est, _branch_alpha(params, tilts[est]))
+    return EtaStar(params, est, _branch_alpha(tilts[est]))
 
 
 def find_eta_star(params: SphereParams) -> EtaStar:

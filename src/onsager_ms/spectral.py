@@ -15,11 +15,13 @@ D3, or exactly zero for the mixed block on an anisotropic branch); a
 disagreement means the grid cannot resolve the exponential weight and
 raises instead of returning garbage.
 
-The zero modes of the mixed block are the rotational kernel of the
-equilibrium: k (n-k) modes, one per basis slot, each a multiple of
-e^{eta sin^2} sin cos.  ``full_spectrum`` builds one block per gamma,
-shared by every family that gamma serves, pools the blocks with their
-multiplicities, identifies the kernel, and reports the spectral gap;
+Which family feeds which block, and how many slots (the block's
+multiplicity) each has, is listed once, in ``stability``'s docstring.
+The zero modes of the mixed block I_0 are the rotational kernel of the
+equilibrium, one per Theta slot, each a multiple of e^{eta sin^2} sin cos.
+``full_spectrum`` builds one block per gamma, shared by every family
+that gamma serves, pools the blocks with their multiplicities,
+identifies the kernel, and reports the spectral gap;
 ``gap_estimate`` turns the block minima into an explicit lower bound in
 the plain L^2 metric for stable k = 1 states.
 """
@@ -33,12 +35,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .moments import TiltedMeasure, scaled_moments
+from .moments import TiltedMeasure, _checked_eta, scaled_moments
 from .quadrature import (
     SphereParams,
     WeightedQuadrature,
     _as_int,
     _freeze,
+    _whole,
     surface_area,
     theta_rule,
 )
@@ -46,13 +49,9 @@ from .sigma import _alpha_at, _branch_alpha, find_eta_star
 from .stability import (
     FAMILIES,
     GAMMA_BY_FAMILY,
-    OMEGA_A,
-    OMEGA_B,
-    THETA,
-    XI_A,
-    XI_B,
     _attainer,
     _block_low,
+    _limits,
     _profile,
     _rank_one_coefficient,
 )
@@ -70,16 +69,9 @@ KERNEL_RTOL = 1e-8
 
 def family_multiplicities(params: SphereParams) -> dict[str, int]:
     """How many identical copies of each block the full form contains:
-    the number of basis slots of each family, and one radial block b."""
-    k, nk = params.k, params.complement
-    return {
-        OMEGA_A: k - 1,
-        OMEGA_B: k * (k - 1) // 2,
-        XI_A: nk - 1,
-        XI_B: nk * (nk - 1) // 2,
-        THETA: k * nk,
-        "b": 1,
-    }
+    the number of basis slots of each family, in ``stability``'s closed
+    form, and one radial block b."""
+    return {**{family: _limits(family, params)[2] for family in FAMILIES}, "b": 1}
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,13 +161,12 @@ def block_spectrum(
     if family_multiplicities(params)[family] == 0:
         raise ValueError(f"family {family} is empty for (n, k) = ({params.n}, {params.k})")
     tilt = scaled_moments(params, eta)
-    return _block_spectrum(params, tilt, family, grid_size, _alpha_at(params, tilt, alpha))
+    return _block_spectrum(tilt, family, grid_size, _alpha_at(tilt, alpha))
 
 
-def _block_spectrum(
-    params: SphereParams, tilt: TiltedMeasure, family: str, grid_size: int, alpha: float
-) -> BlockSpectrum:
+def _block_spectrum(tilt: TiltedMeasure, family: str, grid_size: int, alpha: float) -> BlockSpectrum:
     """``block_spectrum`` from the moment pass ``tilt``, with alpha resolved."""
+    params = tilt.rule.params
     rule = _grid_rule(params, grid_size)
     eta, a0, shift = tilt.eta, tilt.a0, tilt.shift
     gamma = _GAMMA_BY_BLOCK[family]
@@ -193,7 +184,7 @@ def _block_spectrum(
         free, columns = direction, (direction,)
     evals = np.full(w.size - len(columns) + 1, a0)
     evals[0] = a0 - _rank_one_coefficient(gamma, params) * alpha * (free @ free)
-    low = _block_low(gamma, params, tilt, alpha)
+    low = _block_low(gamma, tilt, alpha)
     closed = np.concatenate(([low], np.full(evals.size - 1, a0)))
     closed.sort()
 
@@ -253,7 +244,7 @@ def full_spectrum(
     built from each block's distinct values and their multiplicities.
     """
     tilt = scaled_moments(params, eta)
-    alpha = _alpha_at(params, tilt, alpha)
+    alpha = _alpha_at(tilt, alpha)
     counts = family_multiplicities(params)
     blocks: dict[str, BlockSpectrum] = {}
     by_gamma: dict[int, BlockSpectrum] = {}
@@ -263,7 +254,7 @@ def full_spectrum(
             continue
         gamma = _GAMMA_BY_BLOCK[family]
         if gamma not in by_gamma:
-            by_gamma[gamma] = _block_spectrum(params, tilt, family, grid_size, alpha)
+            by_gamma[gamma] = _block_spectrum(tilt, family, grid_size, alpha)
         block = blocks[family] = by_gamma[gamma]
         # The downdated value, then the bulk at A_0.
         size = block.eigenvalues.size
@@ -284,7 +275,7 @@ def full_spectrum(
     )
 
     projection = None
-    theta_block = blocks.get(THETA)
+    theta_block = by_gamma.get(0)
     if theta_block is not None:
         zero_columns = np.nonzero(np.abs(theta_block.eigenvalues) < threshold)[0]
         if zero_columns.size:
@@ -328,18 +319,19 @@ def gap_estimate(params: SphereParams, eta: float, grid_size: int = 64) -> float
     minima (with the kernel direction and the mean constraint projected
     out) are computed directly in the plain metric; the complement of
     the decomposable subspace contributes min over the sphere of 1/f_0.
-    The bound degenerates to zero as eta approaches the fold from above.
+    The bound degenerates to zero as eta approaches the fold from above;
+    an eta outside the moment domain raises the moments' ValueError.
     """
     if params.k != 1:
         raise ValueError("the gap certificate covers the k = 1 branch")
     rule = _grid_rule(params, grid_size)
-    eta = float(eta)
+    eta = _checked_eta(eta)
     star = find_eta_star(params).eta_star
     if not eta > star:
         raise ValueError("k = 1 equilibria are stable only for eta > eta_1^*")
 
     tilt = scaled_moments(params, eta)
-    alpha = _branch_alpha(params, tilt)
+    alpha = _branch_alpha(tilt)
     a0_scaled = tilt.a0
     w, t = rule.weights, rule.sin2
     decay = np.exp(-eta * t)
@@ -379,9 +371,7 @@ def isotropic_threshold(n: int, tol: float = 1e-8, grid_size: int = 32) -> float
     the discretized second variation at eta = 0.  The exact crossing is
     n (n + 2) / 2 for every n.
     """
-    if int(n) != n:
-        raise ValueError("n must be an integer")
-    n = int(n)
+    n = _whole("n", n)
     if n < 3:
         raise ValueError("n must be at least 3")
     if not 0.0 < tol < np.inf:

@@ -11,6 +11,17 @@ per basis slot, each a rank-one downdate of a weighted norm:
     I_gamma(a) = A_0(eta) * int e^{-eta sin^2} a^2 dmu
                  - c_gamma * alpha * ( int u_gamma a dmu )^2.
 
+The basis families, their slots (1-based) and counts, and the functional
+each feeds (``_FAMILY_TABLE``; every per-family rule is read from it):
+
+    family   slots                     count           feeds  on
+    Omega_A  (0, l), l <= k-1          k-1             I_1    S^(k-1)
+    Omega_B  (i, i'), i < i' <= k      k(k-1)/2        I_1    S^(k-1)
+    Xi_A     (0, l), l <= n-k-1        n-k-1           I_2    S^(n-k-1)
+    Xi_B     (i, i'), i < i' <= n-k    (n-k)(n-k-1)/2  I_2    S^(n-k-1)
+    Theta    (i, j), i <= k, j <= n-k  k(n-k)          I_0    both: omega_i xi_j
+    b        radial profile b(theta)   1               I_3
+
 The signs of the three scalars D1, D2, D3 (the downdated directions'
 extreme values) decide stability: the isotropic state is stable exactly
 up to alpha = n(n+2)/2; branches with 2 <= k <= n-2 are always unstable;
@@ -62,10 +73,18 @@ OMEGA_B = "Omega_B"
 XI_A = "Xi_A"
 XI_B = "Xi_B"
 THETA = "Theta"
-FAMILIES = (OMEGA_A, OMEGA_B, XI_A, XI_B, THETA)
 
-# Functional index served by each basis family in the decomposition.
-GAMMA_BY_FAMILY = {OMEGA_A: 1, OMEGA_B: 1, XI_A: 2, XI_B: 2, THETA: 0}
+# Each family's functional I_gamma and slot kind: "A" or "B" on the factor
+# sphere of gamma, or "mixed" on both (see the module docstring).
+_FAMILY_TABLE = {
+    OMEGA_A: (1, "A"),
+    OMEGA_B: (1, "B"),
+    XI_A: (2, "A"),
+    XI_B: (2, "B"),
+    THETA: (0, "mixed"),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
+GAMMA_BY_FAMILY = {family: gamma for family, (gamma, _) in _FAMILY_TABLE.items()}
 
 # Theta order of the direct form's polar rule, other than the blocks'
 # DEFAULT_ORDER.  Every block integrand (phi^2, phi m m^T, the Gram
@@ -80,12 +99,8 @@ _PHI_BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class BasisIndex:
-    """One slot of the quadratic basis U.
-
-    A-families use (0, l); B-families use ordered pairs (i, i') with
-    i < i'; the mixed Theta family uses (i, j) with i indexing omega and
-    j indexing xi.  All indices are 1-based as in the defining formulas.
-    """
+    """One slot of the quadratic basis U, indexed as the module docstring's
+    table states: (0, l), (i, i') with i < i', or (i, j) for Theta."""
 
     family: str
     indices: tuple[int, int]
@@ -96,46 +111,45 @@ class BasisIndex:
         pair = (int(self.indices[0]), int(self.indices[1]))
         object.__setattr__(self, "indices", pair)
         i, j = pair
-        if self.family in (OMEGA_A, XI_A):
-            if i != 0 or j < 1:
-                raise ValueError(f"A-family indices are (0, l) with l >= 1, got {pair}")
-        elif self.family in (OMEGA_B, XI_B):
-            if not 1 <= i < j:
-                raise ValueError(f"B-family indices are pairs 1 <= i < i', got {pair}")
-        else:
-            if i < 1 or j < 1:
-                raise ValueError(f"Theta indices are (i, j) with i, j >= 1, got {pair}")
+        kind = _FAMILY_TABLE[self.family][1]
+        if kind == "A" and not (i == 0 and j >= 1):
+            raise ValueError(f"A-family indices are (0, l) with l >= 1, got {pair}")
+        if kind == "B" and not 1 <= i < j:
+            raise ValueError(f"B-family indices are pairs 1 <= i < i', got {pair}")
+        if kind == "mixed" and not (i >= 1 and j >= 1):
+            raise ValueError(f"Theta indices are (i, j) with i, j >= 1, got {pair}")
+
+
+def _side(gamma: int, params: SphereParams) -> int:
+    """Dimension of a one-sphere slot's factor: k for omega (gamma = 1), else n - k."""
+    return params.k if gamma == 1 else params.complement
+
+
+def _limits(family: str, params: SphereParams) -> tuple[int, int, int]:
+    """The largest i and the largest j of a family's slots at (n, k), and
+    the number of slots, in closed form."""
+    gamma, kind = _FAMILY_TABLE[family]
+    if kind == "mixed":
+        return params.k, params.complement, params.k * params.complement
+    d = _side(gamma, params)
+    return (0, d - 1, d - 1) if kind == "A" else (d - 1, d, d * (d - 1) // 2)
 
 
 def _check_ranges(idx: BasisIndex, params: SphereParams) -> None:
-    k, nk = params.k, params.complement
+    top_i, top_j, _ = _limits(idx.family, params)
     i, j = idx.indices
-    limits = {
-        OMEGA_A: j <= k - 1,
-        OMEGA_B: j <= k,
-        XI_A: j <= nk - 1,
-        XI_B: j <= nk,
-        THETA: i <= k and j <= nk,
-    }
-    if not limits[idx.family]:
-        raise ValueError(f"{idx} is out of range for (n, k) = ({params.n}, {k})")
+    if not (i <= top_i and j <= top_j):
+        raise ValueError(f"{idx} is out of range for (n, k) = ({params.n}, {params.k})")
 
 
 def basis_indices(params: SphereParams) -> tuple[BasisIndex, ...]:
     """All basis slots for (n, k), in a fixed deterministic order."""
-    k, nk = params.k, params.complement
     out: list[BasisIndex] = []
-    out.extend(BasisIndex(OMEGA_A, (0, l)) for l in range(1, k))
-    out.extend(
-        BasisIndex(OMEGA_B, (i, j)) for i in range(1, k + 1) for j in range(i + 1, k + 1)
-    )
-    out.extend(BasisIndex(XI_A, (0, l)) for l in range(1, nk))
-    out.extend(
-        BasisIndex(XI_B, (i, j)) for i in range(1, nk + 1) for j in range(i + 1, nk + 1)
-    )
-    out.extend(
-        BasisIndex(THETA, (i, j)) for i in range(1, k + 1) for j in range(1, nk + 1)
-    )
+    for family, (_, kind) in _FAMILY_TABLE.items():
+        top_i, top_j, _ = _limits(family, params)
+        for i in range(0 if kind == "A" else 1, top_i + 1):
+            first_j = i + 1 if kind == "B" else 1
+            out.extend(BasisIndex(family, (i, j)) for j in range(first_j, top_j + 1))
     return tuple(out)
 
 
@@ -146,16 +160,12 @@ def _a_value(vec: np.ndarray, j: int) -> np.ndarray:
 
 
 def _basis_values(idx: BasisIndex, omega: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    gamma, kind = _FAMILY_TABLE[idx.family]
     i, j = idx.indices
-    if idx.family == OMEGA_A:
-        return _a_value(omega, j)
-    if idx.family == OMEGA_B:
-        return omega[..., i - 1] * omega[..., j - 1]
-    if idx.family == XI_A:
-        return _a_value(xi, j)
-    if idx.family == XI_B:
-        return xi[..., i - 1] * xi[..., j - 1]
-    return omega[..., i - 1] * xi[..., j - 1]
+    if kind == "mixed":
+        return omega[..., i - 1] * xi[..., j - 1]
+    vec = omega if gamma == 1 else xi
+    return _a_value(vec, j) if kind == "A" else vec[..., i - 1] * vec[..., j - 1]
 
 
 def basis_eval(idx: BasisIndex, omega, xi):
@@ -200,17 +210,17 @@ def gram_matrix_quadrature(params: SphereParams) -> np.ndarray:
     idxs = basis_indices(params)
     om_pts, om_w = _degree5_nodes(params.k)
     xi_pts, xi_w = _degree5_nodes(params.complement)
-    # Each slot's values on the omega nodes and on the xi nodes; a slot
-    # that does not depend on one block is 1 there.
+    # Each slot's values on the omega nodes and on the xi nodes; a
+    # one-sphere slot reads only its own factor and is 1 on the other.
     rows = []
     for idx in idxs:
-        if idx.family in (OMEGA_A, OMEGA_B):
-            rows.append((_basis_values(idx, om_pts, xi_pts[:0]), np.ones(len(xi_w))))
-        elif idx.family in (XI_A, XI_B):
-            rows.append((np.ones(len(om_w)), _basis_values(idx, om_pts[:0], xi_pts)))
-        else:
+        gamma, kind = _FAMILY_TABLE[idx.family]
+        if kind == "mixed":
             i, j = idx.indices
             rows.append((om_pts[:, i - 1], xi_pts[:, j - 1]))
+        else:
+            vals = _basis_values(idx, om_pts, xi_pts)
+            rows.append((vals, np.ones(len(xi_w))) if gamma == 1 else (np.ones(len(om_w)), vals))
     om, xi = (np.array(side) for side in zip(*rows))
     om_gram, xi_gram = (om * om_w) @ om.T, (xi * xi_w) @ xi.T
     # Omega-only pairs integrate over S^(k-1) alone, xi-only pairs over S^(n-k-1).
@@ -236,14 +246,10 @@ def wx_functionals(params: SphereParams) -> dict[BasisIndex, np.ndarray]:
     """
     out: dict[BasisIndex, np.ndarray] = {}
     for idx in basis_indices(params):
-        if idx.family == OMEGA_A:
-            out[idx] = _wx_vector(params.k, idx.indices[1])
-        elif idx.family == OMEGA_B:
-            out[idx] = np.zeros(params.k)
-        elif idx.family == XI_A:
-            out[idx] = _wx_vector(params.complement, idx.indices[1])
-        elif idx.family == XI_B:
-            out[idx] = np.zeros(params.complement)
+        gamma, kind = _FAMILY_TABLE[idx.family]
+        if kind != "mixed":
+            d = _side(gamma, params)
+            out[idx] = _wx_vector(d, idx.indices[1]) if kind == "A" else np.zeros(d)
     return out
 
 
@@ -263,8 +269,9 @@ def _rank_one_coefficient(gamma: int, params: SphereParams) -> float:
     return numerator / _slot_denominator(gamma, params)
 
 
-def _block_low(gamma: int, params: SphereParams, tilt: TiltedMeasure, alpha: float) -> float:
-    """Closed-form lowest eigenvalue of block gamma at the scale of ``tilt``.
+def _block_low(gamma: int, tilt: TiltedMeasure, alpha: float) -> float:
+    """Closed-form lowest eigenvalue of block gamma at the scale of the
+    moment pass ``tilt``, which carries (n, k).
 
     On the branch it is the sign scalar D_gamma: D_0 = 0 (the rotation
     modes), D_1 = -2 eta A_0 E[t^2(1-t)]/((k+2)s),
@@ -274,8 +281,9 @@ def _block_low(gamma: int, params: SphereParams, tilt: TiltedMeasure, alpha: flo
     A_0 - c_gamma alpha N_gamma (c_gamma the rank-one coefficient,
     N_gamma the squared profile norm).
     """
-    n, k, eta, a0 = params.n, params.k, tilt.eta, tilt.a0
-    sigma = _branch_alpha(params, tilt)
+    params, eta, a0 = tilt.rule.params, tilt.eta, tilt.a0
+    n, k = params.n, params.k
+    sigma = _branch_alpha(tilt)
     if gamma == 0:
         d = 0.0
     elif gamma == 1:
@@ -283,7 +291,7 @@ def _block_low(gamma: int, params: SphereParams, tilt: TiltedMeasure, alpha: flo
     elif gamma == 2:
         d = 2.0 * eta * a0 * tilt.s_cos2 / ((n - k + 2) * tilt.s)
     else:
-        d = eta * a0 * _branch_slope(params, tilt) / sigma
+        d = eta * a0 * _branch_slope(tilt) / sigma
     ratio = alpha / sigma
     return a0 * (1.0 - ratio) + ratio * d
 
@@ -301,27 +309,17 @@ def functional_I(
     against the measure.
     """
     tilt = scaled_moments(params, eta)
-    vals = np.asarray(a, dtype=float)
-    if vals.shape != tilt.rule.weights.shape:
-        raise ValueError("coefficient values must be sampled on the quadrature grid")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("coefficient values must be finite")
-    alpha = _alpha_at(params, tilt, alpha)
-    if gamma == 3:
-        w = tilt.rule.weights
-        mean = float(np.sum(w * vals))
-        if abs(mean) > 1e-10 * max(1.0, float(np.sum(w * np.abs(vals)))):
-            raise ValueError("the radial profile b must have zero mean")
-    return _functional_value(gamma, params, tilt, vals, alpha)
+    vals = _grid_values(a, tilt.rule, "coefficient values", zero_mean=gamma == 3)
+    return _functional_value(gamma, tilt, vals, _alpha_at(tilt, alpha))
 
 
-def _functional_value(gamma: int, params: SphereParams, tilt: TiltedMeasure, vals, alpha) -> float:
+def _functional_value(gamma: int, tilt: TiltedMeasure, vals, alpha) -> float:
     """I_gamma at checked grid values ``vals``, from the moment pass ``tilt``."""
     w, t = tilt.rule.weights, tilt.rule.sin2
     a0 = float(np.exp(tilt.shift) * tilt.a0)
     weighted = float(np.sum(w * np.exp(-tilt.eta * t) * vals * vals))
     inner = float(np.sum(w * _profile(gamma, t) * vals))
-    return a0 * weighted - _rank_one_coefficient(gamma, params) * alpha * inner * inner
+    return a0 * weighted - _rank_one_coefficient(gamma, tilt.rule.params) * alpha * inner * inner
 
 
 def d_quantities(
@@ -334,14 +332,14 @@ def d_quantities(
     each by its formula (see ``_block_low``).  eta must lie in the moment
     domain |eta| <= ETA_MAX, inside which the values stay finite.
     """
-    return _d_values(params, scaled_moments(params, eta), alpha)
+    return _d_values(scaled_moments(params, eta), alpha)
 
 
-def _d_values(params: SphereParams, tilt: TiltedMeasure, alpha: float | None) -> tuple[float, float, float]:
+def _d_values(tilt: TiltedMeasure, alpha: float | None) -> tuple[float, float, float]:
     """``d_quantities`` from the moment pass ``tilt``."""
-    alpha = _alpha_at(params, tilt, alpha)
+    alpha = _alpha_at(tilt, alpha)
     factor = float(np.exp(tilt.shift))
-    return tuple(_block_low(gamma, params, tilt, alpha) * factor for gamma in (1, 2, 3))
+    return tuple(_block_low(gamma, tilt, alpha) * factor for gamma in (1, 2, 3))
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,12 +367,9 @@ class PerturbationTop:
         coeffs = {}
         for idx, f in funcs.items():
             _check_ranges(idx, self.params)
-            coeffs[idx] = _grid_values(f, rule, f"values for {idx}")
-        w = rule.weights
-        b = np.zeros_like(w) if self.b_function is None else _grid_values(self.b_function, rule, "b values")
-        if abs(float(np.sum(w * b))) > 1e-10 * max(1.0, float(np.sum(w * np.abs(b)))):
-            raise ValueError("b must have zero mean against the measure")
-        _freeze(b)
+            coeffs[idx] = _grid_values(f(rule.nodes), rule, f"values for {idx}")
+        b_values = np.zeros_like(rule.weights) if self.b_function is None else self.b_function(rule.nodes)
+        b = _grid_values(b_values, rule, "b values", zero_mean=True)
         object.__setattr__(self, "coefficient_functions", MappingProxyType(funcs))
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "coefficients", MappingProxyType(coeffs))
@@ -385,13 +380,17 @@ class PerturbationTop:
         return self.rule.nodes
 
 
-def _grid_values(f: Callable, rule: WeightedQuadrature, name: str) -> np.ndarray:
-    """A profile's values at ``rule``'s nodes, checked and read-only."""
-    arr = np.array(f(rule.nodes), dtype=float)
+def _grid_values(values, rule: WeightedQuadrature, name: str, zero_mean: bool = False) -> np.ndarray:
+    """A read-only copy of a profile's values at ``rule``'s nodes, checked
+    to be finite and, when ``zero_mean``, of zero mean against the measure."""
+    arr = np.array(values, dtype=float)
     if arr.shape != rule.weights.shape:
         raise ValueError(f"{name} do not match the grid")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
+    w = rule.weights
+    if zero_mean and abs(float(np.sum(w * arr))) > 1e-10 * max(1.0, float(np.sum(w * np.abs(arr)))):
+        raise ValueError(f"{name} must have zero mean against the measure")
     _freeze(arr)
     return arr
 
@@ -479,9 +478,9 @@ def _block_sum(spec: CriticalPointSpec, p: PerturbationTop) -> float:
     total = 0.0
     for idx, vals in p.coefficients.items():
         gamma = GAMMA_BY_FAMILY[idx.family]
-        term = _functional_value(gamma, params, tilt, vals, spec.alpha)
+        term = _functional_value(gamma, tilt, vals, spec.alpha)
         total += term / _slot_denominator(gamma, params)
-    return total + _functional_value(3, params, tilt, p.b, spec.alpha)
+    return total + _functional_value(3, tilt, p.b, spec.alpha)
 
 
 def quadratic_form_direct(spec: CriticalPointSpec, phi: Callable) -> float:
@@ -548,8 +547,10 @@ class StabilityReport:
     witness_value: float | None = None
 
 
-def _attainer_top(params: SphereParams, tilt: TiltedMeasure, gamma: int) -> PerturbationTop:
-    """The equality profile of I_gamma in one basis slot (b for gamma = 3)."""
+def _attainer_top(tilt: TiltedMeasure, gamma: int) -> PerturbationTop:
+    """The equality profile of I_gamma in one basis slot (b for gamma = 3),
+    at the (n, k) of the moment pass ``tilt``."""
+    params = tilt.rule.params
 
     def profile(theta):
         return _attainer(np.sin(theta) ** 2, tilt, gamma)
@@ -600,7 +601,7 @@ def classify(
         raise ValueError("on the anisotropic branch alpha is fixed to sigma_k(eta)")
     spec = CriticalPointSpec(params, eta, alpha)
     tilt = spec._tilt
-    dq = _d_values(params, tilt, alpha)
+    dq = _d_values(tilt, alpha)
     if eta == 0.0:
         threshold = n * (n + 2) / 2.0
         verdict = STABLE if spec.alpha < threshold else UNSTABLE
@@ -621,7 +622,7 @@ def classify(
             gamma = 3
     if verdict != UNSTABLE:
         return StabilityReport(params, eta, spec.alpha, verdict, dq)
-    top = _attainer_top(params, tilt, gamma)
+    top = _attainer_top(tilt, gamma)
     # The sign comes from the block sum, before the positive area factor,
     # which underflows at large n.
     total = _block_sum(spec, top)
@@ -671,7 +672,7 @@ def random_smooth_perturbation(
     """
     # The seeded draws of the tests and of the benchmark depend on the degree.
     max_degree = 3 if params.n <= 5 else 2
-    eta = float(eta)
+    eta = _checked_eta(eta)
     rule = theta_rule(params.n, params.k)
     funcs: dict[BasisIndex, Callable] = {}
     for idx in basis_indices(params):

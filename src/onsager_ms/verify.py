@@ -35,11 +35,10 @@ from .quadrature import DEFAULT_ORDER, SphereParams, sphere_rule, surface_area, 
 from .sigma import find_eta_star, sigma_prime, sigma_prime_fd, sigma_value
 from .spectral import full_spectrum
 from .stability import (
-    MARGINAL,
+    GAMMA_BY_FAMILY,
     STABLE,
     UNSTABLE,
     assemble_sphere_function,
-    basis_indices,
     classify,
     d_quantities,
     equality_attainer,
@@ -267,25 +266,18 @@ def _check_gram_consistency(cfg: VerifyConfig) -> CheckResult:
 
 def _check_wx_table(cfg: VerifyConfig) -> CheckResult:
     params = SphereParams(5, 2)
-    k, nk = params.k, params.complement
     table = wx_functionals(params)
-    om_rule = sphere_rule(k, 12)
-    xi_rule = sphere_rule(nk, 12)
+    rules = (sphere_rule(params.k, 12), sphere_rule(params.complement, 12))
     scale = max(float(np.max(np.abs(v))) for v in table.values())
     worst = 0.0
-    empty = np.zeros((om_rule.points.shape[0], 0))
-    empty_xi = np.zeros((xi_rule.points.shape[0], 0))
     for idx, vec in table.items():
-        if idx.family.startswith("Omega"):
-            vals = _basis_values(idx, om_rule.points, empty)
-            for i in range(k):
-                quad = float(np.sum(om_rule.weights * (om_rule.points[:, i] ** 2 - 1.0 / k) * vals))
-                worst = max(worst, abs(quad - vec[i]) / scale)
-        else:
-            vals = _basis_values(idx, empty_xi, xi_rule.points)
-            for j in range(nk):
-                quad = float(np.sum(xi_rule.weights * (xi_rule.points[:, j] ** 2 - 1.0 / nk) * vals))
-                worst = max(worst, abs(quad - vec[j]) / scale)
+        # Omega slots (gamma = 1) live on the first factor sphere, xi slots on the second.
+        side = GAMMA_BY_FAMILY[idx.family] - 1
+        rule, d = rules[side], vec.size
+        vals = _basis_values(idx, rules[0].points, rules[1].points)  # reads its own factor only
+        for i in range(d):
+            quad = float(np.sum(rule.weights * (rule.points[:, i] ** 2 - 1.0 / d) * vals))
+            worst = max(worst, abs(quad - vec[i]) / scale)
     return _result("wx_table", cfg, worst, 1e-10)
 
 

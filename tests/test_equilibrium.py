@@ -331,6 +331,14 @@ def test_solve_fixed_point_guards():
         fixed_point_map(OrderTensor.random_unit(21, np.random.default_rng(0)), 20.0)
 
 
+def test_solve_fixed_point_refuses_a_non_integer_n():
+    """3.5 lies inside the supported range; it is refused as n, not as a
+    mismatch with the initial tensor."""
+    with pytest.raises(ValueError, match="^n must be an integer, got 3.5$"):
+        solve_fixed_point(3.5, 20.0, OrderTensor.zero(3))
+    assert solve_fixed_point(3.0, 20.0, OrderTensor.random_unit(3, np.random.default_rng(2))).tensor.n == 3
+
+
 def test_eigenvalue_structure_isotropic_single_cluster():
     struct = eigenvalue_structure(OrderTensor.zero(4))
     assert struct.count == 1

@@ -14,7 +14,14 @@ from onsager_ms.moments import ETA_MAX, moment, recurrence_residual, scaled_mome
 from onsager_ms.quadrature import DEFAULT_ORDER, SphereParams, theta_rule
 from onsager_ms.sigma import sigma_prime, sigma_value
 from onsager_ms.spectral import block_spectrum, full_spectrum
-from onsager_ms.stability import branch_tag, classify, d_quantities, equality_attainer, functional_I
+from onsager_ms.stability import (
+    branch_tag,
+    classify,
+    d_quantities,
+    equality_attainer,
+    functional_I,
+    random_smooth_perturbation,
+)
 
 PAIRS = [(n, k) for n in range(3, 7) for k in range(1, n)]
 
@@ -220,6 +227,9 @@ def _domain_entry_points():
         "branch_tag": lambda eta: branch_tag(params, eta),
         "branch_tag_unstable_k": lambda eta: branch_tag(SphereParams(5, 2), eta),
         "equality_attainer": lambda eta: equality_attainer(params, eta, 1),
+        "random_smooth_perturbation": lambda eta: random_smooth_perturbation(
+            params, eta, np.random.default_rng(0)
+        ),
     }
 
 

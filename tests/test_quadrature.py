@@ -42,6 +42,17 @@ def test_sphere_params_validation():
     assert p.complement == 3
 
 
+@pytest.mark.parametrize(
+    "n,k,name",
+    [(math.nan, 1, "n"), (math.inf, 1, "n"), (None, 1, "n"), (3.5, 1, "n"), (5, math.nan, "k"), (5, -math.inf, "k")],
+)
+def test_sphere_params_name_a_non_integer(n, k, name):
+    """n and k are checked as integers before anything converts them: nan,
+    inf and None raise the library's own ValueError, naming the argument."""
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        SphereParams(n, k)
+
+
 def test_order_floor():
     with pytest.raises(ValueError):
         build_weighted_quadrature(SphereParams(4, 1), order=1)
@@ -165,6 +176,9 @@ def test_gauss_jacobi_rejects_bad_input():
 def test_sphere_sizes_reject_bad_input():
     with pytest.raises(ValueError, match="need d >= 1, got d=0"):
         surface_area(0)
+    for d in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"need d >= 1, got d={d}"):
+            surface_area(d)
     with pytest.raises(ValueError, match="need d >= 1, got d=0"):
         build_sphere_quadrature(0, 4)
     with pytest.raises(ValueError, match="need order >= 2, got 1"):

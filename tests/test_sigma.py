@@ -332,7 +332,7 @@ def test_phase_diagram_takes_n_as_sphere_params_do():
     diagram = phase_diagram(3.0, np.array([-1.0, 2.0]))
     assert diagram.n == 3 and type(diagram.n) is int
     assert tuple(b.k for b in diagram.branches) == (1, 2)
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match="n must be an integer, got 3.5"):
         phase_diagram(3.5, np.array([0.0]))
 
 

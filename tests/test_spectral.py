@@ -59,7 +59,7 @@ def test_rank_one_spectrum_matches_dense_reference(n, k):
         for eta in (-20.0, -1e-3, 1.5, 40.0):
             tilt = scaled_moments(params, eta)
             a0, shift = tilt.a0, tilt.shift
-            alpha = _branch_alpha(params, tilt)
+            alpha = _branch_alpha(tilt)
             root_mass = np.sqrt(w * np.exp(eta * t - shift))
             for family, count in family_multiplicities(params).items():
                 if count == 0:
@@ -72,7 +72,7 @@ def test_rank_one_spectrum_matches_dense_reference(n, k):
                     np.full(w.size, a0), coefficient, direction, constraint
                 )
                 dense = np.linalg.eigvalsh(mat)
-                low = _block_low(gamma, params, tilt, alpha)
+                low = _block_low(gamma, tilt, alpha)
                 closed = np.sort(np.concatenate(([low], np.full(dense.size - 1, a0))))
                 resolved = np.max(np.abs(dense - closed)) <= _CLOSED_FORM_RTOL * max(a0, abs(low))
                 if not resolved:
@@ -412,6 +412,18 @@ def test_gap_estimate_preconditions():
         gap_estimate(params, star + 1.0, grid_size=2)
 
 
+def test_gap_estimate_checks_eta_first():
+    """A NaN or out-of-domain eta raises the moments' domain error, not the
+    stability condition it cannot be compared with."""
+    params = SphereParams(3, 1)
+    with pytest.raises(ValueError) as reference:
+        scaled_moments(params, np.nan)
+    for eta in (np.nan, np.inf, -1e4, 1e4):
+        with pytest.raises(ValueError) as info:
+            gap_estimate(params, eta)
+        assert str(info.value) == str(reference.value)
+
+
 def test_gap_estimate_reports_decayed_certificate():
     # At large n the certificate underflows; no grid can bring it back.
     params = SphereParams(14, 1)
@@ -431,7 +443,8 @@ def test_isotropic_threshold(n):
     for tol in (0.0, -1e-8, np.nan, np.inf):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             isotropic_threshold(n, tol=tol)
-    with pytest.raises(ValueError, match="n must be an integer"):
-        isotropic_threshold(n + 0.7)
+    for bad in (n + 0.7, np.nan):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {bad}$"):
+            isotropic_threshold(bad)
     with pytest.raises(ValueError, match="n must be at least 3"):
         isotropic_threshold(n - 2)

@@ -102,6 +102,39 @@ def test_basis_index_validation():
         basis_eval(BasisIndex("Theta", (3, 1)), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
+def _range_edges(n, k):
+    """Per family, its last slot in range (None when the family is empty)
+    and the first slots past each limit: A has l <= d - 1, B has i' <= d,
+    Theta has i <= k and j <= n - k, d the dimension of the factor."""
+    nk = n - k
+    edges = {}
+    for family, d in (("Omega", k), ("Xi", nk)):
+        edges[f"{family}_A"] = ((0, d - 1) if d >= 2 else None, [(0, d)])
+        edges[f"{family}_B"] = ((d - 1, d) if d >= 2 else None, [(1, d + 1), (d, d + 1)])
+    edges["Theta"] = ((k, nk), [(k + 1, nk), (k, nk + 1), (k + 1, 1), (1, nk + 1)])
+    return edges
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (5, 2), (6, 3), (7, 6), (9, 4)])
+def test_every_family_range_limit(n, k):
+    """The last slot in range is accepted and the first past each limit
+    raises, for every family, by ``basis_eval`` and by ``PerturbationTop``."""
+    params = SphereParams(n, k)
+    omega, xi = np.eye(k)[0], np.eye(n - k)[-1]
+    for family, (last, beyond) in _range_edges(n, k).items():
+        if last is not None:
+            idx = BasisIndex(family, last)
+            assert idx in basis_indices(params)
+            assert np.isfinite(basis_eval(idx, omega, xi))
+            PerturbationTop(params, {idx: np.ones_like})
+        for pair in beyond:
+            idx = BasisIndex(family, pair)
+            with pytest.raises(ValueError, match="out of range"):
+                basis_eval(idx, omega, xi)
+            with pytest.raises(ValueError, match="out of range"):
+                PerturbationTop(params, {idx: np.ones_like})
+
+
 def test_basis_eval_rejects_non_unit():
     idx = BasisIndex("Theta", (1, 1))
     with pytest.raises(ValueError):
