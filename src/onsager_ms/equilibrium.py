@@ -62,7 +62,9 @@ def sphere_order_for(n: int, alpha: float) -> int:
     """
     if n not in _SPHERE_ORDER_CAP:
         raise ValueError(f"full-sphere work supports 3 <= n <= 6, got n={n}")
-    base = int(np.ceil(abs(alpha) / 2.0)) + 20
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be non-negative and finite, got {alpha}")
+    base = int(np.ceil(alpha / 2.0)) + 20
     base += base % 2
     return min(base, _SPHERE_ORDER_CAP[n])
 

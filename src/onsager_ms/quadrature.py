@@ -358,12 +358,6 @@ class _RuleCache:
         accessor.cache_info = cache_info
         return accessor
 
-    def held(self, build, *args):
-        """The kept rule of ``build(*args)``, all arguments given, or None;
-        no counter and no recency moves."""
-        with self._lock:
-            return self._rules.get((build, *args))
-
     def _keep(self, key, rule):
         if rule.nbytes > self.budget:
             return rule
@@ -383,20 +377,14 @@ _RULES = _RuleCache(_CACHE_BYTES)
 def theta_rule(n: int, k: int, order: int = DEFAULT_ORDER) -> WeightedQuadrature:
     """Cached accessor for :func:`build_weighted_quadrature`.
 
-    A rule with 2k > n is mirrored from the kept rule of (n, n - k) when
-    the cache holds one; it is still a miss of its own key, and the
-    partner's counters do not move.
+    A rule with 2k > n is the mirror image of ``theta_rule(n, n - k, order)``:
+    the partner is looked up, and built and kept on a miss, like any other
+    key.
     """
     params = SphereParams(n, k)
-    partner = _RULES.held(_theta_build, n, n - k, order) if 2 * k > n else None
-    if partner is None:
-        return build_weighted_quadrature(params, order)
-    return _mirror(partner, params)
-
-
-# The undecorated builder, which heads the keys of theta_rule's entries; bound
-# once here, so a wrapper later rebinding ``theta_rule`` cannot hide them.
-_theta_build = theta_rule.__wrapped__
+    if 2 * k > n:
+        return _mirror(theta_rule(n, n - k, order), params)
+    return build_weighted_quadrature(params, order)
 
 
 def integrate_mu(rule: WeightedQuadrature, f) -> float:

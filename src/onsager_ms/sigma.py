@@ -13,8 +13,8 @@ the (eta, alpha) plane.  sigma_k(0) = n(n+2)/2 for every k, and the two
 asymptotic slopes are k (eta -> +inf) and k - n (eta -> -inf).
 
 The reflection m -> (m_n, ..., m_1) identifies the k-branch at eta with
-the (n-k)-branch at -eta, giving sigma_k(eta) = sigma_{n-k}(-eta); tests
-lean on that identity heavily.
+the (n-k)-branch at -eta, giving sigma_k(eta) = sigma_{n-k}(-eta); for
+2k > n the theta rule, fold and verdict are the (n, n - k) ones mirrored.
 
 All formulas here are expectations under the tilted measure, evaluated
 from one rescaled moment pass at the library's one theta order,
@@ -180,9 +180,10 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) 
 @lru_cache(maxsize=1224)
 def _eta_star_cached(n: int, k: int) -> EtaStar:
     params = SphereParams(n, k)
-    if 2 * k == n:
-        # sigma_k(eta) = sigma_{n-k}(-eta) makes this branch even in eta.
-        return EtaStar(params, 0.0, sigma_value(params, 0.0))
+    if 2 * k >= n:
+        # sigma_k(eta) = sigma_{n-k}(-eta): the (n, n - k) fold mirrored; 0 on k = n/2.
+        eta = -_eta_star_cached(n, n - k).eta_star if 2 * k > n else 0.0
+        return EtaStar(params, eta, sigma_value(params, eta))
 
     # One moment pass per eta: the bracket ends are evaluated again by
     # Brent's method, and alpha^* is read at the point it returns.
@@ -211,10 +212,10 @@ def find_eta_star(params: SphereParams) -> EtaStar:
     derivative, inside a bracket doubled outward from +-8 up to the edge of
     the moment domain.
 
-    On the symmetric branch k = n/2 the curve is even in eta, and the fold
-    is returned as exactly eta* = 0.  Folds are cached by (n, k), least
-    recently used first out, up to 1,224 of them: every branch with
-    n <= 50.
+    Only 2k < n is searched: for 2k > n the fold is exactly -eta_{n-k}^*,
+    and on the even branch k = n/2 exactly 0; alpha^* is sigma_k(eta^*)
+    from the branch's own moment pass.  Folds are cached by (n, k), least
+    recently used first out, up to 1,224 of them: every branch with n <= 50.
     """
     return _eta_star_cached(params.n, params.k)
 

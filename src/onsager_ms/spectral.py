@@ -23,7 +23,7 @@ equilibrium, one per Theta slot, each a multiple of e^{eta sin^2} sin cos.
 that gamma serves, pools the blocks with their multiplicities,
 identifies the kernel, and reports the spectral gap;
 ``gap_estimate`` turns the block minima into an explicit lower bound in
-the plain L^2 metric for stable k = 1 states.
+the plain L^2 metric for stable k = 1 states and their k = n - 1 mirrors.
 """
 
 from __future__ import annotations
@@ -312,7 +312,7 @@ def full_spectrum(
 
 
 def gap_estimate(params: SphereParams, eta: float, grid_size: int = 64) -> float:
-    """Explicit lower bound c0 for the spectral gap of a stable k = 1 state.
+    """Explicit lower bound c0 for the spectral gap of a stable k = 1 or k = n - 1 state.
 
     On the orthogonal complement of the rotational kernel the form
     dominates c0 times the plain L^2 norm on the sphere.  Per-block
@@ -321,14 +321,18 @@ def gap_estimate(params: SphereParams, eta: float, grid_size: int = 64) -> float
     the decomposable subspace contributes min over the sphere of 1/f_0.
     The bound degenerates to zero as eta approaches the fold from above;
     an eta outside the moment domain raises the moments' ValueError.
+    k = n - 1 at eta is k = 1 at -eta under m -> (m_n, ..., m_1), an
+    isometry of the sphere, and returns that bound.
     """
+    if 2 * params.k > params.n:
+        return gap_estimate(SphereParams(params.n, params.complement), -_checked_eta(eta), grid_size)
     if params.k != 1:
-        raise ValueError("the gap certificate covers the k = 1 branch")
+        raise ValueError("the gap certificate covers the k = 1 and k = n - 1 branches")
     rule = _grid_rule(params, grid_size)
     eta = _checked_eta(eta)
     star = find_eta_star(params).eta_star
     if not eta > star:
-        raise ValueError("k = 1 equilibria are stable only for eta > eta_1^*")
+        raise ValueError("k = 1 is stable only for eta > eta_1^*, and k = n - 1 only for eta < -eta_1^*")
 
     tilt = scaled_moments(params, eta)
     alpha = _branch_alpha(tilt)

@@ -58,6 +58,7 @@ from .quadrature import (
     WeightedQuadrature,
     _degree5_nodes,
     _freeze,
+    _whole,
     polar_rule,
     surface_area,
     theta_rule,
@@ -108,7 +109,7 @@ class BasisIndex:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown basis family {self.family!r}")
-        pair = (int(self.indices[0]), int(self.indices[1]))
+        pair = (_whole("basis index i", self.indices[0]), _whole("basis index j", self.indices[1]))
         object.__setattr__(self, "indices", pair)
         i, j = pair
         kind = _FAMILY_TABLE[self.family][1]
@@ -564,17 +565,19 @@ def _attainer_top(tilt: TiltedMeasure, gamma: int) -> PerturbationTop:
 def _branch_verdict(params: SphereParams, eta: float) -> str:
     """The theorem's verdict on the anisotropic k-branch at eta (see ``classify``).
 
+    A branch with 2k > n is read as its mirror, the (n - k)-branch at -eta.
     Raises the moments' ValueError outside the moment domain, like every
     verdict the moments would decide there.
     """
     eta = _checked_eta(eta)
-    n, k = params.n, params.k
-    if 2 <= k <= n - 2:
+    if 2 * params.k > params.n:
+        params, eta = SphereParams(params.n, params.complement), -eta
+    if params.k >= 2:
         return UNSTABLE
     star = find_eta_star(params).eta_star
     if abs(eta - star) <= 1e-9:
         return MARGINAL
-    return STABLE if ((eta > star) if k == 1 else (eta < star)) else UNSTABLE
+    return STABLE if eta > star else UNSTABLE
 
 
 def classify(

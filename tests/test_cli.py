@@ -326,6 +326,35 @@ def test_verify_default_passes(tmp_path):
     assert "FAIL" not in text
 
 
+def test_verify_records_a_crashed_check(tmp_path, monkeypatch):
+    """A check that raises is a failed check, not a crashed run: the battery
+    still returns all 20 results, and ``verify`` prints FAIL and exits 1."""
+    from onsager_ms import verify
+
+    checks = list(verify._CHECKS)
+    slot = checks.index(verify._check_sigma_reflection)
+
+    def crash(cfg):
+        raise RuntimeError("boom")
+
+    crash.__name__ = checks[slot].__name__
+    checks[slot] = crash
+    monkeypatch.setattr(verify, "_CHECKS", tuple(checks))
+    results = verify.run_all()
+    assert len(results) == 20
+    crashed = results[slot]
+    assert crashed.name == "sigma_reflection"
+    assert (crashed.passed, crashed.residual, crashed.detail) == (False, np.inf, "RuntimeError: boom")
+    assert [r.passed for r in results].count(False) == 1
+    code, raw = run(tmp_path, "verify")
+    assert code == 1
+    lines = raw.decode().splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL  sigma_reflection         residual=inf  tol=nan  (RuntimeError: boom)"
+    ]
+    assert lines[-1] == "19/20 checks passed"
+
+
 def test_verify_order_four_fails(tmp_path):
     code, raw = run(tmp_path, "verify", "--quad-order", "4")
     assert code == 1

@@ -218,6 +218,13 @@ def test_sphere_order_grows_then_caps():
         sphere_order_for(7, 10.0)
 
 
+@pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf"), float("-inf")])
+def test_sphere_order_refuses_negative_or_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be non-negative and finite, got"):
+        sphere_order_for(4, alpha)
+    assert sphere_order_for(4, 0.0) == 20
+
+
 def test_axial_branch_is_fixed_point():
     """The axial tensor built from sigma_k(eta) = alpha reproduces itself.
 

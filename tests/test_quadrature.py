@@ -123,32 +123,36 @@ def test_theta_rule_moments_against_mpmath(beta_40_digits, n, k, order):
 
 
 def test_mirrored_theta_rule_is_a_miss_of_its_own_key(monkeypatch):
-    """theta_rule(n, k) with 2k > n flips the kept rule of (n, n - k) with no
-    new Jacobi solve; the partner's counters do not move, and the result is
-    the uncached build's.  A wrapper rebinding ``theta_rule``, as a tracer
-    does, does not hide the kept partner."""
+    """theta_rule(n, k) with 2k > n is a miss of its own key that looks up
+    the rule of (n, n - k), an ordinary cache entry, and flips it with no
+    new Jacobi solve; the result is the uncached build's.  A wrapper
+    rebinding ``theta_rule``, as a tracer does, sees the partner lookup as
+    a call of its own."""
     partner = theta_rule(9, 2, 24)
-    solves = []
+    solves, calls = [], []
     solve = quadrature.gauss_jacobi
     monkeypatch.setattr(quadrature, "gauss_jacobi", lambda *args: solves.append(args) or solve(*args))
-    monkeypatch.setattr(quadrature, "theta_rule", functools.wraps(theta_rule)(lambda *args: theta_rule(*args)))
+    traced = functools.wraps(theta_rule)(lambda *args: calls.append(args) or theta_rule(*args))
+    monkeypatch.setattr(quadrature, "theta_rule", traced)
     before = theta_rule.cache_info()
     rule = quadrature.theta_rule(9, 7, 24)
     after = theta_rule.cache_info()
     assert solves == []
-    assert (after.hits, after.misses) == (before.hits, before.misses + 1)
+    assert calls == [(9, 7, 24), (9, 2, 24)]
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses + 1)
     assert rule.params == SphereParams(9, 7)
     assert np.array_equal(rule.sin2, 1.0 - partner.sin2[::-1])
     assert np.array_equal(rule.weights, partner.weights[::-1])
     built = build_weighted_quadrature(SphereParams(9, 7), 24)
     assert np.array_equal(built.sin2, rule.sin2) and np.array_equal(built.weights, rule.weights)
     assert theta_rule(9, 7, 24) is rule
-    # Without a kept partner the mirror solves for it and does not keep it.
+    # Without a kept partner the mirror builds the partner and keeps it.
     solves.clear()
     lone = theta_rule(9, 6, 23)
-    assert len(solves) == 1 and theta_rule.cache_info().misses == after.misses + 1
-    assert np.array_equal(lone.weights, theta_rule(9, 3, 23).weights[::-1])
-    assert theta_rule.cache_info().misses == after.misses + 2
+    assert len(solves) == 1 and theta_rule.cache_info().misses == after.misses + 2
+    kept = theta_rule(9, 3, 23)
+    assert len(solves) == 1 and theta_rule.cache_info().misses == after.misses + 2
+    assert np.array_equal(lone.weights, kept.weights[::-1])
 
 
 @pytest.mark.parametrize("d", range(2, 12))

@@ -131,10 +131,25 @@ def test_symmetric_branch_fold_is_exactly_zero(n):
 
 
 def test_eta_star_reflection():
+    """For 2k > n the fold is the mirror of the (n, n - k) fold, bit for
+    bit; alpha^* is each branch's own sigma at its eta^*."""
     up = find_eta_star(SphereParams(5, 1))
     down = find_eta_star(SphereParams(5, 4))
-    assert down.eta_star == pytest.approx(-up.eta_star, abs=1e-9)
+    assert down.eta_star == -up.eta_star
+    assert down.alpha_star == sigma_value(SphereParams(5, 4), down.eta_star)
     assert down.alpha_star == pytest.approx(up.alpha_star, rel=1e-12)
+
+
+def test_fold_reflection_is_exact_to_fifty():
+    """For every (n, k) with n <= 50, the fold of (n, n - k) is the mirror
+    of the fold of (n, k) to the bit, and alpha^* is sigma_k at eta^* to
+    the bit on both."""
+    for n in range(3, 51):
+        for k in range(1, n):
+            params = SphereParams(n, k)
+            star = find_eta_star(params)
+            assert find_eta_star(SphereParams(n, n - k)).eta_star == -star.eta_star, (n, k)
+            assert star.alpha_star == sigma_value(params, star.eta_star), (n, k)
 
 
 def test_invert_alpha_below_fold():
@@ -235,7 +250,8 @@ def test_brent_matches_scipy_on_every_fold_to_twelve(brent_pairs):
     for n in range(3, 13):
         for k in range(1, n):
             find_eta_star(SphereParams(n, k))
-    assert len(brent_pairs) == sum(n - 1 - (n % 2 == 0) for n in range(3, 13))  # k = n/2 needs no search
+    # Only 2k < n is searched: k = n/2 is 0 and 2k > n mirrors (n, n - k).
+    assert len(brent_pairs) == sum((n - 1) // 2 for n in range(3, 13))
     assert _same_bits(brent_pairs)
 
 

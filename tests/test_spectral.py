@@ -424,6 +424,34 @@ def test_gap_estimate_checks_eta_first():
         assert str(info.value) == str(reference.value)
 
 
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_gap_estimate_covers_the_mirror_branch(n):
+    """k = n - 1 at eta is k = 1 at -eta under m -> (m_n, ..., m_1), an
+    isometry of the sphere, so the certificates are equal."""
+    star = find_eta_star(SphereParams(n, 1)).eta_star
+    for lift in (0.5, 2.0):
+        mirrored = gap_estimate(SphereParams(n, n - 1), -(star + lift))
+        assert mirrored > 0.0
+        assert mirrored == gap_estimate(SphereParams(n, 1), star + lift)
+
+
+def test_gap_estimate_mirror_preconditions():
+    """The mirror branch raises on its unstable side and on a bad eta like
+    k = 1; the middle branches, mirrored or not, still raise."""
+    star = find_eta_star(SphereParams(5, 1)).eta_star
+    with pytest.raises(ValueError, match="stable only for"):
+        gap_estimate(SphereParams(5, 4), -star + 0.5)
+    for k in (2, 3):
+        with pytest.raises(ValueError, match="covers the k = 1 and k = n - 1 branches"):
+            gap_estimate(SphereParams(5, k), -3.0)
+    with pytest.raises(ValueError) as reference:
+        scaled_moments(SphereParams(5, 4), np.nan)
+    for params in (SphereParams(5, 4), SphereParams(5, 3)):
+        with pytest.raises(ValueError) as info:
+            gap_estimate(params, np.nan)
+        assert str(info.value) == str(reference.value)
+
+
 def test_gap_estimate_reports_decayed_certificate():
     # At large n the certificate underflows; no grid can bring it back.
     params = SphereParams(14, 1)

@@ -102,6 +102,21 @@ def test_basis_index_validation():
         basis_eval(BasisIndex("Theta", (3, 1)), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
+def test_basis_index_takes_integral_floats():
+    idx = BasisIndex("Theta", (1.0, 2.0))
+    assert idx.indices == (1, 2) and all(type(i) is int for i in idx.indices)
+
+
+def test_basis_index_refuses_a_fractional_index():
+    with pytest.raises(ValueError, match="basis index i must be an integer, got 1.5"):
+        BasisIndex("Theta", (1.5, 2.9))
+
+
+def test_basis_index_refuses_a_nan_index():
+    with pytest.raises(ValueError, match="basis index i must be an integer, got nan"):
+        BasisIndex("Theta", (float("nan"), 1))
+
+
 def _range_edges(n, k):
     """Per family, its last slot in range (None when the family is empty)
     and the first slots past each limit: A has l <= d - 1, B has i' <= d,
@@ -734,6 +749,23 @@ def test_decomposed_form_refuses_an_underflow():
     assert np.finfo(float).tiny <= form(200) < 1e-200
     with pytest.raises(ValueError, match="underflows at n = 270"):
         form(270)
+
+
+def test_branch_tag_is_the_mirror_tag_to_fifty():
+    """branch_tag((n, k), eta) is branch_tag((n, n - k), -eta) for every
+    (n, k) with n <= 50, on a grid that straddles each fold inside and
+    outside the 1e-9 marginal band; the band is reached on k = 1."""
+    for n in range(3, 51):
+        for k in range(1, n):
+            params, mirror = SphereParams(n, k), SphereParams(n, n - k)
+            star = find_eta_star(params).eta_star
+            grid = [star + d for d in (-0.5, -1e-8, -1e-10, 0.0, 1e-10, 1e-8, 0.5)] + [-5.0, 0.0, 3.0]
+            for eta in grid:
+                assert branch_tag(params, eta) == branch_tag(mirror, -eta), (n, k, eta)
+            if k == 1:
+                assert [branch_tag(params, star + d) for d in (-1e-8, 1e-10, 1e-8)] == [
+                    "unstable", "marginal", "stable"
+                ]
 
 
 def test_branch_tag_is_lowercase_and_continuous_at_zero():
