@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .moments import TiltedMeasure, scaled_moments
-from .quadrature import SphereParams, _freeze, _whole, bromwich_rule, surface_area
+from .quadrature import SphereParams, _area_product, _freeze, _whole, bromwich_rule
 from .sigma import _alpha_at, _branch_alpha, _checked_alpha
 
 #: Largest n at which ``bingham_second_moments`` keeps 1e-10 relative
@@ -200,7 +200,7 @@ def log_density(spec: CriticalPointSpec, m):
     params, tilt = spec.params, spec._tilt
     rotated = mat @ spec.rotation.T
     s2 = np.einsum("ij,ij->i", rotated[:, : params.k], rotated[:, : params.k])
-    log_z = tilt.shift + np.log(surface_area(params.k) * surface_area(params.complement) * tilt.a0)
+    log_z = tilt.shift + np.log(_area_product(params) * tilt.a0)
     vals = spec.eta * s2 - log_z
     return float(vals[0]) if single else vals
 

@@ -103,6 +103,11 @@ def surface_area(d: int) -> float:
     return float(2.0 * math.exp(0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)))
 
 
+def _area_product(params: SphereParams) -> float:
+    """|S^(k-1)| |S^(n-k-1)|, the area factor of the polar measure at (n, k)."""
+    return surface_area(params.k) * surface_area(params.complement)
+
+
 def _beta(x: float, y: float) -> float:
     """Euler's Beta function B(x, y) for x, y > 0.
 

@@ -20,7 +20,10 @@ All formulas here are expectations under the tilted measure, evaluated
 from one rescaled moment pass at the library's one theta order,
 DEFAULT_ORDER, so a fold is cached by (n, k) alone; eta is confined to
 the moment domain |eta| <= ETA_MAX, and the brackets of the fold search
-and of the inversion end at its edge.
+and of the inversion end at its edge.  One pass gives sigma_k and
+sigma_k' together, and both searches use them: the fold is bisected on
+the sign of sigma_k', and alpha is inverted by Newton steps on
+sigma_k - alpha that fall back on bisection inside the bracket.
 """
 
 from __future__ import annotations
@@ -118,62 +121,7 @@ def _outward(origin: float, direction: float):
         span *= 2.0
 
 
-def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
-    """A zero of f in [a, b] by Brent's method (Brent 1973, ch. 4), step for
-    step as scipy's ``brentq``: the same block swap, interpolation and
-    extrapolation tests and tolerance delta = (xtol + rtol |x|)/2, so it
-    returns the same evaluated point, bit for bit.
-
-    Raises ValueError when f(a) and f(b) have the same sign bit or f returns
-    NaN, and RuntimeError when maxiter steps do not converge.
-    """
-
-    def value(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN; Brent's method cannot continue")
-        return fx
-
-    xtol, rtol, xpre, xcur = float(xtol), float(rtol), float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"Brent's method did not converge after {maxiter} iterations, value is {xcur}")
+_RTOL = 4 * np.finfo(float).eps  # the searches stop at Brent's tolerance, xtol + _RTOL |eta|
 
 
 # Every (n, k) with n <= 50: 1,224 branches.
@@ -185,32 +133,30 @@ def _eta_star_cached(n: int, k: int) -> EtaStar:
         eta = -_eta_star_cached(n, n - k).eta_star if 2 * k > n else 0.0
         return EtaStar(params, eta, sigma_value(params, eta))
 
-    # One moment pass per eta: the bracket ends are evaluated again by
-    # Brent's method, and alpha^* is read at the point it returns.
-    tilts = {}
-
-    def dphi(e: float) -> float:
-        if e not in tilts:
-            tilts[e] = scaled_moments(params, e)
-        return _branch_slope(tilts[e])
-
-    # Bracket the sign change of sigma', doubling outward from +-8.  The
-    # asymptotic slopes have opposite signs so this terminates quickly.
-    for span in _outward(0.0, 1.0):
-        if dphi(-span) * dphi(span) <= 0:
+    # sigma'(0) < 0: under Beta(k/2, (n-k)/2), Cov(t, t(1-t)) has the sign
+    # of n - 2k.  sigma' tends to k > 0, so its one sign change is past 0.
+    lo = sample(params, 0.0)
+    for end in _outward(0.0, 1.0):
+        hi = sample(params, end)
+        if hi.sigma_prime >= 0:
             break
+        lo = hi
     else:
-        raise ValueError(
-            f"the fold of the intensity curve lies outside the moment domain |eta| <= {ETA_MAX}"
-        )
-    est = _brent(dphi, -span, span, xtol=1e-13, rtol=4 * np.finfo(float).eps)
-    return EtaStar(params, est, _branch_alpha(tilts[est]))
+        raise ValueError(f"the fold of the intensity curve lies outside the moment domain |eta| <= {ETA_MAX}")
+    while hi.eta - lo.eta > 1e-13 + _RTOL * hi.eta:
+        mid = sample(params, 0.5 * (lo.eta + hi.eta))
+        if mid.sigma_prime < 0:
+            lo = mid
+        else:
+            hi = mid
+    best = min(lo, hi, key=lambda point: abs(point.sigma_prime))
+    return EtaStar(params, best.eta, best.sigma)
 
 
 def find_eta_star(params: SphereParams) -> EtaStar:
-    """Locate the unique zero of sigma_k' by Brent's method on the analytic
-    derivative, inside a bracket doubled outward from +-8 up to the edge of
-    the moment domain.
+    """Locate the unique zero of sigma_k' by bisection on its sign in a
+    bracket doubled outward from 8 to the edge of the moment domain, down
+    to 1e-13 + 4 eps |eta|; the fold is the end with the smaller |sigma_k'|.
 
     Only 2k < n is searched: for 2k > n the fold is exactly -eta_{n-k}^*,
     and on the even branch k = n/2 exactly 0; alpha^* is sigma_k(eta^*)
@@ -220,6 +166,33 @@ def find_eta_star(params: SphereParams) -> EtaStar:
     return _eta_star_cached(params.n, params.k)
 
 
+def _root(params: SphereParams, alpha: float, eta_star: float, direction: float) -> float:
+    """The root of sigma_k = alpha on one side of the fold, by Newton steps
+    from the outer end of its bracket, bisecting when a step would leave it."""
+    inner = eta_star
+    for end in _outward(eta_star, direction):
+        point = sample(params, end)
+        if point.sigma >= alpha:
+            break
+        inner = end
+    else:
+        raise ValueError(f"alpha = {alpha} needs an intensity root outside the moment domain "
+                         f"|eta| <= {ETA_MAX}")
+    for _ in range(100):
+        if point.sigma < alpha:
+            inner = point.eta
+        else:
+            outer = point.eta
+        lo, hi = sorted((inner, outer))
+        eta = point.eta - (point.sigma - alpha) / point.sigma_prime if point.sigma_prime else math.nan
+        if not lo <= eta <= hi:
+            eta = 0.5 * (lo + hi)
+        if abs(eta - point.eta) <= 1e-12 + _RTOL * abs(eta):
+            return eta
+        point = sample(params, eta)
+    raise RuntimeError(f"the intensity root for alpha = {alpha} did not converge in 100 steps")
+
+
 def invert_alpha(params: SphereParams, alpha: float) -> list[float]:
     """All eta with sigma_k(eta) = alpha, sorted ascending.
 
@@ -227,8 +200,9 @@ def invert_alpha(params: SphereParams, alpha: float) -> list[float]:
     a relative band of 1e-9 around alpha^*, and the two transversal roots
     (one on each monotone side of eta_k^*) above it.  Both roots must lie
     in the moment domain |eta| <= ETA_MAX; an alpha whose root is beyond
-    it raises ValueError.  Each eta is evaluated once per call: Brent's
-    method starts from bracket ends the search has already evaluated.
+    it raises ValueError.  Each root comes from Newton steps on sigma_k - alpha,
+    with the slope of the same moment pass, that bisect in a bracket doubled
+    outward from eta_k^*, to 1e-12 + 4 eps |eta|; one pass per eta per call.
     """
     alpha = _checked_alpha(alpha)
     star = find_eta_star(params)
@@ -236,28 +210,7 @@ def invert_alpha(params: SphereParams, alpha: float) -> list[float]:
         return [star.eta_star]
     if alpha < star.alpha_star:
         return []
-
-    # alpha_star is sigma_k at eta_star itself, so seeding with it is exact.
-    values = {star.eta_star: star.alpha_star - alpha}
-
-    def g(e: float) -> float:
-        if e not in values:
-            values[e] = sigma_value(params, e) - alpha
-        return values[e]
-
-    roots = []
-    for direction in (-1.0, 1.0):
-        for end in _outward(star.eta_star, direction):
-            if g(end) >= 0:
-                break
-        else:
-            raise ValueError(
-                f"alpha = {alpha} needs an intensity root outside the moment domain "
-                f"|eta| <= {ETA_MAX}"
-            )
-        a, b = sorted((star.eta_star, end))
-        roots.append(_brent(g, a, b, xtol=1e-12, rtol=4 * np.finfo(float).eps))
-    return sorted(roots)
+    return sorted(_root(params, alpha, star.eta_star, direction) for direction in (-1.0, 1.0))
 
 
 @dataclass(frozen=True)

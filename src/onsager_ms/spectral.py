@@ -39,10 +39,10 @@ from .moments import TiltedMeasure, _checked_eta, scaled_moments
 from .quadrature import (
     SphereParams,
     WeightedQuadrature,
+    _area_product,
     _as_int,
     _freeze,
     _whole,
-    surface_area,
     theta_rule,
 )
 from .sigma import _alpha_at, _branch_alpha, find_eta_star
@@ -320,7 +320,8 @@ def gap_estimate(params: SphereParams, eta: float, grid_size: int = 64) -> float
     out) are computed directly in the plain metric; the complement of
     the decomposable subspace contributes min over the sphere of 1/f_0.
     The bound degenerates to zero as eta approaches the fold from above;
-    an eta outside the moment domain raises the moments' ValueError.
+    an eta outside the moment domain raises the moments' ValueError.  A
+    p x p block M whose minimum is within p eps ||M||_2 of 0 raises RuntimeError.
     k = n - 1 at eta is k = 1 at -eta under m -> (m_n, ..., m_1), an
     isometry of the sphere, and returns that bound.
     """
@@ -350,7 +351,10 @@ def gap_estimate(params: SphereParams, eta: float, grid_size: int = 64) -> float
             sqw * _profile(gamma, t),
             constraint,
         )
-        return float(np.linalg.eigvalsh(mat)[0])
+        eigenvalues = np.linalg.eigvalsh(mat)
+        # Weyl: eigvalsh errs by up to p eps ||M||_2 on a p x p block M; a smaller minimum has no sign.
+        noise = len(eigenvalues) * np.finfo(float).eps * np.abs(eigenvalues).max()
+        return float(eigenvalues[0]) if eigenvalues[0] > noise else 0.0
 
     kernel_direction = sqw * _attainer(t, tilt, 0)
     lam_xi = block_minimum(2, None)
@@ -365,7 +369,7 @@ def gap_estimate(params: SphereParams, eta: float, grid_size: int = 64) -> float
             "the certificate has decayed below floating-point resolution there, "
             "and a larger grid_size does not help"
         )
-    return surface_area(1) * surface_area(params.complement) * float(bound)
+    return _area_product(params) * float(bound)
 
 
 def isotropic_threshold(n: int, tol: float = 1e-8, grid_size: int = 32) -> float:

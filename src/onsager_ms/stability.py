@@ -56,6 +56,7 @@ from .moments import TiltedMeasure, _checked_eta, scaled_moments
 from .quadrature import (
     SphereParams,
     WeightedQuadrature,
+    _area_product,
     _degree5_nodes,
     _freeze,
     _whole,
@@ -109,9 +110,12 @@ class BasisIndex:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown basis family {self.family!r}")
-        pair = (_whole("basis index i", self.indices[0]), _whole("basis index j", self.indices[1]))
+        try:
+            i, j = self.indices
+        except (TypeError, ValueError):
+            raise ValueError(f"indices must be a pair (i, j), got {self.indices!r}") from None
+        pair = i, j = _whole("basis index i", i), _whole("basis index j", j)
         object.__setattr__(self, "indices", pair)
-        i, j = pair
         kind = _FAMILY_TABLE[self.family][1]
         if kind == "A" and not (i == 0 and j >= 1):
             raise ValueError(f"A-family indices are (0, l) with l >= 1, got {pair}")
@@ -466,7 +470,7 @@ def _scaled_form(params: SphereParams, total: float) -> float:
     """The decomposed form from its block sum ``total``: that times the
     positive factor (|S^(k-1)| |S^(n-k-1)|)^2.  ValueError naming n when
     a nonzero sum underflows there to zero or a subnormal."""
-    value = (surface_area(params.k) * surface_area(params.complement)) ** 2 * total
+    value = _area_product(params) ** 2 * total
     if total != 0.0 and abs(value) < np.finfo(float).tiny:
         raise ValueError(f"the decomposed form underflows at n = {params.n}: the block sum is {total:g}")
     return value
@@ -508,8 +512,7 @@ def quadratic_form_direct(spec: CriticalPointSpec, phi: Callable) -> float:
         raise ValueError("phi must have zero mean over the sphere")
     s2 = np.einsum("ij,ij->i", canonical[:, :k], canonical[:, :k])
     tilt = spec._tilt
-    area = surface_area(params.k) * surface_area(params.complement)
-    inv_f0 = area * tilt.a0 * np.exp(tilt.shift - spec.eta * s2)
+    inv_f0 = _area_product(params) * tilt.a0 * np.exp(tilt.shift - spec.eta * s2)
     first = float(np.sum(w * vals * vals * inv_f0))
     weighted = w * vals
     tensor = (pts * weighted[:, None]).T @ pts

@@ -354,7 +354,7 @@ def _check_classification(cfg: VerifyConfig) -> CheckResult:
     p1 = SphereParams(5, 1)
     p2 = SphereParams(5, 2)
     star = find_eta_star(p1).eta_star
-    threshold = 17.5
+    threshold = p1.n * (p1.n + 2) / 2.0  # where the isotropic state loses stability
     cases = (
         (classify(p1, star + 1.0), STABLE),
         (classify(p1, min(0.5, 0.5 * star)), UNSTABLE),

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,8 +194,8 @@ def test_invert_alpha_past_the_domain_raises(alpha):
 
 @pytest.mark.parametrize("n,k,eta", [(3, 1, 3.0), (5, 2, -4.0), (6, 3, 30.0), (4, 1, 650.0)])
 def test_invert_alpha_evaluates_each_eta_once(moment_passes, n, k, eta):
-    """Brent's method reuses the bracket search's values, and the fold's own
-    alpha^* serves at eta^*: no moment pass repeats within one call."""
+    """The Newton steps start from the bracket search's last pass, and the
+    fold is not evaluated again: no moment pass repeats within one call."""
     params = SphereParams(n, k)
     find_eta_star(params)  # the fold is cached and not part of the call
     alpha = sigma_value(params, eta)
@@ -211,8 +209,8 @@ def test_invert_alpha_evaluates_each_eta_once(moment_passes, n, k, eta):
 
 @pytest.mark.parametrize("n,k", [(3, 1), (5, 1), (9, 7), (12, 5), (38, 3)])
 def test_fold_search_evaluates_each_eta_once(moment_passes, n, k):
-    """The bracket ends Brent's method evaluates again, and alpha^* at the
-    returned point, reuse the search's own moment passes."""
+    """The bisection evaluates each midpoint once, and alpha^* comes from
+    the returned end's own moment pass."""
     params = SphereParams(n, k)
     warm = find_eta_star(params)
     sigma._eta_star_cached.cache_clear()
@@ -224,72 +222,37 @@ def test_fold_search_evaluates_each_eta_once(moment_passes, n, k):
     assert cold.alpha_star == sigma_value(params, cold.eta_star)
 
 
-@pytest.fixture
-def brent_pairs(monkeypatch):
-    """(in-house root, scipy root) for every Brent search the library makes
-    while the test runs; scipy's ``brentq`` reruns each one on the same
-    function, bracket and tolerances."""
-    pairs = []
-    original = sigma._brent
-
-    def both(f, a, b, xtol, rtol, maxiter=100):
-        root = original(f, a, b, xtol, rtol, maxiter)
-        pairs.append((root, brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)))
-        return root
-
-    monkeypatch.setattr(sigma, "_brent", both)
-    return pairs
-
-
-def _same_bits(pairs):
-    return all(type(ours) is float and ours.hex() == theirs.hex() for ours, theirs in pairs)
-
-
-def test_brent_matches_scipy_on_every_fold_to_twelve(brent_pairs):
+def test_searches_agree_with_scipy_brentq_to_twelve(moment_passes):
+    """For every (n, k) with n <= 12, the fold and, at lifts 0.05, 0.3 and
+    0.6 above alpha^*, both intensity roots agree with scipy's ``brentq``,
+    run on brackets doubled outward as the library's are and at the same
+    tolerances; each search makes one moment pass per eta."""
+    rtol = 4 * np.finfo(float).eps
     sigma._eta_star_cached.cache_clear()
     for n in range(3, 13):
         for k in range(1, n):
-            find_eta_star(SphereParams(n, k))
-    # Only 2k < n is searched: k = n/2 is 0 and 2k > n mirrors (n, n - k).
-    assert len(brent_pairs) == sum((n - 1) // 2 for n in range(3, 13))
-    assert _same_bits(brent_pairs)
-
-
-@pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (7, 2), (11, 9)])
-def test_brent_matches_scipy_on_invert_alpha(brent_pairs, n, k):
-    params = SphereParams(n, k)
-    alpha_star = find_eta_star(params).alpha_star
-    for factor in (1.0001, 1.3, 5.0):
-        invert_alpha(params, alpha_star * factor)
-    assert len(brent_pairs) == 6
-    assert _same_bits(brent_pairs)
-
-
-@pytest.mark.parametrize("f,a,b", [
-    (lambda x: math.cos(x) - x, 0.0, 1.0),
-    (lambda x: np.cos(x) - x, -2.0, 3.0),
-    (lambda x: x**3 - 2.0, 0.0, 2.0),
-    (lambda x: x**3 - 2.0, 2.0, -7.5),
-    (lambda x: x**5 - x - 1.0, -0.4, 2.0),
-])
-@pytest.mark.parametrize("xtol", [2e-12, 1e-13, 1e-3, 0.1])  # 0.1: delta decides a step
-def test_brent_matches_scipy_on_analytic_functions(f, a, b, xtol):
-    rtol = 4 * np.finfo(float).eps
-    assert _same_bits([(sigma._brent(f, a, b, xtol, rtol), brentq(f, a, b, xtol=xtol, rtol=rtol))])
-
-
-@pytest.mark.parametrize("f,a,b,maxiter,error", [
-    (lambda x: x * x + 1.0, -1.0, 1.0, 100, ValueError),  # same sign, both positive
-    (lambda x: -x * x - 1.0, -1.0, 1.0, 100, ValueError),  # same sign, both negative
-    (lambda x: math.nan, 0.0, 1.0, 100, ValueError),  # NaN at an end
-    (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, 100, ValueError),  # NaN inside
-    (lambda x: math.cos(x) - x, 0.0, 1.0, 2, RuntimeError),  # too few steps
-])
-def test_brent_raises_as_scipy_does(f, a, b, maxiter, error):
-    with pytest.raises(error):
-        brentq(f, a, b, xtol=2e-12, maxiter=maxiter)
-    with pytest.raises(error):
-        sigma._brent(f, a, b, 2e-12, 4 * np.finfo(float).eps, maxiter)
+            params = SphereParams(n, k)
+            moment_passes.clear()
+            star = find_eta_star(params)
+            assert len(set(moment_passes)) == len(moment_passes), (n, k)
+            span = next(
+                s for s in sigma._outward(0.0, 1.0) if sigma_prime(params, -s) * sigma_prime(params, s) <= 0
+            )
+            fold = brentq(lambda e: sigma_prime(params, e), -span, span, xtol=1e-13, rtol=rtol)
+            assert abs(star.eta_star - fold) <= 1e-12, (n, k)
+            for lift in (0.05, 0.3, 0.6):
+                alpha = star.alpha_star * (1.0 + lift)
+                moment_passes.clear()
+                roots = invert_alpha(params, alpha)
+                assert len(roots) == 2
+                assert len(set(moment_passes)) == len(moment_passes), (n, k, lift)
+                for root, direction in zip(roots, (-1.0, 1.0)):
+                    ends = sigma._outward(star.eta_star, direction)
+                    end = next(e for e in ends if sigma_value(params, e) >= alpha)
+                    a, b = sorted((star.eta_star, end))
+                    ref = brentq(lambda e: sigma_value(params, e) - alpha, a, b, xtol=1e-12, rtol=rtol)
+                    assert abs(root - ref) <= 1e-11 * max(1.0, abs(ref)), (n, k, lift)
+                    assert abs(sigma_value(params, root) - alpha) <= 1e-12 * alpha, (n, k, lift)
 
 
 def test_invert_alpha_round_trip_near_the_edge():
