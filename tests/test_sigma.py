@@ -222,11 +222,29 @@ def test_fold_search_evaluates_each_eta_once(moment_passes, n, k):
     assert cold.alpha_star == sigma_value(params, cold.eta_star)
 
 
-def test_searches_agree_with_scipy_brentq_to_twelve(moment_passes):
-    """For every (n, k) with n <= 12, the fold and, at lifts 0.05, 0.3 and
-    0.6 above alpha^*, both intensity roots agree with scipy's ``brentq``,
-    run on brackets doubled outward as the library's are and at the same
-    tolerances; each search makes one moment pass per eta."""
+def _roots_match_brentq(params, star, alpha, moment_passes):
+    """Both intensity roots of ``alpha`` agree with scipy's ``brentq``, run on
+    brackets doubled outward from the fold as the library's are, and the
+    inversion makes one moment pass per eta."""
+    rtol = 4 * np.finfo(float).eps
+    moment_passes.clear()
+    roots = invert_alpha(params, alpha)
+    assert len(roots) == 2
+    assert len(set(moment_passes)) == len(moment_passes)
+    for root, direction in zip(roots, (-1.0, 1.0)):
+        ends = sigma._outward(star.eta_star, direction)
+        end = next(e for e in ends if sigma_value(params, e) >= alpha)
+        a, b = sorted((star.eta_star, end))
+        ref = brentq(lambda e: sigma_value(params, e) - alpha, a, b, xtol=1e-12, rtol=rtol)
+        assert abs(root - ref) <= 1e-11 * max(1.0, abs(ref))
+        assert abs(sigma_value(params, root) - alpha) <= 1e-12 * alpha
+
+
+def test_brent_matches_scipy_on_every_fold_to_twelve(moment_passes):
+    """For every (n, k) with n <= 12, the fold agrees with scipy's ``brentq``
+    on the slope, run on a bracket doubled outward as the library's is and at
+    the same tolerances, and the search makes one moment pass per eta; at
+    lifts 0.05, 0.3 and 0.6 above alpha^* both intensity roots agree too."""
     rtol = 4 * np.finfo(float).eps
     sigma._eta_star_cached.cache_clear()
     for n in range(3, 13):
@@ -241,18 +259,17 @@ def test_searches_agree_with_scipy_brentq_to_twelve(moment_passes):
             fold = brentq(lambda e: sigma_prime(params, e), -span, span, xtol=1e-13, rtol=rtol)
             assert abs(star.eta_star - fold) <= 1e-12, (n, k)
             for lift in (0.05, 0.3, 0.6):
-                alpha = star.alpha_star * (1.0 + lift)
-                moment_passes.clear()
-                roots = invert_alpha(params, alpha)
-                assert len(roots) == 2
-                assert len(set(moment_passes)) == len(moment_passes), (n, k, lift)
-                for root, direction in zip(roots, (-1.0, 1.0)):
-                    ends = sigma._outward(star.eta_star, direction)
-                    end = next(e for e in ends if sigma_value(params, e) >= alpha)
-                    a, b = sorted((star.eta_star, end))
-                    ref = brentq(lambda e: sigma_value(params, e) - alpha, a, b, xtol=1e-12, rtol=rtol)
-                    assert abs(root - ref) <= 1e-11 * max(1.0, abs(ref)), (n, k, lift)
-                    assert abs(sigma_value(params, root) - alpha) <= 1e-12 * alpha, (n, k, lift)
+                _roots_match_brentq(params, star, star.alpha_star * (1.0 + lift), moment_passes)
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (7, 2), (11, 9)])
+def test_brent_matches_scipy_on_invert_alpha(moment_passes, n, k):
+    """Just above the fold, and far above it, both intensity roots agree
+    with scipy's ``brentq``."""
+    params = SphereParams(n, k)
+    star = find_eta_star(params)
+    for factor in (1.0001, 1.3, 5.0):
+        _roots_match_brentq(params, star, star.alpha_star * factor, moment_passes)
 
 
 def test_invert_alpha_round_trip_near_the_edge():
