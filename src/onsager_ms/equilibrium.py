@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,6 +127,15 @@ class OrderTensor:
         return np.linalg.eigvalsh(self.entries)
 
 
+@lru_cache(maxsize=64)
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity, one per n, shared by every spec built
+    without a rotation; a rotation that is passed in is checked and copied."""
+    eye = np.eye(n)
+    _freeze(eye)
+    return eye
+
+
 @dataclass(frozen=True, eq=False)
 class CriticalPointSpec:
     """An equilibrium h^(k): axis pattern k, order parameter eta, frame R.
@@ -154,13 +164,16 @@ class CriticalPointSpec:
         object.__setattr__(self, "_tilt", tilt)
         object.__setattr__(self, "eta", tilt.eta)
         object.__setattr__(self, "alpha", _alpha_at(tilt, self.alpha))
-        rot = np.eye(n) if self.rotation is None else np.asarray(self.rotation, float)
-        if rot.shape != (n, n):
-            raise ValueError(f"rotation must be {n}x{n}, got {rot.shape}")
-        if not float(np.linalg.norm(rot.T @ rot - np.eye(n))) <= 1e-12:
-            raise ValueError("rotation must be orthogonal")
-        rot = rot.copy()
-        _freeze(rot)
+        if self.rotation is None:
+            rot = _identity(n)
+        else:
+            rot = np.asarray(self.rotation, float)
+            if rot.shape != (n, n):
+                raise ValueError(f"rotation must be {n}x{n}, got {rot.shape}")
+            if not float(np.linalg.norm(rot.T @ rot - np.eye(n))) <= 1e-12:
+                raise ValueError("rotation must be orthogonal")
+            rot = rot.copy()
+            _freeze(rot)
         object.__setattr__(self, "rotation", rot)
         if self.eta != 0.0:
             target = _branch_alpha(tilt)

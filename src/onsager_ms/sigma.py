@@ -21,9 +21,10 @@ from one rescaled moment pass at the library's one theta order,
 DEFAULT_ORDER, so a fold is cached by (n, k) alone; eta is confined to
 the moment domain |eta| <= ETA_MAX, and the brackets of the fold search
 and of the inversion end at its edge.  One pass gives sigma_k and
-sigma_k' together, and both searches use them: the fold is bisected on
-the sign of sigma_k', and alpha is inverted by Newton steps on
-sigma_k - alpha that fall back on bisection inside the bracket.
+sigma_k' together, and both searches use them: the fold is found by
+Illinois false-position steps on sigma_k' inside its sign bracket, and
+alpha is inverted by Newton steps on sigma_k - alpha that fall back on
+bisection inside the bracket.
 """
 
 from __future__ import annotations
@@ -143,20 +144,33 @@ def _eta_star_cached(n: int, k: int) -> EtaStar:
         lo = hi
     else:
         raise ValueError(f"the fold of the intensity curve lies outside the moment domain |eta| <= {ETA_MAX}")
-    while hi.eta - lo.eta > 1e-13 + _RTOL * hi.eta:
-        mid = sample(params, 0.5 * (lo.eta + hi.eta))
+    # Illinois false position: the secant of the bracket ends, with the
+    # slope at an end that stays put for a second step in a row halved, so
+    # both ends close in.  A step stays half the stopping width inside the
+    # bracket, so a root next to one end is bracketed by the following step.
+    lo_slope, hi_slope, moved = lo.sigma_prime, hi.sigma_prime, None
+    while hi.eta - lo.eta > (width := 1e-13 + _RTOL * hi.eta):
+        eta = (lo.eta * hi_slope - hi.eta * lo_slope) / (hi_slope - lo_slope)
+        eta = min(max(eta, lo.eta + 0.5 * width), hi.eta - 0.5 * width)
+        mid = sample(params, eta)
         if mid.sigma_prime < 0:
-            lo = mid
+            if moved == "lo":
+                hi_slope *= 0.5
+            lo, lo_slope, moved = mid, mid.sigma_prime, "lo"
         else:
-            hi = mid
+            if moved == "hi":
+                lo_slope *= 0.5
+            hi, hi_slope, moved = mid, mid.sigma_prime, "hi"
     best = min(lo, hi, key=lambda point: abs(point.sigma_prime))
     return EtaStar(params, best.eta, best.sigma)
 
 
 def find_eta_star(params: SphereParams) -> EtaStar:
-    """Locate the unique zero of sigma_k' by bisection on its sign in a
-    bracket doubled outward from 8 to the edge of the moment domain, down
-    to 1e-13 + 4 eps |eta|; the fold is the end with the smaller |sigma_k'|.
+    """Locate the unique zero of sigma_k' by Illinois false-position steps
+    in a sign bracket doubled outward from 8 to the edge of the moment
+    domain, down to a width of 1e-13 + 4 eps |eta|; the fold is the end
+    with the smaller |sigma_k'|.  Each eta costs one moment pass; a cold
+    fold takes about 12 of them.
 
     Only 2k < n is searched: for 2k > n the fold is exactly -eta_{n-k}^*,
     and on the even branch k = n/2 exactly 0; alpha^* is sigma_k(eta^*)

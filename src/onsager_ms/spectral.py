@@ -6,22 +6,26 @@ the grid the matrix A_0 I - c q q^T, restricted to mean-zero profiles
 for the b block.  Its spectrum follows from that structure (Golub, SIAM
 Rev. 15, 1973) without a factorization: A_0 on the complement of q, and
 the downdated value A_0 - c |Pq|^2, where P projects q off the mean
-constraint for b (one Gram-Schmidt step and one re-orthogonalisation)
-and is the identity otherwise.  The eigenvectors are built on first
-read, from a complete QR factorization of q with the constraint as a
-leading column for b.  On every call the grid eigenvalue is compared
-with its closed form from the moments (one of the sign scalars D1, D2,
-D3, or exactly zero for the mixed block on an anisotropic branch); a
-disagreement means the grid cannot resolve the exponential weight and
-raises instead of returning garbage.
+constraint for b and is the identity otherwise.  One tilted product on
+the grid per point, g = w e^(eta t - shift) summed against t(1-t), t^2,
+(1-t)^2 and, for b, the centred (t - E_g t)^2, gives |Pq|^2 for all four
+blocks.  On every call each block's grid eigenvalue is compared, as a
+scalar, with its closed form from the moments (one of the sign scalars
+D1, D2, D3, or exactly zero for the mixed block on an anisotropic
+branch); a disagreement means the grid cannot resolve the exponential
+weight and raises instead of returning garbage.  A block is its
+scalars: its eigenvalue and closed-form arrays, its grid columns and its
+eigenvectors (a complete QR factorization of q, with the constraint as a
+leading column for b) are built on first read, and so is the pooled
+spectrum of ``full_spectrum``.
 
 Which family feeds which block, and how many slots (the block's
 multiplicity) each has, is listed once, in ``stability``'s docstring.
 The zero modes of the mixed block I_0 are the rotational kernel of the
 equilibrium, one per Theta slot, each a multiple of e^{eta sin^2} sin cos.
 ``full_spectrum`` builds one block per gamma, shared by every family
-that gamma serves, pools the blocks with their multiplicities,
-identifies the kernel, and reports the spectral gap;
+that gamma serves, and identifies the kernel and the spectral gap from
+the blocks' distinct values and their multiplicities;
 ``gap_estimate`` turns the block minima into an explicit lower bound in
 the plain L^2 metric for stable k = 1 states and their k = n - 1 mirrors.
 """
@@ -31,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -81,16 +85,18 @@ class BlockSpectrum:
 
     Every basis family served by one gamma carries this same block, so
     ``full_spectrum`` builds one per gamma and maps each of its families
-    to it.  ``eigenvalues`` is ascending: the downdated value
-    A_0 - c |Pq|^2 of the grid, then A_0 for every other eigenpair.
-    ``closed_form`` is the same spectrum with the low value taken from
-    the moments; the two agree to the grid-resolution check's tolerance.
-    ``eigenvectors`` columns hold the coefficient profiles a(theta_i) on
-    the grid of ``rule``, orthonormal in the weighted metric, the
-    downdated direction first.  They come from a complete QR
-    factorization of the block's grid columns (the mean constraint for
-    b, then q), made on first read.  The constrained b block has one
-    eigenpair fewer than grid points.
+    to it.  A block is three scalars, in plain units: the downdated value
+    A_0 - c |Pq|^2 of the grid, the bulk value A_0, and the closed-form
+    low value from the moments; the two low values agree to the
+    grid-resolution check's tolerance.  Its arrays are built from them
+    on first read.  ``eigenvalues`` is ascending: the downdated value,
+    then A_0 for every other eigenpair.  ``closed_form`` is the same
+    spectrum with the low value from the moments.  ``eigenvectors``
+    columns hold the coefficient profiles a(theta_i) on the grid of
+    ``rule``, orthonormal in the weighted metric, the downdated
+    direction first.  They come from a complete QR factorization of the
+    block's grid columns (the mean constraint for b, then q).  The
+    constrained b block has one eigenpair fewer than grid points.
     """
 
     params: SphereParams
@@ -98,10 +104,36 @@ class BlockSpectrum:
     eta: float
     alpha: float
     rule: WeightedQuadrature
-    eigenvalues: np.ndarray
-    closed_form: np.ndarray
-    _columns: tuple[np.ndarray, ...] = field(repr=False)
-    _free: np.ndarray = field(repr=False)  # Pq, the part of q that meets the constraint
+    _low: float = field(repr=False)  # the grid's downdated value
+    _bulk: float = field(repr=False)  # A_0
+    _closed_low: float = field(repr=False)  # the downdated value from the moments
+
+    @property
+    def _size(self) -> int:
+        return self.rule.weights.size - (self.gamma == 3)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        evals = np.full(self._size, self._bulk)
+        evals[0] = self._low
+        _freeze(evals)
+        return evals
+
+    @cached_property
+    def closed_form(self) -> np.ndarray:
+        closed = np.full(self._size, self._bulk)
+        closed[0] = self._closed_low
+        closed.sort()
+        _freeze(closed)
+        return closed
+
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """The block's grid columns: the mean constraint for b, then q."""
+        w, t = self.rule.weights, self.rule.sin2
+        root_mass = np.sqrt(w * np.exp(self.eta * t - max(self.eta, 0.0)))
+        direction = root_mass * _profile(self.gamma, t)
+        return (root_mass, direction) if self.gamma == 3 else (direction,)
 
     @cached_property
     def _to_profile(self) -> np.ndarray:
@@ -161,51 +193,64 @@ def block_spectrum(
     if family_multiplicities(params)[family] == 0:
         raise ValueError(f"family {family} is empty for (n, k) = ({params.n}, {params.k})")
     tilt = scaled_moments(params, eta)
-    return _block_spectrum(tilt, family, grid_size, _alpha_at(tilt, alpha))
+    return _block_spectra(tilt, (family,), grid_size, _alpha_at(tilt, alpha))[_GAMMA_BY_BLOCK[family]]
 
 
-def _block_spectrum(tilt: TiltedMeasure, family: str, grid_size: int, alpha: float) -> BlockSpectrum:
-    """``block_spectrum`` from the moment pass ``tilt``, with alpha resolved."""
+def _projected_norms(rule: WeightedQuadrature, eta: float, shift: float) -> tuple[float, ...]:
+    """|Pq_gamma|^2 for gamma = 0, 1, 2, 3 on ``rule``, at the scale
+    e^(-shift): sums of g = w e^(eta t - shift) against t(1-t), t^2,
+    (1-t)^2, and for b the centred (t - E_g t)^2, which keeps its
+    accuracy where the tilted measure concentrates."""
+    t = rule.sin2
+    g = eta * t - shift
+    np.exp(g, out=g)
+    g *= rule.weights
+    gt = g * t
+    rest = 1.0 - t
+    centred = t - gt.sum() / g.sum()
+    return float(gt @ rest), float(gt @ t), float((g * rest) @ rest), float((g * centred) @ centred)
+
+
+def _block_spectra(
+    tilt: TiltedMeasure, families: Iterable[str], grid_size: int, alpha: float
+) -> dict[int, BlockSpectrum]:
+    """One block per gamma of ``families``, keyed by gamma, from the moment
+    pass ``tilt`` and one product on the grid, with alpha resolved; a
+    block whose grid value disagrees with its closed form raises,
+    naming the first of its families."""
     params = tilt.rule.params
     rule = _grid_rule(params, grid_size)
-    eta, a0, shift = tilt.eta, tilt.a0, tilt.shift
-    gamma = _GAMMA_BY_BLOCK[family]
-    w, t = rule.weights, rule.sin2
-    growth = np.exp(eta * t - shift)
-    root_mass = np.sqrt(w * growth)
-    direction = root_mass * _profile(gamma, t)
-    if gamma == 3:
-        # Project q off the mean constraint, twice for orthogonality to rounding.
-        unit = root_mass / np.sqrt(root_mass @ root_mass)
-        free = direction - (unit @ direction) * unit
-        free -= (unit @ free) * unit
-        columns = (root_mass, direction)
-    else:
-        free, columns = direction, (direction,)
-    evals = np.full(w.size - len(columns) + 1, a0)
-    evals[0] = a0 - _rank_one_coefficient(gamma, params) * alpha * (free @ free)
-    low = _block_low(gamma, tilt, alpha)
-    closed = np.concatenate(([low], np.full(evals.size - 1, a0)))
-    closed.sort()
-
-    tol = _CLOSED_FORM_RTOL * max(a0, abs(low))
-    if float(np.max(np.abs(evals - closed))) > tol:
-        raise RuntimeError(
-            f"dense and closed-form spectra disagree for {family} at eta = {eta:g}; "
-            "increase grid_size"
+    eta, a0 = tilt.eta, tilt.a0
+    norms = _projected_norms(rule, eta, tilt.shift)
+    factor = float(np.exp(tilt.shift))
+    blocks: dict[int, BlockSpectrum] = {}
+    for family in families:
+        gamma = _GAMMA_BY_BLOCK[family]
+        if gamma in blocks:
+            continue
+        grid_low = a0 - _rank_one_coefficient(gamma, params) * alpha * norms[gamma]
+        low = _block_low(gamma, tilt, alpha)
+        # The grid spectrum (grid_low, A_0, ..., A_0) against the sorted
+        # closed form: only the low entry and, when low > A_0, the top differ.
+        error = max(abs(grid_low - min(low, a0)), abs(a0 - max(low, a0)))
+        if error > _CLOSED_FORM_RTOL * max(a0, abs(low)):
+            raise RuntimeError(
+                f"dense and closed-form spectra disagree for {family} at eta = {eta:g}; "
+                "increase grid_size"
+            )
+        blocks[gamma] = BlockSpectrum(
+            params, gamma, eta, alpha, rule, grid_low * factor, a0 * factor, low * factor
         )
-    factor = float(np.exp(shift))
-    evals = evals * factor
-    closed = closed * factor
-    _freeze(evals, closed)
-    return BlockSpectrum(params, gamma, eta, alpha, rule, evals, closed, columns, free)
+    return blocks
 
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
     """Aggregated block spectra with kernel and gap diagnostics.
 
-    ``eigenvalues`` pools every block with its multiplicity.  Entries of
+    ``eigenvalues`` pools every block with its multiplicity; it is built
+    on first read from the distinct values and their multiplicities,
+    from which the kernel and gap diagnostics are taken.  Entries of
     magnitude below ``threshold`` (a fixed fraction of the spectral
     radius) count as kernel; ``gap`` is the smallest remaining
     eigenvalue, negative exactly when the state is unstable.
@@ -222,12 +267,19 @@ class SpectrumReport:
     grid_size: int
     blocks: Mapping[str, BlockSpectrum]
     multiplicities: Mapping[str, int]
-    eigenvalues: np.ndarray
     threshold: float
     kernel_dim: int
     gap: float
     ambiguous: bool
     kernel_projection: float | None
+    _values: tuple[float, ...] = field(repr=False)  # distinct eigenvalues, ascending
+    _counts: tuple[int, ...] = field(repr=False)  # their multiplicities
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        pooled = np.repeat(self._values, self._counts)
+        _freeze(pooled)
+        return pooled
 
 
 def full_spectrum(
@@ -239,62 +291,57 @@ def full_spectrum(
     """Spectrum of the full discretized second variation at (k, eta).
 
     One moment pass and one alpha (sigma_k(eta) by default) serve every
-    block.  A block is its functional: ``blocks`` maps every family of
-    one gamma to the same ``BlockSpectrum``.  The pooled eigenvalues are
-    built from each block's distinct values and their multiplicities.
+    block, and one product on the grid gives every block's downdated
+    value.  A block is its functional: ``blocks`` maps every family of
+    one gamma to the same ``BlockSpectrum``.  The diagnostics come from
+    each block's distinct values and their multiplicities; the pooled
+    eigenvalues are built from them on first read.
     """
     tilt = scaled_moments(params, eta)
     alpha = _alpha_at(tilt, alpha)
     counts = family_multiplicities(params)
-    blocks: dict[str, BlockSpectrum] = {}
-    by_gamma: dict[int, BlockSpectrum] = {}
+    present = [family for family, count in counts.items() if count]
+    by_gamma = _block_spectra(tilt, present, grid_size, alpha)
+    blocks = {family: by_gamma[_GAMMA_BY_BLOCK[family]] for family in present}
     pairs: list[tuple[float, int]] = []
-    for family, count in counts.items():
-        if count == 0:
-            continue
-        gamma = _GAMMA_BY_BLOCK[family]
-        if gamma not in by_gamma:
-            by_gamma[gamma] = _block_spectrum(tilt, family, grid_size, alpha)
-        block = blocks[family] = by_gamma[gamma]
+    for family in present:
+        block, count = blocks[family], counts[family]
         # The downdated value, then the bulk at A_0.
-        size = block.eigenvalues.size
-        pairs += [(block.eigenvalues[0], count), (block.eigenvalues[-1], count * (size - 1))]
+        pairs += [(block._low, count), (block._bulk, count * (block._size - 1))]
     pairs.sort()
-    values = np.array([value for value, _ in pairs])
-    multiplicities = np.array([count for _, count in pairs])
-    eigenvalues = np.repeat(values, multiplicities)
+    values = tuple(value for value, _ in pairs)
+    multiplicities = tuple(count for _, count in pairs)
 
-    magnitudes = np.abs(values)
-    threshold = KERNEL_RTOL * float(np.max(magnitudes))
-    in_kernel = magnitudes < threshold
-    kernel_dim = int(np.sum(multiplicities[in_kernel]))
-    rest = values[~in_kernel]
-    gap = float(rest.min()) if rest.size else 0.0
-    ambiguous = bool(
-        np.any((magnitudes >= threshold / 10.0) & (magnitudes <= threshold * 10.0))
-    )
+    magnitudes = [abs(value) for value in values]
+    threshold = KERNEL_RTOL * max(magnitudes)
+    kernel_dim = sum(count for size, count in zip(magnitudes, multiplicities) if size < threshold)
+    gap = min((value for value, size in zip(values, magnitudes) if not size < threshold), default=0.0)
+    ambiguous = any(threshold / 10.0 <= size <= threshold * 10.0 for size in magnitudes)
 
     projection = None
     theta_block = by_gamma.get(0)
     if theta_block is not None:
-        zero_columns = np.nonzero(np.abs(theta_block.eigenvalues) < threshold)[0]
-        if zero_columns.size:
+        # Column 0 holds the downdated value, every later column the bulk.
+        zero_columns = [0] if abs(theta_block._low) < threshold else []
+        if abs(theta_block._bulk) < threshold:
+            zero_columns += range(1, theta_block._size)
+        if zero_columns:
             w = theta_block.rule.weights
             g = _attainer(theta_block.rule.sin2, tilt, 0)
             g_norm = float(np.sum(w * g * g))
             fractions = []
             for column in zero_columns:
-                # Column 0 is Pq up to sign and scale, which the ratio below
-                # ignores; only a bulk column needs the QR basis.
+                # Column 0 is q (P is the identity off b) up to sign and
+                # scale, which the ratio below ignores; only a bulk column
+                # needs the QR basis.
                 if column == 0:
-                    a = theta_block._free * theta_block._to_profile
+                    a = theta_block._columns[0] * theta_block._to_profile
                 else:
                     a = theta_block.eigenvectors[:, column]
                 overlap = float(np.sum(w * a * g)) ** 2
                 fractions.append(overlap / (float(np.sum(w * a * a)) * g_norm))
             projection = float(min(fractions))
 
-    _freeze(eigenvalues)
     return SpectrumReport(
         params,
         tilt.eta,
@@ -302,12 +349,13 @@ def full_spectrum(
         grid_size,
         MappingProxyType(blocks),
         MappingProxyType(counts),
-        eigenvalues,
         threshold,
         kernel_dim,
         gap,
         ambiguous,
         projection,
+        values,
+        multiplicities,
     )
 
 
@@ -387,8 +435,7 @@ def isotropic_threshold(n: int, tol: float = 1e-8, grid_size: int = 32) -> float
     params = SphereParams(n, 1)
 
     def smallest(alpha: float) -> float:
-        report = full_spectrum(params, 0.0, grid_size, alpha)
-        return float(report.eigenvalues[0])
+        return full_spectrum(params, 0.0, grid_size, alpha)._values[0]
 
     lo, hi = 1.0, 2.0 * n * (n + 2)
     if not (smallest(lo) > 0.0 > smallest(hi)):

@@ -373,8 +373,11 @@ class PerturbationTop:
         for idx, f in funcs.items():
             _check_ranges(idx, self.params)
             coeffs[idx] = _grid_values(f(rule.nodes), rule, f"values for {idx}")
-        b_values = np.zeros_like(rule.weights) if self.b_function is None else self.b_function(rule.nodes)
-        b = _grid_values(b_values, rule, "b values", zero_mean=True)
+        if self.b_function is None:
+            b = np.zeros_like(rule.weights)
+            _freeze(b)
+        else:
+            b = _grid_values(self.b_function(rule.nodes), rule, "b values", zero_mean=True)
         object.__setattr__(self, "coefficient_functions", MappingProxyType(funcs))
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "coefficients", MappingProxyType(coeffs))
@@ -387,14 +390,15 @@ class PerturbationTop:
 
 def _grid_values(values, rule: WeightedQuadrature, name: str, zero_mean: bool = False) -> np.ndarray:
     """A read-only copy of a profile's values at ``rule``'s nodes, checked
-    to be finite and, when ``zero_mean``, of zero mean against the measure."""
+    to be finite and, when ``zero_mean``, of zero mean against the measure:
+    |sum w v| at most 1e-10 sum w |v|, a bound that scales with the values."""
     arr = np.array(values, dtype=float)
     if arr.shape != rule.weights.shape:
         raise ValueError(f"{name} do not match the grid")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     w = rule.weights
-    if zero_mean and abs(float(np.sum(w * arr))) > 1e-10 * max(1.0, float(np.sum(w * np.abs(arr)))):
+    if zero_mean and abs(float(np.sum(w * arr))) > 1e-10 * float(np.sum(w * np.abs(arr))):
         raise ValueError(f"{name} must have zero mean against the measure")
     _freeze(arr)
     return arr
@@ -478,13 +482,16 @@ def _scaled_form(params: SphereParams, total: float) -> float:
 
 def _block_sum(spec: CriticalPointSpec, p: PerturbationTop) -> float:
     """The decomposed form before its area factor: each slot's I_gamma over
-    its d_gamma, plus I_3 of b, from the spec's moment pass."""
+    its d_gamma, plus I_3 of b, from the spec's moment pass.  I_3 of an
+    absent b is exactly 0.0 and is not evaluated."""
     params, tilt = spec.params, spec._tilt
     total = 0.0
     for idx, vals in p.coefficients.items():
         gamma = GAMMA_BY_FAMILY[idx.family]
         term = _functional_value(gamma, tilt, vals, spec.alpha)
         total += term / _slot_denominator(gamma, params)
+    if p.b_function is None:
+        return total
     return total + _functional_value(3, tilt, p.b, spec.alpha)
 
 
@@ -508,7 +515,7 @@ def quadratic_form_direct(spec: CriticalPointSpec, phi: Callable) -> float:
         raise ValueError("phi must return one value per quadrature point")
     if not np.all(np.isfinite(vals)):
         raise ValueError("phi values must be finite")
-    if abs(float(np.sum(w * vals))) > 1e-9 * max(1.0, float(np.sum(w * np.abs(vals)))):
+    if abs(float(np.sum(w * vals))) > 1e-9 * float(np.sum(w * np.abs(vals))):
         raise ValueError("phi must have zero mean over the sphere")
     s2 = np.einsum("ij,ij->i", canonical[:, :k], canonical[:, :k])
     tilt = spec._tilt

@@ -97,6 +97,19 @@ def test_spec_rejects_nonorthogonal_rotation():
         critical_point(params, 1.0, rotation=np.eye(2))
 
 
+def test_spec_without_rotation_shares_one_frozen_identity():
+    """Specs built without a rotation share one read-only identity per n;
+    a rotation that is passed in is checked and copied."""
+    first = critical_point(SphereParams(5, 2), 1.0)
+    assert first.rotation is isotropic_point(5, 3.0).rotation
+    assert np.array_equal(first.rotation, np.eye(5))
+    assert not first.rotation.flags.writeable
+    assert critical_point(SphereParams(6, 2), 1.0).rotation.shape == (6, 6)
+    frame = np.eye(5)
+    passed = critical_point(SphereParams(5, 2), 1.0, frame)
+    assert passed.rotation is not frame and not passed.rotation.flags.writeable
+
+
 def test_isotropic_point_accepts_any_alpha():
     spec = isotropic_point(5, 3.0)
     assert spec.eta == 0.0

@@ -222,6 +222,21 @@ def test_fold_search_evaluates_each_eta_once(moment_passes, n, k):
     assert cold.alpha_star == sigma_value(params, cold.eta_star)
 
 
+def test_fold_search_takes_few_passes(moment_passes):
+    """A cold fold with 2k < n <= 38 takes at most 15 moment passes on
+    average, its outward bracket search included, one per eta."""
+    sigma._eta_star_cached.cache_clear()
+    counts = []
+    for n in range(3, 39):
+        for k in range(1, (n + 1) // 2):
+            moment_passes.clear()
+            find_eta_star(SphereParams(n, k))
+            assert len(set(moment_passes)) == len(moment_passes), (n, k)
+            counts.append(len(moment_passes))
+    assert len(counts) == 342
+    assert sum(counts) / len(counts) <= 15.0
+
+
 def _roots_match_brentq(params, star, alpha, moment_passes):
     """Both intensity roots of ``alpha`` agree with scipy's ``brentq``, run on
     brackets doubled outward from the fold as the library's are, and the

@@ -101,6 +101,50 @@ def test_rank_one_spectrum_matches_dense_reference(n, k):
     assert (passed, raised) == (14 * blocks, 2 * blocks)
 
 
+def _dense_disagrees(params, eta, grid_size):
+    """Whether a dense eigvalsh of some nonempty block on the grid disagrees
+    with the block's closed form beyond the resolution check's tolerance."""
+    rule = theta_rule(params.n, params.k, grid_size)
+    w, t = rule.weights, rule.sin2
+    tilt = scaled_moments(params, eta)
+    alpha = _branch_alpha(tilt)
+    root_mass = np.sqrt(w * np.exp(eta * t - tilt.shift))
+    gammas = {_GAMMA_BY_BLOCK[f] for f, count in family_multiplicities(params).items() if count}
+    for gamma in gammas:
+        mat, _ = _rank_one_block(
+            np.full(w.size, tilt.a0),
+            _rank_one_coefficient(gamma, params) * alpha,
+            root_mass * _profile(gamma, t),
+            root_mass if gamma == 3 else None,
+        )
+        dense = np.linalg.eigvalsh(mat)
+        low = _block_low(gamma, tilt, alpha)
+        closed = np.sort(np.concatenate(([low], np.full(dense.size - 1, tilt.a0))))
+        if np.max(np.abs(dense - closed)) > _CLOSED_FORM_RTOL * max(tilt.a0, abs(low)):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (6, 2), (9, 8)])
+def test_resolution_check_raises_where_a_dense_block_disagrees(n, k):
+    """The scalar resolution check raises exactly where a dense eigensolve
+    of some block disagrees with its closed form, and returns elsewhere."""
+    params = SphereParams(n, k)
+    star = find_eta_star(params).eta_star
+    raised = 0
+    for grid_size in (8, 16, 64):
+        for eta in (-50.0, -5.0, 5.0, 50.0, star - 0.3, star + 0.3):
+            if _dense_disagrees(params, eta, grid_size):
+                raised += 1
+                with pytest.raises(RuntimeError, match="increase grid_size"):
+                    full_spectrum(params, eta, grid_size=grid_size)
+            else:
+                full_spectrum(params, eta, grid_size=grid_size)
+    # Grids 8 and 16 cannot resolve the weight at |eta| = 50, nor grid 8
+    # at the fold of (9, 8), about eta = -10.5: 14 of the 54 points.
+    assert raised == {(3, 1): 4, (6, 2): 4, (9, 8): 6}[n, k]
+
+
 def test_grid_resolution_check_fires():
     params = SphereParams(3, 1)
     with pytest.raises(RuntimeError, match="increase grid_size"):
@@ -316,6 +360,56 @@ def test_full_spectrum_allocates_no_grid_square():
     finally:
         tracemalloc.stop()
     assert peak < grid_size * grid_size * 8 / 8
+
+
+def _block_arrays_as_built_eagerly(rule, tilt, gamma, alpha):
+    """A block's eigenvalues and closed form built as dense arrays from its
+    grid columns: q projected off the mean constraint by Gram-Schmidt for b."""
+    params, w, t = rule.params, rule.weights, rule.sin2
+    root_mass = np.sqrt(w * np.exp(tilt.eta * t - tilt.shift))
+    free = root_mass * _profile(gamma, t)
+    if gamma == 3:
+        unit = root_mass / np.linalg.norm(root_mass)
+        free = free - (unit @ free) * unit
+        free -= (unit @ free) * unit
+    size = w.size - (gamma == 3)
+    evals = np.full(size, tilt.a0)
+    evals[0] -= _rank_one_coefficient(gamma, params) * alpha * (free @ free)
+    closed = np.sort(np.concatenate(([_block_low(gamma, tilt, alpha)], np.full(size - 1, tilt.a0))))
+    factor = np.exp(tilt.shift)
+    return evals * factor, closed * factor
+
+
+def test_full_spectrum_builds_its_arrays_on_first_read():
+    """A branch point at (38, 19) stays below 64 KiB until the pooled
+    eigenvalues (370 KiB) are read; they are the distinct values repeated
+    by multiplicity, and each block's arrays match dense ones built from
+    its grid columns."""
+    params, eta = SphereParams(38, 19), 2.0
+    full_spectrum(params, eta)  # builds the rules
+    tracemalloc.start()
+    try:
+        report = full_spectrum(params, eta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    pairs = []
+    for family, block in report.blocks.items():
+        count = report.multiplicities[family]
+        pairs += [(block.eigenvalues[0], count), (block.eigenvalues[-1], count * (block.eigenvalues.size - 1))]
+    pairs.sort()
+    expected = np.repeat([value for value, _ in pairs], [count for _, count in pairs])
+    assert report.eigenvalues.nbytes > 360 * 1024
+    assert np.array_equal(report.eigenvalues, expected)
+    assert not report.eigenvalues.flags.writeable
+    tilt = scaled_moments(params, eta)
+    a0 = tilt.a0 * np.exp(tilt.shift)
+    for block in report.blocks.values():
+        evals, closed = _block_arrays_as_built_eagerly(block.rule, tilt, block.gamma, report.alpha)
+        assert np.max(np.abs(block.eigenvalues - evals)) <= 1e-12 * a0
+        assert np.max(np.abs(block.closed_form - closed)) <= 1e-12 * a0
+        assert np.array_equal(block.eigenvectors, _qr_profiles(block.rule, tilt, block.gamma))
 
 
 def _qr_kernel_projection(report, tilt):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onsager_ms import stability
 from onsager_ms.equilibrium import (
     CriticalPointSpec,
     OrderTensor,
@@ -429,6 +430,46 @@ def test_perturbation_top_validation():
     assert np.array_equal(top.theta_grid, rule.nodes)
     assert np.array_equal(top.coefficients[theta_slot], np.ones_like(rule.nodes))
     assert np.array_equal(top.b, np.zeros_like(rule.nodes))
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 1e-6, 1e-11, 1e-300])
+def test_zero_mean_checks_scale_with_the_profile(amplitude):
+    """The zero-mean checks of b and of the direct form's phi compare the
+    mean with the profile's own weighted size, not with an absolute floor:
+    a constant is rejected and a mean-subtracted profile accepted at every
+    amplitude."""
+    params = SphereParams(4, 1)
+    rule = theta_rule(4, 1)
+    with pytest.raises(ValueError, match="zero mean against the measure"):
+        PerturbationTop(params, {}, lambda th: amplitude * np.ones_like(th))
+    mean = float(rule.weights @ np.sin(rule.nodes) ** 2) / rule.total_mass
+    top = PerturbationTop(params, {}, lambda th: amplitude * (np.sin(th) ** 2 - mean))
+    assert np.isfinite(quadratic_form_decomposed(critical_point(params, 3.0), top))
+
+    spec = critical_point(params, 3.0)
+    with pytest.raises(ValueError, match="zero mean over the sphere"):
+        quadratic_form_direct(spec, lambda m: np.full(len(m), amplitude))
+    assert np.isfinite(quadratic_form_direct(spec, lambda m: amplitude * (m[:, 0] ** 2 - 0.25)))
+    # An all-zero profile has zero mean at any scale.
+    assert quadratic_form_direct(spec, lambda m: np.zeros(len(m))) == 0.0
+
+
+def test_witness_without_b_skips_the_radial_block(monkeypatch):
+    """A witness with no b profile evaluates only its own slot's functional:
+    I_3 of the zero profile is exactly 0.0 and is not computed."""
+    params, eta = SphereParams(5, 2), 3.0
+    assert functional_I(3, params, eta, np.zeros(theta_rule(5, 2).weights.size)) == 0.0
+    gammas = []
+    original = stability._functional_value
+
+    def counted(gamma, *args):
+        gammas.append(gamma)
+        return original(gamma, *args)
+
+    monkeypatch.setattr(stability, "_functional_value", counted)
+    report = classify(params, eta)
+    assert report.classification == UNSTABLE and report.witness.b_function is None
+    assert gammas == [1]
 
 
 def test_perturbation_top_is_its_profiles():
