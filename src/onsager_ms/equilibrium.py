@@ -196,20 +196,21 @@ def isotropic_point(n: int, alpha: float) -> CriticalPointSpec:
     return CriticalPointSpec(SphereParams(n, 1), 0.0, float(alpha))
 
 
-def _validated_points(spec: CriticalPointSpec, m) -> tuple[np.ndarray, bool]:
+def _validated_points(n: int, m) -> tuple[np.ndarray, bool]:
+    """Points m as an (N, n) array of unit rows, and whether m was one vector."""
     pts = np.asarray(m, dtype=float)
     single = pts.ndim == 1
     mat = np.atleast_2d(pts)
-    if mat.ndim != 2 or mat.shape[1] != spec.params.n:
-        raise ValueError(f"points must have {spec.params.n} components")
+    if mat.ndim != 2 or mat.shape[1] != n:
+        raise ValueError(f"points must have {n} components")
     norms = np.sqrt(np.einsum("ij,ij->i", mat, mat))
-    if not float(np.max(np.abs(norms - 1.0))) <= 1e-12:
+    if not np.all(np.abs(norms - 1.0) <= 1e-12):
         raise ValueError("points must lie on the unit sphere")
     return mat, single
 
 
 def log_density(spec: CriticalPointSpec, m):
-    mat, single = _validated_points(spec, m)
+    mat, single = _validated_points(spec.params.n, m)
     params, tilt = spec.params, spec._tilt
     rotated = mat @ spec.rotation.T
     s2 = np.einsum("ij,ij->i", rotated[:, : params.k], rotated[:, : params.k])

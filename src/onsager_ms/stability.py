@@ -29,8 +29,15 @@ the k = 1 branch is stable exactly for eta above the fold eta_1^*, and
 k = n-1 mirrors it under eta -> -eta.
 
 A perturbation (``PerturbationTop``) is given by its profiles, functions
-of theta; the decomposed form reads their values on the blocks' theta
-rule.  Unstable verdicts carry an explicit witness: the Cauchy-Schwarz
+of theta.  Their values on the blocks' theta rule form one read-only
+array, a row per slot and b's row last, checked once; the decomposed form
+reads it.  I_gamma has one implementation, over a stack of such rows,
+which the decomposed form, ``functional_I`` and the witness below call.
+The profiles of a seeded random perturbation are the rows of one
+polynomial table, which a single call evaluates at every theta for the
+grid and for the assembled evaluator.
+
+Unstable verdicts carry an explicit witness: the Cauchy-Schwarz
 equality profile of the violated functional, placed in a single basis
 slot, whose decomposed form value is verified to be strictly negative,
 and which the direct form can check on the sphere.
@@ -46,12 +53,13 @@ only limit: it checks the decomposition at every k up to n = 29.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .equilibrium import CriticalPointSpec
+from .equilibrium import CriticalPointSpec, _validated_points
 from .moments import TiltedMeasure, _checked_eta, scaled_moments
 from .quadrature import (
     SphereParams,
@@ -148,7 +156,14 @@ def _check_ranges(idx: BasisIndex, params: SphereParams) -> None:
 
 
 def basis_indices(params: SphereParams) -> tuple[BasisIndex, ...]:
-    """All basis slots for (n, k), in a fixed deterministic order."""
+    """All basis slots for (n, k), in a fixed deterministic order: one
+    shared tuple of frozen slots per (n, k)."""
+    return _basis_indices(params.n, params.k)
+
+
+@lru_cache(maxsize=128)
+def _basis_indices(n: int, k: int) -> tuple[BasisIndex, ...]:
+    params = SphereParams(n, k)
     out: list[BasisIndex] = []
     for family, (_, kind) in _FAMILY_TABLE.items():
         top_i, top_j, _ = _limits(family, params)
@@ -314,17 +329,33 @@ def functional_I(
     against the measure.
     """
     tilt = scaled_moments(params, eta)
-    vals = _grid_values(a, tilt.rule, "coefficient values", zero_mean=gamma == 3)
-    return _functional_value(gamma, tilt, vals, _alpha_at(tilt, alpha))
+    rows = _grid_values([a], tilt.rule, lambda _: "coefficient values")
+    if gamma == 3:
+        _check_zero_mean(rows[0], tilt.rule, "coefficient values")
+    return _functional_value(tilt, rows, (gamma,), _alpha_at(tilt, alpha))[0]
 
 
-def _functional_value(gamma: int, tilt: TiltedMeasure, vals, alpha) -> float:
-    """I_gamma at checked grid values ``vals``, from the moment pass ``tilt``."""
+def _functional_value(tilt: TiltedMeasure, rows: np.ndarray, gammas: Sequence[int], alpha) -> list[float]:
+    """I_gamma of each row of checked grid values ``rows``, with gamma
+    ``gammas[i]`` for row i, from the moment pass ``tilt``.
+
+    w e^{-eta t} and each w u_gamma are formed once per call.  Every row
+    sees the per-element operations of a one-row call, and a sum along
+    the last axis sums one row alone, so a row's value does not depend
+    on the rows beside it.
+    """
     w, t = tilt.rule.weights, tilt.rule.sin2
+    params = tilt.rule.params
+    w_profiles = {gamma: w * _profile(gamma, t) for gamma in set(gammas)}
     a0 = float(np.exp(tilt.shift) * tilt.a0)
-    weighted = float(np.sum(w * np.exp(-tilt.eta * t) * vals * vals))
-    inner = float(np.sum(w * _profile(gamma, t) * vals))
-    return a0 * weighted - _rank_one_coefficient(gamma, tilt.rule.params) * alpha * inner * inner
+    weighted = (w * np.exp(-tilt.eta * t) * rows * rows).sum(axis=1).tolist()
+    # Shaped as ``rows``, so that no rows (the zero perturbation) give no values.
+    stacked = np.array([w_profiles[gamma] for gamma in gammas]).reshape(rows.shape)
+    inner = (stacked * rows).sum(axis=1).tolist()
+    return [
+        a0 * square - _rank_one_coefficient(gamma, params) * alpha * x * x
+        for gamma, square, x in zip(gammas, weighted, inner)
+    ]
 
 
 def d_quantities(
@@ -354,9 +385,10 @@ class PerturbationTop:
     ``coefficient_functions`` maps basis slots to profiles a(theta), and
     ``b_function`` is the radial profile b(theta), zero when None; each
     maps an array of theta to one value per entry.  ``coefficients`` and
-    ``b`` hold their values on ``rule``, the theta rule at DEFAULT_ORDER,
-    derived once and read-only: they must be finite, and b must have zero
-    mean against the measure.
+    ``b`` hold their values on ``rule``, the theta rule at DEFAULT_ORDER:
+    the rows of one read-only array, slots first and b last, derived once
+    and checked once.  They must be finite, and b must have zero mean
+    against the measure.
     """
 
     params: SphereParams
@@ -365,48 +397,117 @@ class PerturbationTop:
     rule: WeightedQuadrature = field(init=False)
     coefficients: Mapping[BasisIndex, np.ndarray] = field(init=False)
     b: np.ndarray = field(init=False)
+    # The stacked rows behind ``coefficients`` and ``b``, and each row's gamma.
+    _rows: np.ndarray = field(init=False, repr=False)
+    _gammas: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         rule = theta_rule(self.params.n, self.params.k)
         funcs = dict(self.coefficient_functions)
-        coeffs = {}
-        for idx, f in funcs.items():
+        slots = list(funcs)
+        for idx in slots:
             _check_ranges(idx, self.params)
-            coeffs[idx] = _grid_values(f(rule.nodes), rule, f"values for {idx}")
+        profiles = list(funcs.values())
+        if self.b_function is not None:
+            profiles.append(self.b_function)
+        values = _profile_values(profiles, rule.nodes)
         if self.b_function is None:
-            b = np.zeros_like(rule.weights)
-            _freeze(b)
-        else:
-            b = _grid_values(self.b_function(rule.nodes), rule, "b values", zero_mean=True)
+            values = [*values, np.zeros_like(rule.weights)]
+        rows = _grid_values(
+            values, rule, lambda row: f"values for {slots[row]}" if row < len(slots) else "b values"
+        )
+        if self.b_function is not None:
+            _check_zero_mean(rows[-1], rule, "b values")
         object.__setattr__(self, "coefficient_functions", MappingProxyType(funcs))
         object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "coefficients", MappingProxyType(coeffs))
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "coefficients", MappingProxyType(dict(zip(slots, rows))))
+        object.__setattr__(self, "b", rows[-1])
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_gammas", tuple(GAMMA_BY_FAMILY[idx.family] for idx in slots) + (3,))
 
     @property
     def theta_grid(self) -> np.ndarray:
         return self.rule.nodes
 
 
-def _grid_values(values, rule: WeightedQuadrature, name: str, zero_mean: bool = False) -> np.ndarray:
-    """A read-only copy of a profile's values at ``rule``'s nodes, checked
-    to be finite and, when ``zero_mean``, of zero mean against the measure:
-    |sum w v| at most 1e-10 sum w |v|, a bound that scales with the values."""
-    arr = np.array(values, dtype=float)
-    if arr.shape != rule.weights.shape:
-        raise ValueError(f"{name} do not match the grid")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    w = rule.weights
-    if zero_mean and abs(float(np.sum(w * arr))) > 1e-10 * float(np.sum(w * np.abs(arr))):
-        raise ValueError(f"{name} must have zero mean against the measure")
+def _grid_values(values, rule: WeightedQuadrature, name: Callable[[int], str]) -> np.ndarray:
+    """A read-only copy of profiles' values at ``rule``'s nodes, one row per
+    profile, checked once to match the grid and to be finite.  When the
+    check fails, the first bad row is found and ``name(row)`` names it."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except ValueError:  # rows of unequal shapes or not numbers: found below
+        arr = None
+    if arr is None or arr.shape != (len(values), rule.weights.size) or not np.isfinite(arr).all():
+        for row, vals in enumerate(values):
+            vals = np.asarray(vals, dtype=float)
+            if vals.shape != rule.weights.shape:
+                raise ValueError(f"{name(row)} do not match the grid")
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"{name(row)} must be finite")
     _freeze(arr)
     return arr
 
 
-def _polar_angles(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """theta, sin(theta) and cos(theta) of points m = (sin(theta) omega, cos(theta) xi)."""
-    s2 = sum(x * x for x in pts[:, :k].T)
+def _check_zero_mean(vals: np.ndarray, rule: WeightedQuadrature, name: str) -> None:
+    """Zero mean of grid values against the measure: |sum w v| at most
+    1e-10 sum w |v|, a bound that scales with the values."""
+    w = rule.weights
+    if abs(float(np.sum(w * vals))) > 1e-10 * float(np.sum(w * np.abs(vals))):
+        raise ValueError(f"{name} must have zero mean against the measure")
+
+
+class _ProfileTable:
+    """Profiles of theta, one row each, evaluated in one pass.
+
+    Row r is e^{eta t - shift} u_gamma(t) p_r(t) - offset_r, with
+    t = sin^2(theta), shift = max(eta, 0), gamma = ``gammas[r]`` (None:
+    no u factor) and p_r the polynomial in t whose coefficients, lowest
+    degree first, are ``coeffs[r]``.  The polynomials are summed by
+    Horner's rule, in the order of numpy.polynomial's evaluation.
+    """
+
+    def __init__(self, eta: float, gammas: Sequence[int | None], coeffs: np.ndarray, offsets: np.ndarray):
+        self.eta, self.shift = eta, max(eta, 0.0)
+        self.gammas, self.coeffs, self.offsets = tuple(gammas), coeffs, offsets
+
+    def __call__(self, theta, rows: Sequence[int]) -> np.ndarray:
+        """Values of the given rows at theta, of shape (len(rows),) + theta's."""
+        t = np.sin(np.asarray(theta, dtype=float)) ** 2
+        base = np.exp(self.eta * t - self.shift)
+        gammas = [self.gammas[r] for r in rows]
+        factors = {gamma: base if gamma is None else base * _profile(gamma, t) for gamma in set(gammas)}
+        lift = (len(rows),) + (1,) * t.ndim
+        coeffs = self.coeffs[rows]
+        poly = coeffs[:, -1].reshape(lift) + t * 0
+        for j in range(coeffs.shape[1] - 2, -1, -1):
+            poly = coeffs[:, j].reshape(lift) + poly * t
+        return np.array([factors[gamma] for gamma in gammas]) * poly - self.offsets[rows].reshape(lift)
+
+
+class _TableRow:
+    """One row of a ``_ProfileTable``, as a profile a(theta)."""
+
+    def __init__(self, table: _ProfileTable, row: int):
+        self.table, self.row = table, row
+
+    def __call__(self, theta) -> np.ndarray:
+        return self.table(theta, [self.row])[0]
+
+
+def _profile_values(profiles: Sequence[Callable], theta: np.ndarray):
+    """Each profile's values at theta: one table call, an array with one row
+    per profile, when every profile is a row of one ``_ProfileTable``, and
+    otherwise a list of one call's values per profile."""
+    if profiles and all(isinstance(f, _TableRow) and f.table is profiles[0].table for f in profiles):
+        return profiles[0].table(theta, [f.row for f in profiles])
+    return [f(theta) for f in profiles]
+
+
+def _polar_angles(coords: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """theta, sin(theta) and cos(theta) of points m = (sin(theta) omega,
+    cos(theta) xi), from their coordinates ``coords``, one row per component."""
+    s2 = sum(x * x for x in coords[:k])
     if np.any(s2 <= 0.0) or np.any(s2 >= 1.0):
         raise ValueError(
             "a point has a vanishing coordinate block, where the polar angle is undefined; "
@@ -427,30 +528,35 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def assemble_sphere_function(p: PerturbationTop) -> Callable:
     """Pointwise evaluator of the assembled perturbation on S^{n-1}, from
-    its profiles; points where either coordinate block vanishes raise."""
-    funcs = dict(p.coefficient_functions)
-    b_func = p.b_function
-    k = p.params.k
+    its profiles.  phi takes an (N, n) array of unit vectors, or one
+    vector, and returns N values; points that are not unit vectors of
+    R^n, and points where either coordinate block vanishes, raise."""
+    slots = list(p.coefficient_functions)
+    profiles = list(p.coefficient_functions.values())
+    has_b = p.b_function is not None
+    if has_b:
+        profiles.append(p.b_function)
+    n, k = p.params.n, p.params.k
 
     def phi(pts):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        theta, s, c = _polar_angles(pts, k)
+        pts, _ = _validated_points(n, pts)
+        # One coordinate-major copy: every component contiguous.
+        coords = pts.T.copy()
+        theta, s, c = _polar_angles(coords, k)
         # Profiles depend on theta alone: evaluate each once per distinct value.
         distinct, where = _distinct(theta)
-        profiles = [(idx, np.asarray(f(distinct), dtype=float)) for idx, f in funcs.items()]
-        b_vals = None if b_func is None else np.asarray(b_func(distinct), dtype=float)
+        values = [np.asarray(vals, dtype=float) for vals in _profile_values(profiles, distinct)]
         out = np.zeros(theta.shape)
-        # Cache-sized blocks keep the per-slot passes out of main memory;
-        # coordinate-major omega and xi keep each component contiguous.
+        # Cache-sized blocks keep the per-slot passes out of main memory.
         for start in range(0, theta.size, _PHI_BLOCK):
             block = slice(start, start + _PHI_BLOCK)
-            omega = (pts[block, :k].T / s[block]).T
-            xi = (pts[block, k:].T / c[block]).T
+            omega = (coords[:k, block] / s[block]).T
+            xi = (coords[k:, block] / c[block]).T
             at = where[block]
-            for idx, vals in profiles:
+            for idx, vals in zip(slots, values):
                 out[block] += vals[at] * _basis_values(idx, omega, xi)
-            if b_vals is not None:
-                out[block] += b_vals[at]
+            if has_b:
+                out[block] += values[-1][at]
         return out
 
     return phi
@@ -482,17 +588,17 @@ def _scaled_form(params: SphereParams, total: float) -> float:
 
 def _block_sum(spec: CriticalPointSpec, p: PerturbationTop) -> float:
     """The decomposed form before its area factor: each slot's I_gamma over
-    its d_gamma, plus I_3 of b, from the spec's moment pass.  I_3 of an
-    absent b is exactly 0.0 and is not evaluated."""
-    params, tilt = spec.params, spec._tilt
+    its d_gamma, plus I_3 of b, from the spec's moment pass, in one
+    ``_functional_value`` call over ``p``'s rows.  I_3 of an absent b is
+    exactly 0.0 and is not evaluated."""
+    params = spec.params
+    slots = len(p.coefficients)
+    rows = slots + (p.b_function is not None)
+    values = _functional_value(spec._tilt, p._rows[:rows], p._gammas[:rows], spec.alpha)
     total = 0.0
-    for idx, vals in p.coefficients.items():
-        gamma = GAMMA_BY_FAMILY[idx.family]
-        term = _functional_value(gamma, tilt, vals, spec.alpha)
+    for gamma, term in zip(p._gammas, values[:slots]):
         total += term / _slot_denominator(gamma, params)
-    if p.b_function is None:
-        return total
-    return total + _functional_value(3, tilt, p.b, spec.alpha)
+    return total + values[slots] if rows > slots else total
 
 
 def quadratic_form_direct(spec: CriticalPointSpec, phi: Callable) -> float:
@@ -657,19 +763,6 @@ def branch_tag(params: SphereParams, eta: float) -> str:
     return _branch_verdict(params, eta).lower()
 
 
-def _polynomial_profile(gamma: int, coeffs: np.ndarray, eta: float, offset: float = 0.0) -> Callable:
-    shift = max(eta, 0.0)
-
-    def func(theta):
-        t = np.sin(np.asarray(theta, dtype=float)) ** 2
-        base = np.exp(eta * t - shift)
-        if gamma < 0:
-            return base * np.polynomial.polynomial.polyval(t, coeffs) - offset
-        return base * _profile(gamma, t) * np.polynomial.polynomial.polyval(t, coeffs)
-
-    return func
-
-
 def random_smooth_perturbation(
     params: SphereParams,
     eta: float,
@@ -681,18 +774,18 @@ def random_smooth_perturbation(
     for n <= 5 and 2 above, times the structural prefactor of its family
     (sin^2, cos^2, or sin cos) and the branch factor
     e^{eta sin^2 - max(eta, 0)}; the radial profile is mean-subtracted
-    exactly on the grid.
+    exactly on the grid.  Every profile is a row of one table.
     """
-    # The seeded draws of the tests and of the benchmark depend on the degree.
+    # The seeded draws of the tests and of the benchmark depend on the degree
+    # and on the order: one row of coefficients per slot, then b's.
     max_degree = 3 if params.n <= 5 else 2
     eta = _checked_eta(eta)
     rule = theta_rule(params.n, params.k)
-    funcs: dict[BasisIndex, Callable] = {}
-    for idx in basis_indices(params):
-        coeffs = rng.uniform(-1.0, 1.0, size=max_degree + 1)
-        funcs[idx] = _polynomial_profile(GAMMA_BY_FAMILY[idx.family], coeffs, eta)
-    b_coeffs = rng.uniform(-1.0, 1.0, size=max_degree + 1)
-    raw = _polynomial_profile(-1, b_coeffs, eta)(rule.nodes)
+    slots = basis_indices(params)
+    coeffs = rng.uniform(-1.0, 1.0, size=(len(slots) + 1, max_degree + 1))
+    gammas = [GAMMA_BY_FAMILY[idx.family] for idx in slots] + [None]
+    raw = _ProfileTable(eta, gammas, coeffs, np.zeros(len(gammas)))(rule.nodes, [len(slots)])[0]
     offset = float(np.sum(rule.weights * raw)) / rule.total_mass
-    b_function = _polynomial_profile(-1, b_coeffs, eta, offset)
-    return PerturbationTop(params, funcs, b_function)
+    table = _ProfileTable(eta, gammas, coeffs, np.append(np.zeros(len(slots)), offset))
+    funcs = {idx: _TableRow(table, row) for row, idx in enumerate(slots)}
+    return PerturbationTop(params, funcs, _TableRow(table, len(slots)))

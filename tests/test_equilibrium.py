@@ -151,6 +151,8 @@ def test_density_rejects_off_sphere_points():
         density(spec, np.array([np.nan, 0.0, 0.0]))
     with pytest.raises(ValueError, match="points must have 3 components"):
         density(spec, np.array([1.0, 0.0]))
+    # No points: no values, rather than numpy's error for an empty maximum.
+    assert density(spec, np.empty((0, 3))).shape == (0,)
 
 
 def test_euler_lagrange_residual_discriminates():

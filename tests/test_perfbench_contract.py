@@ -40,10 +40,11 @@ def test_benchmark_traced_functions_exist():
     assert not missing
 
 
-def _library_reads(path):
-    """(module, name) of every name ``path`` imports from the library and of
-    every attribute it reads on a library module bound to an alias."""
-    tree = ast.parse(path.read_text())
+def _library_reads(source):
+    """(module, name) of every name the Python ``source`` imports from the
+    library and of every attribute it reads on a library module bound to
+    an alias; a plain ``import`` of a library module reads (module, None)."""
+    tree = ast.parse(source)
     aliases, reads = {}, set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "onsager_ms":
@@ -53,12 +54,22 @@ def _library_reads(path):
                     aliases[a.asname or a.name] = f"onsager_ms.{a.name}"
         elif isinstance(node, ast.Import):
             for a in node.names:
-                if a.name.split(".")[0] == "onsager_ms" and a.asname:
-                    aliases[a.asname] = a.name
+                if a.name.split(".")[0] == "onsager_ms":
+                    reads.add((a.name, None))
+                    if a.asname:
+                        aliases[a.asname] = a.name
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
             reads.add((aliases[node.value.id], node.attr))
     return reads
+
+
+def _missing(reads):
+    """Every read of a name its library module lacks; a missing module raises."""
+    modules = {module: importlib.import_module(module) for module, _ in reads}
+    return sorted(
+        f"{module}.{attr}" for module, attr in reads if attr is not None and not hasattr(modules[module], attr)
+    )
 
 
 def test_benchmark_library_calls_exist():
@@ -66,17 +77,25 @@ def test_benchmark_library_calls_exist():
     every attribute they read on a library module alias, exists."""
     reads = set()
     for name in CALLERS:
-        reads |= _library_reads(PERFBENCH / name)
+        reads |= _library_reads((PERFBENCH / name).read_text())
     assert {
         ("onsager_ms.stability", "assemble_sphere_function"),
         ("onsager_ms.equilibrium", "eigenvalue_structure"),
         ("onsager_ms.sigma", "sample"),
         ("onsager_ms.cli", "main"),
     } <= reads
-    missing = sorted(
-        f"{module}.{attr}" for module, attr in reads if not hasattr(importlib.import_module(module), attr)
-    )
-    assert not missing
+    assert not _missing(reads)
+
+
+def test_benchmark_setup_code_names_exist(monkeypatch):
+    """Each workload's set-up code, which a run executes in a fresh
+    interpreter before its jobs, imports only library modules and names
+    that exist: a missing one would end the run before its first job."""
+    reads = set()
+    for source in _workloads(monkeypatch).SETUP_CODE.values():
+        reads |= _library_reads(source)
+    assert {("onsager_ms", None), ("onsager_ms.cli", None), ("onsager_ms.quadrature", "sphere_rule")} <= reads
+    assert not _missing(reads)
 
 
 def test_rule_caches_expose_the_counters_the_trace_reads():

@@ -83,6 +83,10 @@ def test_basis_indices_deterministic_order():
     a = basis_indices(SphereParams(5, 2))
     b = basis_indices(SphereParams(5, 2))
     assert a == b
+    # One shared, immutable tuple of frozen slots per (n, k).
+    assert a is b and isinstance(a, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a[0].indices = (0, 2)
     assert a[0].family == "Omega_A"
     assert a[-1].family == "Theta"
 
@@ -417,6 +421,13 @@ def test_perturbation_top_validation():
         PerturbationTop(params, {}, lambda th: np.where(th < 0.5, np.inf, 0.0))
     with pytest.raises(ValueError, match="out of range"):
         PerturbationTop(params, {BasisIndex("Theta", (2, 1)): np.ones_like})
+    # The values are checked at once, and a failure names the first bad slot.
+    xi_slot = BasisIndex("Xi_A", (0, 1))
+    nan_then_short = {xi_slot: lambda th: np.full(th.shape, np.nan), theta_slot: lambda th: th[1:]}
+    with pytest.raises(ValueError, match=r"values for BasisIndex\(family='Xi_A'.* must be finite"):
+        PerturbationTop(params, nan_then_short)
+    with pytest.raises(ValueError, match=r"values for BasisIndex\(family='Theta'.* do not match the grid"):
+        PerturbationTop(params, {xi_slot: np.ones_like, theta_slot: lambda th: th[1:]})
     top = PerturbationTop(params, {theta_slot: np.ones_like})
     with pytest.raises(ValueError):
         top.coefficients[theta_slot][0] = 2.0
@@ -430,6 +441,10 @@ def test_perturbation_top_validation():
     assert np.array_equal(top.theta_grid, rule.nodes)
     assert np.array_equal(top.coefficients[theta_slot], np.ones_like(rule.nodes))
     assert np.array_equal(top.b, np.zeros_like(rule.nodes))
+    # The zero perturbation: no slots and no b.
+    zero = PerturbationTop(params, {})
+    assert quadratic_form_decomposed(critical_point(params, 3.0), zero) == 0.0
+    assert np.array_equal(assemble_sphere_function(zero)(np.full((2, 4), 0.5)), np.zeros(2))
 
 
 @pytest.mark.parametrize("amplitude", [1.0, 1e-6, 1e-11, 1e-300])
@@ -456,20 +471,21 @@ def test_zero_mean_checks_scale_with_the_profile(amplitude):
 
 def test_witness_without_b_skips_the_radial_block(monkeypatch):
     """A witness with no b profile evaluates only its own slot's functional:
-    I_3 of the zero profile is exactly 0.0 and is not computed."""
+    I_3 of the zero profile is exactly 0.0 and is not computed.  The one
+    implementation of I_gamma is called once, on the witness's one row."""
     params, eta = SphereParams(5, 2), 3.0
     assert functional_I(3, params, eta, np.zeros(theta_rule(5, 2).weights.size)) == 0.0
-    gammas = []
+    calls = []
     original = stability._functional_value
 
-    def counted(gamma, *args):
-        gammas.append(gamma)
-        return original(gamma, *args)
+    def counted(tilt, rows, gammas, alpha):
+        calls.append((len(rows), tuple(gammas)))
+        return original(tilt, rows, gammas, alpha)
 
     monkeypatch.setattr(stability, "_functional_value", counted)
     report = classify(params, eta)
     assert report.classification == UNSTABLE and report.witness.b_function is None
-    assert gammas == [1]
+    assert calls == [(1, (1,))]
 
 
 def test_perturbation_top_is_its_profiles():
@@ -513,6 +529,25 @@ def test_assemble_matches_nodewise_evaluation(n, k):
             want += func(theta) * _basis_values(idx, omega, xi)
         want += top.b_function(theta)
         assert np.array_equal(phi(pts), want)
+
+
+def test_phi_rejects_points_off_the_sphere():
+    """phi takes unit vectors of R^n, with the density's checks and
+    messages: a point with an extra or a missing component, or off the
+    unit sphere, raises instead of giving a value or a misleading error."""
+    params = SphereParams(5, 2)
+    phi = assemble_sphere_function(random_smooth_perturbation(params, 1.0, np.random.default_rng(0)))
+    for dim in (6, 4):
+        with pytest.raises(ValueError, match="points must have 5 components"):
+            phi(np.full(dim, 1.0 / np.sqrt(dim)))
+        with pytest.raises(ValueError, match="points must have 5 components"):
+            phi(np.full((3, dim), 1.0 / np.sqrt(dim)))
+    with pytest.raises(ValueError, match="points must lie on the unit sphere"):
+        phi(np.full(5, 2.0 / np.sqrt(5.0)))
+    assert phi(np.full(5, 1.0 / np.sqrt(5.0))).shape == (1,)
+    assert phi(np.empty((0, 5))).shape == (0,)
+    with pytest.raises(ValueError, match="points must lie on the unit sphere"):
+        phi(np.full(5, np.nan))
 
 
 def test_forms_reject_mismatched_input():
@@ -563,23 +598,41 @@ def test_decomposed_matches_direct_form_beyond_six(n, k, eta):
     assert abs(direct - quadratic_form_decomposed(spec, top)) <= 1e-6 * (1.0 + abs(direct))
 
 
-def test_decomposed_form_makes_one_moment_pass(moment_passes):
-    """One moment pass, the spec's, serves every slot, and the value is
-    bitwise the sum of functional_I over the slots, each of which makes its
-    own pass."""
-    params = SphereParams(6, 3)
-    top = random_smooth_perturbation(params, 1.0, np.random.default_rng(3))
-    alpha = sigma_value(params, 1.0)
+def _slot_by_slot_form(top, eta, alpha):
+    """The decomposed form summed one slot at a time through functional_I,
+    each call on its own moment pass and one row of values."""
+    params = top.params
     total = 0.0
     for idx, vals in top.coefficients.items():
         gamma = GAMMA_BY_FAMILY[idx.family]
-        total += functional_I(gamma, params, 1.0, vals, alpha=alpha) / _slot_denominator(gamma, params)
-    total += functional_I(3, params, 1.0, top.b, alpha=alpha)
-    want = (surface_area(3) * surface_area(3)) ** 2 * total
+        total += functional_I(gamma, params, eta, vals, alpha=alpha) / _slot_denominator(gamma, params)
+    if top.b_function is not None:
+        total += functional_I(3, params, eta, top.b, alpha=alpha)
+    return (surface_area(params.k) * surface_area(params.complement)) ** 2 * total
+
+
+@pytest.mark.parametrize("n,k", [(6, 3), (3, 1), (4, 2), (5, 2), (8, 1), (8, 7)])
+def test_decomposed_form_makes_one_moment_pass(moment_passes, n, k):
+    """One moment pass, the spec's, serves every slot, and the value is
+    bitwise the sum of functional_I over the slots, each of which makes its
+    own pass: the stacked block sum does not depend on the rows beside a
+    slot's row."""
+    params = SphereParams(n, k)
+    top = random_smooth_perturbation(params, 1.0, np.random.default_rng(3))
+    want = _slot_by_slot_form(top, 1.0, sigma_value(params, 1.0))
     moment_passes.clear()
     spec = critical_point(params, 1.0)
     assert quadratic_form_decomposed(spec, top) == want
     assert len(moment_passes) == 1
+
+
+@pytest.mark.parametrize("n,k,eta", [(5, 2, 3.0), (6, 2, -2.0), (4, 1, 0.5)])
+def test_witness_value_is_its_one_slot_functional(n, k, eta):
+    """classify's one-slot witness (an Omega, a Xi and a b witness) has
+    bitwise the value functional_I gives its one row."""
+    report = classify(SphereParams(n, k), eta)
+    assert report.classification == UNSTABLE
+    assert report.witness_value == _slot_by_slot_form(report.witness, eta, report.alpha)
 
 
 def test_spec_carries_one_read_only_moment_pass(moment_passes):
@@ -667,6 +720,42 @@ def test_random_perturbation_needs_degree_for_large_n():
         random_smooth_perturbation(params, 0.5, rng)
         reference.uniform(size=(len(basis_indices(params)) + 1) * (degree + 1))
         assert rng.uniform() == reference.uniform()
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_random_profiles_are_seeded_polynomials(n):
+    """A seeded random perturbation's profiles are, bit for bit,
+    e^{eta t - shift} u_gamma(t) p(t) with t = sin^2(theta) and p the
+    polynomial of the coefficients a reference generator of the same seed
+    draws: slot by slot, then b, whose profile subtracts its grid mean.
+    This holds at the grid nodes and at arbitrary theta, and pins the
+    seeded draws that the tests and the benchmark depend on."""
+    polyval = np.polynomial.polynomial.polyval
+    u = {0: lambda t: np.sqrt(t * (1.0 - t)), 1: lambda t: t, 2: lambda t: 1.0 - t}
+    degree = 3 if n <= 5 else 2
+    theta = np.random.default_rng(n).uniform(0.0, np.pi / 2, size=37)
+    for k, eta in ((1, 2.5), (n // 2, -1.5), (n - 1, 0.8)):
+        params = SphereParams(n, k)
+        rule = theta_rule(n, k)
+        top = random_smooth_perturbation(params, eta, np.random.default_rng(100 + n))
+        reference = np.random.default_rng(100 + n)
+
+        def base(th):
+            t = np.sin(th) ** 2
+            return t, np.exp(eta * t - max(eta, 0.0))
+
+        for idx in basis_indices(params):
+            c = reference.uniform(-1.0, 1.0, size=degree + 1)
+            gamma = GAMMA_BY_FAMILY[idx.family]
+            for th, got in ((rule.nodes, top.coefficients[idx]), (theta, top.coefficient_functions[idx](theta))):
+                t, e = base(th)
+                assert np.array_equal(got, e * u[gamma](t) * polyval(t, c))
+        c = reference.uniform(-1.0, 1.0, size=degree + 1)
+        t, e = base(rule.nodes)
+        offset = float(np.sum(rule.weights * (e * polyval(t, c)))) / rule.total_mass
+        for th, got in ((rule.nodes, top.b), (theta, top.b_function(theta))):
+            t, e = base(th)
+            assert np.array_equal(got, e * polyval(t, c) - offset)
 
 
 def test_classify_isotropic_threshold():
