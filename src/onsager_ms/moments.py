@@ -34,13 +34,23 @@ from .quadrature import DEFAULT_ORDER, SphereParams, WeightedQuadrature, theta_r
 #: Largest |eta| of the moment domain.
 ETA_MAX = 700.0
 
+_OUTSIDE = f"eta is outside the moment domain: need finite |eta| <= {ETA_MAX}"
+
 
 def _checked_eta(eta: float) -> float:
     """eta as a float; ValueError unless it is finite with |eta| <= ETA_MAX."""
     eta = float(eta)
     if not abs(eta) <= ETA_MAX:
-        raise ValueError(f"eta is outside the moment domain: need finite |eta| <= {ETA_MAX}")
+        raise ValueError(_OUTSIDE)
     return eta
+
+
+def _checked_grid(etas: np.ndarray) -> np.ndarray:
+    """A float array of eta, unchanged; ValueError unless every value is
+    finite with |eta| <= ETA_MAX, as :func:`_checked_eta` checks one."""
+    if not np.all(np.abs(etas) <= ETA_MAX):
+        raise ValueError(_OUTSIDE)
+    return etas
 
 
 class TiltedMeasure(NamedTuple):
@@ -80,6 +90,37 @@ def scaled_moments(
     if not (a0 > 0.0 and t > 0.0 and s > 0.0 and s_sin2 > 0.0 and s_cos2 > 0.0):
         raise RuntimeError("tilted moments not positive; quadrature failure")
     return TiltedMeasure(a0, weights, rule, shift, eta, t / a0, s / a0, s_sin2 / a0, s_cos2 / a0)
+
+
+def _moment_sums(rule: WeightedQuadrature, eta):
+    """The lean moment pass of the branch searches and the diagram: the
+    rule's weights tilted by e^(eta t - shift), shift = max(eta, 0), and the
+    sums ``rule.moment_rows @ weights`` of 1, t, t(1-t), t^2(1-t) and
+    t(1-t)^2, with the arithmetic of :func:`scaled_moments` but without its
+    measure.  The caller reads the rule once, however many passes it makes.
+
+    A float eta gives the five sums as a list and a weight vector; a 1-d
+    array of m values gives a (5, m) array of sums and (order, m) weights,
+    one column per eta, from one product.  Raises the ValueError and the
+    RuntimeError of :func:`scaled_moments`.
+    """
+    grid = isinstance(eta, np.ndarray)
+    if grid:
+        eta = _checked_grid(eta)
+        t, w, shift = rule.sin2[:, None], rule.weights[:, None], np.maximum(eta, 0.0)
+    else:
+        eta = _checked_eta(eta)
+        t, w, shift = rule.sin2, rule.weights, max(eta, 0.0)
+    weights = eta * t - shift
+    np.exp(weights, out=weights)  # in place: the pass runs tens of times per branch
+    weights *= w
+    sums = rule.moment_rows @ weights
+    if not grid:
+        sums = sums.tolist()  # five floats are read and checked faster than an array
+    # The weights are finite, so a sum is positive or has underflowed to 0.
+    if not (sums.min() if grid else min(sums)) > 0.0:
+        raise RuntimeError("tilted moments not positive; quadrature failure")
+    return sums, weights
 
 
 def moment(

@@ -60,7 +60,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .equilibrium import CriticalPointSpec, _validated_points
-from .moments import TiltedMeasure, _checked_eta, scaled_moments
+from .moments import TiltedMeasure, _checked_eta, _checked_grid, scaled_moments
 from .quadrature import (
     SphereParams,
     WeightedQuadrature,
@@ -432,15 +432,21 @@ class PerturbationTop:
 
 def _grid_values(values, rule: WeightedQuadrature, name: Callable[[int], str]) -> np.ndarray:
     """A read-only copy of profiles' values at ``rule``'s nodes, one row per
-    profile, checked once to match the grid and to be finite.  When the
-    check fails, the first bad row is found and ``name(row)`` names it."""
+    profile, checked once to be real, to match the grid and to be finite.
+    When the check fails, the first bad row is found and ``name(row)``
+    names it."""
     try:
-        arr = np.asarray(values, dtype=float)
+        arr = np.asarray(values)
+        # The float cast would drop an imaginary part: complex rows are found below.
+        arr = None if arr.dtype.kind == "c" else arr.astype(float, copy=False)
     except ValueError:  # rows of unequal shapes or not numbers: found below
         arr = None
     if arr is None or arr.shape != (len(values), rule.weights.size) or not np.isfinite(arr).all():
         for row, vals in enumerate(values):
-            vals = np.asarray(vals, dtype=float)
+            vals = np.asarray(vals)
+            if vals.dtype.kind == "c":
+                raise ValueError(f"{name(row)} must be real")
+            vals = vals.astype(float, copy=False)
             if vals.shape != rule.weights.shape:
                 raise ValueError(f"{name(row)} do not match the grid")
             if not np.all(np.isfinite(vals)):
@@ -678,22 +684,28 @@ def _attainer_top(tilt: TiltedMeasure, gamma: int) -> PerturbationTop:
     return PerturbationTop(params, {slot[gamma]: profile})
 
 
-def _branch_verdict(params: SphereParams, eta: float) -> str:
-    """The theorem's verdict on the anisotropic k-branch at eta (see ``classify``).
+#: Verdicts by side of the fold, 2 (|eta - eta^*| <= 1e-9) + (eta > eta^*).
+_BY_SIDE = (UNSTABLE, STABLE, MARGINAL, MARGINAL)
+
+
+def _branch_verdict(params: SphereParams, eta):
+    """The theorem's verdict on the anisotropic k-branch at eta (see
+    ``classify``); for a 1-d array of eta, a tuple of verdicts, one per
+    entry, from one comparison with the cached fold.
 
     A branch with 2k > n is read as its mirror, the (n - k)-branch at -eta.
     Raises the moments' ValueError outside the moment domain, like every
     verdict the moments would decide there.
     """
-    eta = _checked_eta(eta)
+    grid = isinstance(eta, np.ndarray)
+    eta = _checked_grid(eta) if grid else _checked_eta(eta)
     if 2 * params.k > params.n:
         params, eta = SphereParams(params.n, params.complement), -eta
     if params.k >= 2:
-        return UNSTABLE
+        return (UNSTABLE,) * eta.size if grid else UNSTABLE
     star = find_eta_star(params).eta_star
-    if abs(eta - star) <= 1e-9:
-        return MARGINAL
-    return STABLE if eta > star else UNSTABLE
+    side = 2 * (abs(eta - star) <= 1e-9) + (eta > star)
+    return tuple(_BY_SIDE[i] for i in side.tolist()) if grid else _BY_SIDE[side]
 
 
 def classify(

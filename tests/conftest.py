@@ -5,29 +5,40 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import onsager_ms
 from onsager_ms import moments
+from onsager_ms.quadrature import DEFAULT_ORDER
 
 
 @pytest.fixture
 def moment_passes(monkeypatch):
-    """The (n, k, eta, order) of every ``scaled_moments`` pass made while the
-    test runs, counted in every library module that binds the function;
-    order is None where the caller left it at the default."""
+    """The (n, k, eta, order) of every moment pass made while the test runs,
+    one per eta: each ``scaled_moments`` pass and each eta of a lean
+    ``_moment_sums`` pass, counted in every library module that binds the
+    function.  order is the pass's theta order."""
     calls = []
-    original = moments.scaled_moments
+    original, lean = moments.scaled_moments, moments._moment_sums
 
     def counted(params, eta, **kwargs):
-        calls.append((params.n, params.k, float(eta), kwargs.get("order")))
+        calls.append((params.n, params.k, float(eta), kwargs.get("order", DEFAULT_ORDER)))
         return original(params, eta, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "onsager_ms" and getattr(module, "scaled_moments", None) is original:
-            monkeypatch.setattr(module, "scaled_moments", counted)
-    return calls
+    def counted_lean(rule, eta):
+        params = rule.params
+        calls.extend((params.n, params.k, float(e), rule.order) for e in np.atleast_1d(eta))
+        return lean(rule, eta)
 
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "onsager_ms":
+            continue
+        if getattr(module, "scaled_moments", None) is original:
+            monkeypatch.setattr(module, "scaled_moments", counted)
+        if getattr(module, "_moment_sums", None) is lean:
+            monkeypatch.setattr(module, "_moment_sums", counted_lean)
+    return calls
 
 
 def outcomes(calls: list[str], namespace: dict) -> list[str]:

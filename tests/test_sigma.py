@@ -15,6 +15,7 @@ from onsager_ms.sigma import (
     sigma_prime_fd,
     sigma_value,
 )
+from onsager_ms.stability import branch_tag
 
 PAIRS = [(n, k) for n in range(3, 7) for k in range(1, n)]
 
@@ -194,8 +195,9 @@ def test_invert_alpha_past_the_domain_raises(alpha):
 
 @pytest.mark.parametrize("n,k,eta", [(3, 1, 3.0), (5, 2, -4.0), (6, 3, 30.0), (4, 1, 650.0)])
 def test_invert_alpha_evaluates_each_eta_once(moment_passes, n, k, eta):
-    """The Newton steps start from the bracket search's last pass, and the
-    fold is not evaluated again: no moment pass repeats within one call."""
+    """Each root's Newton steps start from a seed set by the cached fold and
+    its curvature, so the fold is not evaluated again, and no eta, the
+    domain's edge included, gets a second moment pass within one call."""
     params = SphereParams(n, k)
     find_eta_star(params)  # the fold is cached and not part of the call
     alpha = sigma_value(params, eta)
@@ -235,6 +237,56 @@ def test_fold_search_takes_few_passes(moment_passes):
             counts.append(len(moment_passes))
     assert len(counts) == 342
     assert sum(counts) / len(counts) <= 15.0
+
+
+def test_invert_alpha_takes_few_passes(moment_passes):
+    """With every fold cached, an inversion of both roots takes at most 10.5
+    moment passes on average over every (n, k) with n <= 38 at lifts 0.05,
+    0.3, 0.6, 1 and 3 above alpha^*, and never one eta twice."""
+    counts = []
+    for n in range(3, 39):
+        for k in range(1, n):
+            params = SphereParams(n, k)
+            star = find_eta_star(params)
+            for lift in (0.05, 0.3, 0.6, 1.0, 3.0):
+                moment_passes.clear()
+                assert len(invert_alpha(params, star.alpha_star * (1.0 + lift))) == 2
+                assert len(set(moment_passes)) == len(moment_passes), (n, k, lift)
+                counts.append(len(moment_passes))
+    assert len(counts) == 5 * 702
+    assert sum(counts) / len(counts) <= 10.5
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (6, 3), (9, 2), (9, 7), (20, 1)])
+def test_fold_curvature_matches_finite_differences(n, k):
+    """The cached sigma_k''(eta^*), the seed of the inversion, is positive and
+    agrees with a central second difference of sigma_k, on a searched fold,
+    on the even branch and on a mirrored one."""
+    params = SphereParams(n, k)
+    fold = sigma._eta_star_cached(n, k)
+    h, eta = 1e-3, fold.star.eta_star
+    fd = (sigma_value(params, eta + h) - 2.0 * fold.star.alpha_star + sigma_value(params, eta - h)) / (h * h)
+    assert fold.curvature > 0.0
+    assert fold.curvature == pytest.approx(fd, rel=1e-5)
+
+
+def test_invert_alpha_just_outside_the_marginal_band(moment_passes):
+    """An alpha 2e-9 above alpha^*, just past the band that returns the fold
+    alone, has two roots, one on each side of eta^*, on every (n, k) with
+    n <= 38.  There the slope is so small that rounding in sigma_k moves
+    the root by more than the tolerance; the steps still end, by bisection,
+    without evaluating an eta twice."""
+    for n in range(3, 39):
+        for k in range(1, n):
+            params = SphereParams(n, k)
+            star = find_eta_star(params)
+            alpha = star.alpha_star * (1.0 + 2e-9)
+            moment_passes.clear()
+            lo, hi = invert_alpha(params, alpha)
+            assert len(set(moment_passes)) == len(moment_passes), (n, k)
+            assert lo < star.eta_star < hi, (n, k)
+            for root in (lo, hi):
+                assert abs(sigma_value(params, root) - alpha) <= 1e-12 * alpha, (n, k)
 
 
 def _roots_match_brentq(params, star, alpha, moment_passes):
@@ -322,6 +374,33 @@ def test_phase_diagram_reflected_branch_mirrors():
     k4 = diagram.branches[3]
     for s_lo, s_hi in zip(k1.samples, reversed(k4.samples)):
         assert s_hi.sigma == pytest.approx(s_lo.sigma, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_phase_diagram_rows_match_sample_and_branch_tag(n):
+    """Each row of the one-pass diagram matches ``sample`` and ``branch_tag``
+    at its eta: sigma to 1e-14 relative, sigma' to 1e-14 (n + |sigma'|) and
+    the tag exactly, on a seeded grid with eta = 0, the domain's edges and
+    every fold plus and minus 1e-10, where the tags turn."""
+    folds = [find_eta_star(SphereParams(n, k)).eta_star for k in range(1, n)]
+    extra = [0.0, -700.0, 700.0, *np.add.outer(folds, [-1e-10, 1e-10]).ravel()]
+    grid = np.concatenate([np.random.default_rng(n).uniform(-10.0, 30.0, 60), extra])
+    diagram = phase_diagram(n, grid)
+    for branch in diagram.branches:
+        params = SphereParams(n, branch.k)
+        assert [point.eta for point in branch.samples] == grid.tolist()
+        for point, tag in zip(branch.samples, branch.tags):
+            want = sample(params, point.eta)
+            assert abs(point.sigma - want.sigma) <= 1e-14 * want.sigma, (branch.k, point.eta)
+            assert abs(point.sigma_prime - want.sigma_prime) <= 1e-14 * (n + abs(want.sigma_prime))
+            assert tag == branch_tag(params, point.eta), (branch.k, point.eta)
+    assert "marginal" in diagram.branches[0].tags and "marginal" in diagram.branches[-1].tags
+
+
+@pytest.mark.parametrize("eta", [700.5, -701.0, 1e308])
+def test_phase_diagram_refuses_a_grid_past_the_domain(eta):
+    with pytest.raises(ValueError, match="outside the moment domain"):
+        phase_diagram(5, np.array([0.0, eta]))
 
 
 def test_fold_cache_covers_every_branch_to_fifty():

@@ -447,6 +447,24 @@ def test_perturbation_top_validation():
     assert np.array_equal(assemble_sphere_function(zero)(np.full((2, 4), 0.5)), np.zeros(2))
 
 
+def test_complex_profile_values_are_refused():
+    """A complex profile is refused before the float cast would drop its
+    imaginary part, in a Theta slot, as b and as functional_I's values;
+    the error names the slot."""
+    params = SphereParams(4, 1)
+    theta_slot = BasisIndex("Theta", (1, 1))
+    with pytest.raises(ValueError, match=r"values for BasisIndex\(family='Theta'.* must be real"):
+        PerturbationTop(params, {theta_slot: lambda th: th + 1j})
+    with pytest.raises(ValueError, match=r"^b values must be real"):
+        PerturbationTop(params, {theta_slot: np.ones_like}, lambda th: np.cos(2.0 * th) + 1j)
+    # Beside a well-formed table row, the complex slot is the one named.
+    xi_slot = BasisIndex("Xi_A", (0, 1))
+    with pytest.raises(ValueError, match=r"values for BasisIndex\(family='Xi_A'.* must be real"):
+        PerturbationTop(params, {theta_slot: np.ones_like, xi_slot: lambda th: np.full(th.shape, 1j)})
+    with pytest.raises(ValueError, match="coefficient values must be real"):
+        functional_I(1, params, 1.0, theta_rule(4, 1).nodes + 1j)
+
+
 @pytest.mark.parametrize("amplitude", [1.0, 1e-6, 1e-11, 1e-300])
 def test_zero_mean_checks_scale_with_the_profile(amplitude):
     """The zero-mean checks of b and of the direct form's phi compare the
