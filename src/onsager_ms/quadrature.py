@@ -134,11 +134,28 @@ def gauss_jacobi(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray
     K(x) = sum_(j<n) q_j(x)^2 at every x, so the weights are mass / K taken
     at the refined nodes by one Taylor step.  A rule with a = b is made
     exactly symmetric.
+
+    The recurrence is not rescaled: at high order and large a it
+    overflows.  Where that leaves a node, a weight or the mass
+    2^(a+b+1) B(a+1, b+1) non-finite, ValueError names (order, a, b) in
+    place of NaN weights; an overflow that leaves them finite turns only
+    weights below mass / DBL_MAX into 0, and warns of nothing.
     """
     if order < 2:
         raise ValueError(f"need order >= 2, got {order}")
     if not (a > -1.0 and b > -1.0):
         raise ValueError(f"need a, b > -1, got a={a}, b={b}")
+    with np.errstate(all="ignore"):
+        x, w = _gauss_jacobi(order, a, b)
+    if not (np.isfinite(x).all() and np.isfinite(w).all()):
+        raise ValueError(
+            f"the Gauss-Jacobi rule of order {order} for a = {a:g}, b = {b:g} overflows double precision"
+        )
+    return x, w
+
+
+def _gauss_jacobi(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """``gauss_jacobi``'s rule, non-finite where its recurrence overflows."""
     n = order
     # Monic recurrence p_(j+1) = (x - diag_j) p_j - offsq_j p_(j-1); the
     # first terms are written apart because their general forms are 0/0 at
@@ -184,7 +201,11 @@ def gauss_jacobi(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray
     dd1 = (drift * d1 - (n - 1) * (n + a + b) * q1) / span
     kernel -= newton * root[n - 1] * (ddn * q1 - dd1 * qn)
     x -= newton
-    w = (2.0 ** (a + b + 1.0) * _beta(a + 1.0, b + 1.0)) / kernel
+    try:
+        mass = 2.0 ** (a + b + 1.0) * _beta(a + 1.0, b + 1.0)
+    except OverflowError:
+        mass = math.inf
+    w = mass / kernel
     if a == b:
         x = 0.5 * (x - x[::-1])
         w = 0.5 * (w + w[::-1])
@@ -271,14 +292,21 @@ def build_weighted_quadrature(
     """Construct the Gauss-Jacobi rule for the polar measure.
 
     Nodes are returned as theta values in the open interval (0, pi/2);
-    weights are strictly positive and sum to (1/2) B(k/2, (n-k)/2).  For
-    2k > n the rule is the mirror image of the rule for (n, n - k).
+    weights are positive and sum to (1/2) B(k/2, (n-k)/2).  For 2k > n
+    the rule is the mirror image of the rule for (n, n - k).  A rule that
+    ``gauss_jacobi`` cannot build in double precision raises ValueError
+    naming (n, k, order): for k = 1, (600, 1, 512), (1300, 1, 256) and
+    (2100, 1, 128) do; (400, 1, 512) is built, one weight below the
+    range of doubles coming back as 0.
     """
     if 2 * params.k > params.n:
         return _mirror(build_weighted_quadrature(SphereParams(params.n, params.complement), order), params)
     a = 0.5 * (params.n - params.k - 2)
     b = 0.5 * (params.k - 2)
-    x, w = gauss_jacobi(order, a, b)
+    try:
+        x, w = gauss_jacobi(order, a, b)
+    except ValueError as exc:
+        raise ValueError(f"no theta rule for (n, k, order) = ({params.n}, {params.k}, {order}): {exc}") from None
     t = 0.5 * (x + 1.0)
     # Jacobi weight on [-1, 1] maps to the t-interval with factor 2^(-n/2).
     weights = w * 2.0 ** (-0.5 * params.n)

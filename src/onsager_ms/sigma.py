@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -364,10 +365,21 @@ def phase_diagram(n: int, eta_grid=None) -> PhaseDiagram:
     branches = []
     for k in range(1, n):
         params = SphereParams(n, k)
-        samples = tuple(map(SigmaSample, etas, *_branch_curve(params, grid)))
+        samples = _samples(etas, *_branch_curve(params, grid))
         tags = tuple(verdict.lower() for verdict in _branch_verdict(params, grid))
         branches.append(PhaseBranch(k, k > n // 2, samples, tags))
     return PhaseDiagram(n, tuple(branches))
+
+
+def _samples(etas: list[float], sigmas: list[float], slopes: list[float]) -> tuple[SigmaSample, ...]:
+    """The rows of a branch curve as frozen ``SigmaSample``s.  Each gets its
+    field dict whole, in place of the dataclass ``__init__``'s one
+    ``object.__setattr__`` per field, which took a quarter of
+    ``phase_diagram``; the rows equal ``SigmaSample(eta, sigma, slope)``."""
+    rows = tuple(map(object.__new__, repeat(SigmaSample, len(etas))))
+    for row, eta, sigma, slope in zip(rows, etas, sigmas, slopes):
+        object.__setattr__(row, "__dict__", {"eta": eta, "sigma": sigma, "sigma_prime": slope})
+    return rows
 
 
 def _branch_curve(params: SphereParams, grid: np.ndarray) -> tuple[list[float], list[float]]:

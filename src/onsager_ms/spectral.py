@@ -16,16 +16,21 @@ branch); a disagreement means the grid cannot resolve the exponential
 weight and raises instead of returning garbage.  A block is its
 scalars: its eigenvalue and closed-form arrays, its grid columns and its
 eigenvectors (a complete QR factorization of q, with the constraint as a
-leading column for b) are built on first read, and so is the pooled
-spectrum of ``full_spectrum``.
+leading column for b) are built on first read.  A ``full_spectrum``
+report is its scalars too: the moment pass, the grid product, the checks
+and the kernel and gap diagnostics run when it is made, while its
+``blocks``, its pooled ``eigenvalues`` and its ``kernel_projection`` are
+built from each block's three scalars on first read.  Which families
+are present at (n, k), their counts and the blocks' rank-one
+coefficients are worked out once per (n, k) and cached.
 
 Which family feeds which block, and how many slots (the block's
 multiplicity) each has, is listed once, in ``stability``'s docstring.
 The zero modes of the mixed block I_0 are the rotational kernel of the
 equilibrium, one per Theta slot, each a multiple of e^{eta sin^2} sin cos.
-``full_spectrum`` builds one block per gamma, shared by every family
-that gamma serves, and identifies the kernel and the spectral gap from
-the blocks' distinct values and their multiplicities;
+``full_spectrum`` has one block per gamma, shared by every family that
+gamma serves, and identifies the kernel and the spectral gap from the
+blocks' distinct values and their multiplicities;
 ``gap_estimate`` turns the block minima into an explicit lower bound in
 the plain L^2 metric for stable k = 1 states and their k = n - 1 mirrors.
 """
@@ -33,7 +38,7 @@ the plain L^2 metric for stable k = 1 states and their k = n - 1 mirrors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -53,6 +58,7 @@ from .sigma import _alpha_at, _branch_alpha, find_eta_star
 from .stability import (
     FAMILIES,
     GAMMA_BY_FAMILY,
+    THETA,
     _attainer,
     _block_low,
     _limits,
@@ -75,7 +81,17 @@ def family_multiplicities(params: SphereParams) -> dict[str, int]:
     """How many identical copies of each block the full form contains:
     the number of basis slots of each family, in ``stability``'s closed
     form, and one radial block b."""
-    return {**{family: _limits(family, params)[2] for family in FAMILIES}, "b": 1}
+    return dict(zip(BLOCK_FAMILIES, _layout(params.n, params.k)[0]))
+
+
+# Every (n, k) with n <= 50, as the fold cache holds; two short tuples each.
+@lru_cache(maxsize=1224)
+def _layout(n: int, k: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The slot count of each of ``BLOCK_FAMILIES`` at (n, k), b's included,
+    and the rank-one coefficient of each gamma, worked out once per (n, k)."""
+    params = SphereParams(n, k)
+    counts = tuple(_limits(family, params)[2] for family in FAMILIES) + (1,)
+    return counts, tuple(_rank_one_coefficient(gamma, params) for gamma in range(4))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,15 +99,16 @@ class BlockSpectrum:
     """Spectrum of one block functional I_gamma in the weighted metric,
     from its rank-one structure.
 
-    Every basis family served by one gamma carries this same block, so
-    ``full_spectrum`` builds one per gamma and maps each of its families
-    to it.  A block is three scalars, in plain units: the downdated value
-    A_0 - c |Pq|^2 of the grid, the bulk value A_0, and the closed-form
-    low value from the moments; the two low values agree to the
-    grid-resolution check's tolerance.  Its arrays are built from them
-    on first read.  ``eigenvalues`` is ascending: the downdated value,
-    then A_0 for every other eigenpair.  ``closed_form`` is the same
-    spectrum with the low value from the moments.  ``eigenvectors``
+    Every basis family served by one gamma carries this same block, so a
+    ``full_spectrum`` report builds one per gamma, when its ``blocks`` are
+    first read, and maps each of its families to it.  A block is three
+    scalars, in plain units: the downdated value A_0 - c |Pq|^2 of the
+    grid, the bulk value A_0, and the closed-form low value from the
+    moments; the two low values agree to the grid-resolution check's
+    tolerance.  Its arrays are built from them on first read.
+    ``eigenvalues`` is ascending: the downdated value, then A_0 for every
+    other eigenpair.  ``closed_form`` is the same spectrum with the low
+    value from the moments.  ``eigenvectors``
     columns hold the coefficient profiles a(theta_i) on the grid of
     ``rule``, orthonormal in the weighted metric, the downdated
     direction first.  They come from a complete QR factorization of the
@@ -193,7 +210,10 @@ def block_spectrum(
     if family_multiplicities(params)[family] == 0:
         raise ValueError(f"family {family} is empty for (n, k) = ({params.n}, {params.k})")
     tilt = scaled_moments(params, eta)
-    return _block_spectra(tilt, (family,), grid_size, _alpha_at(tilt, alpha))[_GAMMA_BY_BLOCK[family]]
+    alpha = _alpha_at(tilt, alpha)
+    rule, scalars = _block_scalars(tilt, (family,), grid_size, alpha)
+    gamma = _GAMMA_BY_BLOCK[family]
+    return BlockSpectrum(params, gamma, tilt.eta, alpha, rule, *scalars[gamma])
 
 
 def _projected_norms(rule: WeightedQuadrature, eta: float, shift: float) -> tuple[float, ...]:
@@ -211,24 +231,26 @@ def _projected_norms(rule: WeightedQuadrature, eta: float, shift: float) -> tupl
     return float(gt @ rest), float(gt @ t), float((g * rest) @ rest), float((g * centred) @ centred)
 
 
-def _block_spectra(
+def _block_scalars(
     tilt: TiltedMeasure, families: Iterable[str], grid_size: int, alpha: float
-) -> dict[int, BlockSpectrum]:
-    """One block per gamma of ``families``, keyed by gamma, from the moment
-    pass ``tilt`` and one product on the grid, with alpha resolved; a
-    block whose grid value disagrees with its closed form raises,
-    naming the first of its families."""
+) -> tuple[WeightedQuadrature, dict[int, tuple[float, float, float]]]:
+    """The grid rule and, keyed by gamma, the grid low value, bulk A_0 and
+    closed-form low value in plain units of one block per gamma of
+    ``families``, from the moment pass ``tilt`` and one product on the
+    grid, with alpha resolved; a block whose grid value disagrees with its
+    closed form raises, naming the first of its families."""
     params = tilt.rule.params
     rule = _grid_rule(params, grid_size)
+    coefficients = _layout(params.n, params.k)[1]
     eta, a0 = tilt.eta, tilt.a0
     norms = _projected_norms(rule, eta, tilt.shift)
     factor = float(np.exp(tilt.shift))
-    blocks: dict[int, BlockSpectrum] = {}
+    scalars: dict[int, tuple[float, float, float]] = {}
     for family in families:
         gamma = _GAMMA_BY_BLOCK[family]
-        if gamma in blocks:
+        if gamma in scalars:
             continue
-        grid_low = a0 - _rank_one_coefficient(gamma, params) * alpha * norms[gamma]
+        grid_low = a0 - coefficients[gamma] * alpha * norms[gamma]
         low = _block_low(gamma, tilt, alpha)
         # The grid spectrum (grid_low, A_0, ..., A_0) against the sorted
         # closed form: only the low entry and, when low > A_0, the top differ.
@@ -238,48 +260,86 @@ def _block_spectra(
                 f"dense and closed-form spectra disagree for {family} at eta = {eta:g}; "
                 "increase grid_size"
             )
-        blocks[gamma] = BlockSpectrum(
-            params, gamma, eta, alpha, rule, grid_low * factor, a0 * factor, low * factor
-        )
-    return blocks
+        scalars[gamma] = grid_low * factor, a0 * factor, low * factor
+    return rule, scalars
 
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
     """Aggregated block spectra with kernel and gap diagnostics.
 
-    ``eigenvalues`` pools every block with its multiplicity; it is built
-    on first read from the distinct values and their multiplicities,
-    from which the kernel and gap diagnostics are taken.  Entries of
+    The report is its scalars: the distinct eigenvalues and their
+    multiplicities, from which the kernel and gap diagnostics are taken
+    when it is made, and each block's three scalars.  Entries of
     magnitude below ``threshold`` (a fixed fraction of the spectral
     radius) count as kernel; ``gap`` is the smallest remaining
     eigenvalue, negative exactly when the state is unstable.
     ``ambiguous`` flags eigenvalues within a decade of the threshold,
-    where the kernel count should not be trusted.  ``kernel_projection``
-    is the worst squared alignment of a numerical kernel mode with the
-    rotational profile e^{eta sin^2} sin cos (None when no kernel was
-    detected).
+    where the kernel count should not be trusted.  Built on first read:
+    ``eigenvalues``, which pools every block with its multiplicity;
+    ``blocks``, which maps every family of one gamma to the same
+    ``BlockSpectrum``; and ``kernel_projection``, the worst squared
+    alignment of a numerical kernel mode with the rotational profile
+    e^{eta sin^2} sin cos (None when no kernel was detected).
     """
 
     params: SphereParams
     eta: float
     alpha: float
     grid_size: int
-    blocks: Mapping[str, BlockSpectrum]
     multiplicities: Mapping[str, int]
     threshold: float
     kernel_dim: int
     gap: float
     ambiguous: bool
-    kernel_projection: float | None
     _values: tuple[float, ...] = field(repr=False)  # distinct eigenvalues, ascending
     _counts: tuple[int, ...] = field(repr=False)  # their multiplicities
+    _rule: WeightedQuadrature = field(repr=False)  # the grid
+    _tilt: TiltedMeasure = field(repr=False)  # the point's moment pass
+    # Each block's grid low value, bulk A_0 and closed-form low value, by gamma.
+    _scalars: Mapping[int, tuple[float, float, float]] = field(repr=False)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         pooled = np.repeat(self._values, self._counts)
         _freeze(pooled)
         return pooled
+
+    @cached_property
+    def blocks(self) -> Mapping[str, BlockSpectrum]:
+        by_gamma = {
+            gamma: BlockSpectrum(self.params, gamma, self.eta, self.alpha, self._rule, *scalars)
+            for gamma, scalars in self._scalars.items()
+        }
+        return MappingProxyType(
+            {family: by_gamma[_GAMMA_BY_BLOCK[family]] for family, count in self.multiplicities.items() if count}
+        )
+
+    @cached_property
+    def kernel_projection(self) -> float | None:
+        low, bulk, _ = self._scalars[0]
+        # Column 0 holds the downdated value, every later column the bulk.
+        zero_columns = [0] if abs(low) < self.threshold else []
+        if abs(bulk) < self.threshold:
+            zero_columns += range(1, self._rule.weights.size)
+        if not zero_columns:
+            return None
+        theta_block = self.blocks[THETA]
+        w = theta_block.rule.weights
+        g = _attainer(theta_block.rule.sin2, self._tilt, 0)
+        g_norm = float(np.sum(w * g * g))
+        fractions = []
+        for column in zero_columns:
+            # Column 0 is q (P is the identity off b) up to sign and scale,
+            # which the ratio below ignores; only a bulk column needs the
+            # QR basis.
+            if column == 0:
+                a = theta_block._columns[0] * theta_block._to_profile
+            else:
+                a = theta_block.eigenvectors[:, column]
+            overlap = float(np.sum(w * a * g)) ** 2
+            fractions.append(overlap / (float(np.sum(w * a * a)) * g_norm))
+        return float(min(fractions))
 
 
 def full_spectrum(
@@ -292,22 +352,23 @@ def full_spectrum(
 
     One moment pass and one alpha (sigma_k(eta) by default) serve every
     block, and one product on the grid gives every block's downdated
-    value.  A block is its functional: ``blocks`` maps every family of
-    one gamma to the same ``BlockSpectrum``.  The diagnostics come from
-    each block's distinct values and their multiplicities; the pooled
-    eigenvalues are built from them on first read.
+    value, checked against its closed form before the report is made.
+    The diagnostics come from each block's distinct values and their
+    multiplicities; the pooled eigenvalues, the blocks and the kernel
+    projection are built from the blocks' scalars on first read.
     """
     tilt = scaled_moments(params, eta)
     alpha = _alpha_at(tilt, alpha)
     counts = family_multiplicities(params)
     present = [family for family, count in counts.items() if count]
-    by_gamma = _block_spectra(tilt, present, grid_size, alpha)
-    blocks = {family: by_gamma[_GAMMA_BY_BLOCK[family]] for family in present}
+    rule, scalars = _block_scalars(tilt, present, grid_size, alpha)
     pairs: list[tuple[float, int]] = []
     for family in present:
-        block, count = blocks[family], counts[family]
-        # The downdated value, then the bulk at A_0.
-        pairs += [(block._low, count), (block._bulk, count * (block._size - 1))]
+        gamma, count = _GAMMA_BY_BLOCK[family], counts[family]
+        low, bulk, _ = scalars[gamma]
+        # The downdated value, then the bulk at A_0 on every other grid
+        # direction (one fewer for the constrained b block).
+        pairs += [(low, count), (bulk, count * (rule.weights.size - 1 - (gamma == 3)))]
     pairs.sort()
     values = tuple(value for value, _ in pairs)
     multiplicities = tuple(count for _, count in pairs)
@@ -317,45 +378,21 @@ def full_spectrum(
     kernel_dim = sum(count for size, count in zip(magnitudes, multiplicities) if size < threshold)
     gap = min((value for value, size in zip(values, magnitudes) if not size < threshold), default=0.0)
     ambiguous = any(threshold / 10.0 <= size <= threshold * 10.0 for size in magnitudes)
-
-    projection = None
-    theta_block = by_gamma.get(0)
-    if theta_block is not None:
-        # Column 0 holds the downdated value, every later column the bulk.
-        zero_columns = [0] if abs(theta_block._low) < threshold else []
-        if abs(theta_block._bulk) < threshold:
-            zero_columns += range(1, theta_block._size)
-        if zero_columns:
-            w = theta_block.rule.weights
-            g = _attainer(theta_block.rule.sin2, tilt, 0)
-            g_norm = float(np.sum(w * g * g))
-            fractions = []
-            for column in zero_columns:
-                # Column 0 is q (P is the identity off b) up to sign and
-                # scale, which the ratio below ignores; only a bulk column
-                # needs the QR basis.
-                if column == 0:
-                    a = theta_block._columns[0] * theta_block._to_profile
-                else:
-                    a = theta_block.eigenvectors[:, column]
-                overlap = float(np.sum(w * a * g)) ** 2
-                fractions.append(overlap / (float(np.sum(w * a * a)) * g_norm))
-            projection = float(min(fractions))
-
     return SpectrumReport(
         params,
         tilt.eta,
         alpha,
         grid_size,
-        MappingProxyType(blocks),
         MappingProxyType(counts),
         threshold,
         kernel_dim,
         gap,
         ambiguous,
-        projection,
         values,
         multiplicities,
+        rule,
+        tilt,
+        scalars,
     )
 
 

@@ -40,7 +40,11 @@ grid and for the assembled evaluator.
 Unstable verdicts carry an explicit witness: the Cauchy-Schwarz
 equality profile of the violated functional, placed in a single basis
 slot, whose decomposed form value is verified to be strictly negative,
-and which the direct form can check on the sphere.
+and which the direct form can check on the sphere.  ``classify`` takes
+that value from the witness's one grid row, with the checks a
+``PerturbationTop`` makes, and decides the verdict from it; the
+``PerturbationTop`` itself, ``StabilityReport.witness``, is built from
+the point's moment pass on first read and holds the same row.
 
 The direct form, the decomposition's oracle, integrates the undecomposed
 second variation on the polar product rule (``quadrature.polar_rule``):
@@ -53,7 +57,7 @@ only limit: it checks the decomposition at every k up to n = 29.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -593,18 +597,24 @@ def _scaled_form(params: SphereParams, total: float) -> float:
 
 
 def _block_sum(spec: CriticalPointSpec, p: PerturbationTop) -> float:
-    """The decomposed form before its area factor: each slot's I_gamma over
-    its d_gamma, plus I_3 of b, from the spec's moment pass, in one
-    ``_functional_value`` call over ``p``'s rows.  I_3 of an absent b is
-    exactly 0.0 and is not evaluated."""
-    params = spec.params
+    """The decomposed form before its area factor, from the spec's moment
+    pass over ``p``'s rows.  I_3 of an absent b is exactly 0.0 and is not
+    evaluated."""
     slots = len(p.coefficients)
     rows = slots + (p.b_function is not None)
-    values = _functional_value(spec._tilt, p._rows[:rows], p._gammas[:rows], spec.alpha)
+    return _rows_sum(spec._tilt, spec.alpha, p._rows[:rows], p._gammas[:rows], slots)
+
+
+def _rows_sum(tilt: TiltedMeasure, alpha: float, rows: np.ndarray, gammas: Sequence[int], slots: int) -> float:
+    """Each of the first ``slots`` rows' I_gamma over its d_gamma, plus I_3
+    of the row after them when there is one (b), in one
+    ``_functional_value`` call from the moment pass ``tilt``."""
+    params = tilt.rule.params
+    values = _functional_value(tilt, rows, gammas, alpha)
     total = 0.0
-    for gamma, term in zip(p._gammas, values[:slots]):
+    for gamma, term in zip(gammas, values[:slots]):
         total += term / _slot_denominator(gamma, params)
-    return total + values[slots] if rows > slots else total
+    return total + values[slots] if len(values) > slots else total
 
 
 def quadratic_form_direct(spec: CriticalPointSpec, phi: Callable) -> float:
@@ -659,15 +669,8 @@ def _attainer(t: np.ndarray, tilt: TiltedMeasure, gamma: int) -> np.ndarray:
     return base * _profile(gamma, t)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    params: SphereParams
-    eta: float
-    alpha: float
-    classification: str
-    d_quantities: tuple[float, float, float]
-    witness: PerturbationTop | None = None
-    witness_value: float | None = None
+# The slot of each functional's witness; gamma = 3 places it in b.
+_WITNESS_SLOTS = {0: BasisIndex(THETA, (1, 1)), 1: BasisIndex(OMEGA_A, (0, 1)), 2: BasisIndex(XI_A, (0, 1))}
 
 
 def _attainer_top(tilt: TiltedMeasure, gamma: int) -> PerturbationTop:
@@ -680,8 +683,29 @@ def _attainer_top(tilt: TiltedMeasure, gamma: int) -> PerturbationTop:
 
     if gamma == 3:
         return PerturbationTop(params, {}, profile)
-    slot = {0: BasisIndex(THETA, (1, 1)), 1: BasisIndex(OMEGA_A, (0, 1)), 2: BasisIndex(XI_A, (0, 1))}
-    return PerturbationTop(params, {slot[gamma]: profile})
+    return PerturbationTop(params, {_WITNESS_SLOTS[gamma]: profile})
+
+
+@dataclass(frozen=True)
+class StabilityReport:
+    """A verdict with its D values and, for an unstable point, the value of
+    the decomposed form at its witness.  ``witness``, the equality profile
+    of the violated functional in one basis slot (None unless the point
+    is unstable), is built on first read from the point's moment pass;
+    its rows are those ``witness_value`` was computed from."""
+
+    params: SphereParams
+    eta: float
+    alpha: float
+    classification: str
+    d_quantities: tuple[float, float, float]
+    witness_value: float | None = None
+    _tilt: TiltedMeasure | None = field(default=None, repr=False, compare=False)
+    _gamma: int | None = field(default=None, repr=False, compare=False)  # the witness's functional
+
+    @cached_property
+    def witness(self) -> PerturbationTop | None:
+        return None if self._gamma is None else _attainer_top(self._tilt, self._gamma)
 
 
 #: Verdicts by side of the fold, 2 (|eta - eta^*| <= 1e-9) + (eta > eta^*).
@@ -753,15 +777,24 @@ def classify(
             gamma = 3
     if verdict != UNSTABLE:
         return StabilityReport(params, eta, spec.alpha, verdict, dq)
-    top = _attainer_top(tilt, gamma)
+    # The witness's one row, with the bits its PerturbationTop holds and
+    # the checks it makes: the witness itself is built only when read.
+    rule = tilt.rule
+    rows = _grid_values(
+        [_attainer(np.sin(rule.nodes) ** 2, tilt, gamma)],
+        rule,
+        lambda _: "b values" if gamma == 3 else f"values for {_WITNESS_SLOTS[gamma]}",
+    )
+    if gamma == 3:
+        _check_zero_mean(rows[0], rule, "b values")
     # The sign comes from the block sum, before the positive area factor,
     # which underflows at large n.
-    total = _block_sum(spec, top)
+    total = _rows_sum(tilt, spec.alpha, rows, (gamma,), 0 if gamma == 3 else 1)
     if not total < 0.0:
         # The boundary sits below floating-point resolution here.
         return StabilityReport(params, eta, spec.alpha, MARGINAL, dq)
     value = _scaled_form(params, total)
-    return StabilityReport(params, eta, spec.alpha, UNSTABLE, dq, top, float(value))
+    return StabilityReport(params, eta, spec.alpha, UNSTABLE, dq, float(value), tilt, gamma)
 
 
 def branch_tag(params: SphereParams, eta: float) -> str:

@@ -1,7 +1,9 @@
 import functools
 import itertools
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +194,27 @@ def test_sphere_sizes_reject_bad_input():
 def test_theta_rule_mass_beyond_the_gamma_range(beta_40_digits):
     """At n = 400 Gamma(n/2) overflows, and the mass falls back on lgamma."""
     rule = build_weighted_quadrature(SphereParams(400, 1), order=16)
+    assert math.fsum(rule.weights) == pytest.approx(beta_40_digits(1, 399), rel=1e-13)
+
+
+@pytest.mark.parametrize("n, order", [(600, 512), (1300, 256), (2100, 128)])
+def test_theta_rule_refuses_a_rule_past_double_precision(n, order):
+    """Where the Gauss-Jacobi recurrence or its mass overflows, the rule
+    raises ValueError naming (n, k, order), and warns of nothing: no NaN
+    weights, and no bare OverflowError from the mass."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"(n, k, order) = ({n}, 1, {order})")):
+            theta_rule(n, 1, order)
+
+
+def test_theta_rule_at_the_edge_of_double_precision(beta_40_digits):
+    """(400, 1, 512) overflows inside the recurrence yet comes back finite,
+    its mass within 1e-13 of the Beta value, without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rule = build_weighted_quadrature(SphereParams(400, 1), order=512)
+    assert np.isfinite(rule.weights).all() and (rule.weights >= 0.0).all()
     assert math.fsum(rule.weights) == pytest.approx(beta_40_digits(1, 399), rel=1e-13)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from scipy.optimize import brentq
 from onsager_ms import sigma
 from onsager_ms.quadrature import SphereParams
 from onsager_ms.sigma import (
+    SigmaSample,
     find_eta_star,
     invert_alpha,
     phase_diagram,
@@ -395,6 +398,17 @@ def test_phase_diagram_rows_match_sample_and_branch_tag(n):
             assert abs(point.sigma_prime - want.sigma_prime) <= 1e-14 * (n + abs(want.sigma_prime))
             assert tag == branch_tag(params, point.eta), (branch.k, point.eta)
     assert "marginal" in diagram.branches[0].tags and "marginal" in diagram.branches[-1].tags
+
+
+def test_phase_diagram_rows_are_frozen_samples():
+    """A diagram row is the ``SigmaSample`` that ``sample`` returns, equal
+    to one built from its fields, and refuses attribute assignment."""
+    row = phase_diagram(4, np.array([-1.0, 2.0])).branches[0].samples[1]
+    assert type(row) is type(sample(SphereParams(4, 1), 2.0))
+    assert row == SigmaSample(row.eta, row.sigma, row.sigma_prime)
+    assert hash(row) == hash(SigmaSample(row.eta, row.sigma, row.sigma_prime))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.sigma = 0.0
 
 
 @pytest.mark.parametrize("eta", [700.5, -701.0, 1e308])

@@ -573,3 +573,71 @@ def test_isotropic_threshold(n):
             isotropic_threshold(bad)
     with pytest.raises(ValueError, match="n must be at least 3"):
         isotropic_threshold(n - 2)
+
+
+def _hex(values) -> list[str]:
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+@pytest.mark.parametrize("n,k", [(7, 1), (7, 2), (7, 6)])
+def test_reports_build_their_objects_on_first_read(monkeypatch, n, k):
+    """On branch roots, ``classify`` constructs no PerturbationTop, and
+    ``full_spectrum`` no BlockSpectrum and no kernel-projection sums, until
+    those fields are read.  Once read, the blocks equal ``block_spectrum``
+    for every family and the witness's decomposed form equals
+    ``witness_value``, both to the bit; the projection matches the QR
+    reference to its 1e-14, as the column-0 formula always has."""
+    from onsager_ms import spectral, stability
+    from onsager_ms.equilibrium import critical_point
+    from onsager_ms.stability import quadratic_form_decomposed
+
+    built = {"witness": 0, "block": 0, "projection": 0}
+
+    def counting(owner, name, key):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            built[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(stability.PerturbationTop, "__init__", "witness")
+    counting(spectral.BlockSpectrum, "__init__", "block")
+    counting(spectral, "_attainer", "projection")
+
+    params = SphereParams(n, k)
+    star = find_eta_star(params)
+    witnesses = set()
+    for eta in invert_alpha(params, 1.3 * star.alpha_star):
+        report = classify(params, eta)
+        spectrum = full_spectrum(params, eta)
+        assert report.classification != "Marginal" and spectrum.kernel_dim == k * (n - k)
+        assert (spectrum.gap > 0.0) == (report.classification == "Stable")
+        assert spectrum.eigenvalues.size > 0
+        assert built == {"witness": 0, "block": 0, "projection": 0}
+
+        if report.witness_value is None:
+            assert report.witness is None
+        else:
+            witness = report.witness
+            assert report.witness is witness and built["witness"] == 1
+            witnesses.add((tuple(witness.coefficients), witness.b_function is not None))
+            value = quadratic_form_decomposed(critical_point(params, eta), witness)
+            assert value.hex() == report.witness_value.hex()
+
+        blocks = spectrum.blocks
+        assert built["block"] == len(set(map(id, blocks.values())))
+        for family, block in blocks.items():
+            eager = block_spectrum(params, eta, family)
+            for field in ("eigenvalues", "closed_form", "eigenvectors"):
+                assert _hex(getattr(block, field)) == _hex(getattr(eager, field)), (family, field)
+            assert (block.gamma, block.eta, block.alpha) == (eager.gamma, eager.eta, eager.alpha)
+
+        projection = spectrum.kernel_projection
+        assert built["projection"] == 1
+        zero, expected = _qr_kernel_projection(spectrum, scaled_moments(params, eta))
+        assert list(zero) == [0]
+        assert projection == pytest.approx(expected, rel=0, abs=1e-14)
+        built.update(witness=0, block=0, projection=0)
+    assert witnesses  # at least one unstable root carried its witness
