@@ -37,7 +37,7 @@ import numpy as np
 
 from .moments import TiltedMeasure, scaled_moments
 from .quadrature import SphereParams, _area_product, _freeze, _whole, bromwich_rule
-from .sigma import _alpha_at, _branch_alpha, _checked_alpha
+from .sigma import _alpha_at, _checked_alpha
 
 #: Largest n at which ``bingham_second_moments`` keeps 1e-10 relative
 #: accuracy; beyond it the contour loses digits near eta = 0.
@@ -176,10 +176,9 @@ class CriticalPointSpec:
             _freeze(rot)
         object.__setattr__(self, "rotation", rot)
         if self.eta != 0.0:
-            target = _branch_alpha(tilt)
-            if abs(self.alpha - target) > 1e-10 * target:
+            if abs(self.alpha - tilt.sigma) > 1e-10 * tilt.sigma:
                 raise ValueError(
-                    f"alpha={self.alpha} is not sigma_k(eta)={target} "
+                    f"alpha={self.alpha} is not sigma_k(eta)={tilt.sigma} "
                     "(anisotropic equilibria exist only on the branch)"
                 )
 

@@ -4,10 +4,13 @@ With t = sin^2(theta), the moments A_l(eta) = integral of e^(eta t) t^(l/2)
 against sin^(k-1)(theta) cos^(n-k-1)(theta) dtheta, for even l, are
 A_0 E[t^(l/2)] under the polar measure tilted by e^(eta t).  One pass,
 :func:`scaled_moments`, returns that measure on the Gauss nodes at the
-common scale e^(-max(eta, 0)), with E[t], s = E[t(1-t)], E[t^2(1-t)] and
-E[t(1-t)^2].  The intensity curve, the sign quantities and the spectral
-blocks take these in formulas of positive factors or a centred
-covariance, never a difference of nearly equal moments.
+common scale e^(-max(eta, 0)), with E[t], s = E[t(1-t)], E[t^2(1-t)],
+E[t(1-t)^2] and sigma_k = k (n-k) / (2 s), worked out once per pass.
+The pass has one implementation per shape of eta: ``_moment_sums`` for
+a float and ``_moment_grid`` for a grid.  The intensity curve, the sign
+quantities and the spectral blocks take these in formulas of positive
+factors or a centred covariance, never a difference of nearly equal
+moments.
 
 The domain is finite |eta| <= ETA_MAX = 700, and every entry point of
 the library that needs moments raises ValueError outside it.  Inside it,
@@ -45,20 +48,13 @@ def _checked_eta(eta: float) -> float:
     return eta
 
 
-def _checked_grid(etas: np.ndarray) -> np.ndarray:
-    """A float array of eta, unchanged; ValueError unless every value is
-    finite with |eta| <= ETA_MAX, as :func:`_checked_eta` checks one."""
-    if not np.all(np.abs(etas) <= ETA_MAX):
-        raise ValueError(_OUTSIDE)
-    return etas
-
-
 class TiltedMeasure(NamedTuple):
     """The polar measure tilted by e^(eta t), t = sin^2, on ``rule``'s nodes:
     ``weights`` (the rule's times e^(eta t - shift), shift = max(eta, 0))
     sum to ``a0`` = e^(-shift) A_0 and give E[f] = weights @ f(t) / a0;
-    ``mean`` = E[t], ``s`` = E[t(1-t)], ``s_sin2`` = E[t^2(1-t)] and
-    ``s_cos2`` = E[t(1-t)^2].  Read the fields by name."""
+    ``mean`` = E[t], ``s`` = E[t(1-t)], ``s_sin2`` = E[t^2(1-t)],
+    ``s_cos2`` = E[t(1-t)^2] and ``sigma`` = k (n-k) / (2 s), the one
+    sigma_k(eta) every reader of the pass shares.  Read the fields by name."""
 
     a0: float
     weights: np.ndarray
@@ -69,56 +65,58 @@ class TiltedMeasure(NamedTuple):
     s: float
     s_sin2: float
     s_cos2: float
+    sigma: float
+
+
+def _intensity(params: SphereParams, s):
+    """sigma_k = k (n-k) / (2 s) from s = E[t(1-t)] > 0; elementwise for an array of s."""
+    return params.k * params.complement / (2.0 * s)
 
 
 def scaled_moments(
     params: SphereParams, eta: float, *, order: int = DEFAULT_ORDER
 ) -> TiltedMeasure:
-    """The tilted measure at eta and its expectations, from one product of
-    the rule's ``moment_rows`` with the tilted weights.  Raises ValueError
-    unless eta is finite with |eta| <= ETA_MAX, and RuntimeError when the
-    mass or an expectation is not positive, which 0 < t < 1 at every node
-    rules out for a sound rule.
+    """The tilted measure at eta and its expectations, from one
+    :func:`_moment_sums` pass on the theta rule of ``order``.  Raises
+    ValueError unless eta is finite with |eta| <= ETA_MAX, and the pass's
+    RuntimeError when the mass or an expectation is not positive.
     """
     eta = _checked_eta(eta)
     rule = theta_rule(params.n, params.k, order)
-    shift = max(eta, 0.0)
-    weights = eta * rule.sin2 - shift
+    (a0, t, s, s_sin2, s_cos2), weights = _moment_sums(rule, eta)
+    s /= a0
+    sigma = _intensity(params, s)
+    return TiltedMeasure(a0, weights, rule, max(eta, 0.0), eta, t / a0, s, s_sin2 / a0, s_cos2 / a0, sigma)
+
+
+def _moment_sums(rule: WeightedQuadrature, eta: float) -> tuple[list[float], np.ndarray]:
+    """The moment pass at a float eta that the caller has checked: the
+    rule's weights tilted by e^(eta t - shift), shift = max(eta, 0), and
+    their sums ``rule.moment_rows @ weights`` of 1, t, t(1-t), t^2(1-t)
+    and t(1-t)^2 as a list.  RuntimeError when a sum is not positive,
+    which 0 < t < 1 at every node rules out for a sound rule."""
+    weights = eta * rule.sin2 - max(eta, 0.0)
     np.exp(weights, out=weights)  # in place: the pass runs tens of times per branch
     weights *= rule.weights
-    a0, t, s, s_sin2, s_cos2 = (rule.moment_rows @ weights).tolist()
-    if not (a0 > 0.0 and t > 0.0 and s > 0.0 and s_sin2 > 0.0 and s_cos2 > 0.0):
-        raise RuntimeError("tilted moments not positive; quadrature failure")
-    return TiltedMeasure(a0, weights, rule, shift, eta, t / a0, s / a0, s_sin2 / a0, s_cos2 / a0)
-
-
-def _moment_sums(rule: WeightedQuadrature, eta):
-    """The lean moment pass of the branch searches and the diagram: the
-    rule's weights tilted by e^(eta t - shift), shift = max(eta, 0), and the
-    sums ``rule.moment_rows @ weights`` of 1, t, t(1-t), t^2(1-t) and
-    t(1-t)^2, with the arithmetic of :func:`scaled_moments` but without its
-    measure.  The caller reads the rule once, however many passes it makes.
-
-    A float eta gives the five sums as a list and a weight vector; a 1-d
-    array of m values gives a (5, m) array of sums and (order, m) weights,
-    one column per eta, from one product.  Raises the ValueError and the
-    RuntimeError of :func:`scaled_moments`.
-    """
-    grid = isinstance(eta, np.ndarray)
-    if grid:
-        eta = _checked_grid(eta)
-        t, w, shift = rule.sin2[:, None], rule.weights[:, None], np.maximum(eta, 0.0)
-    else:
-        eta = _checked_eta(eta)
-        t, w, shift = rule.sin2, rule.weights, max(eta, 0.0)
-    weights = eta * t - shift
-    np.exp(weights, out=weights)  # in place: the pass runs tens of times per branch
-    weights *= w
-    sums = rule.moment_rows @ weights
-    if not grid:
-        sums = sums.tolist()  # five floats are read and checked faster than an array
+    sums = (rule.moment_rows @ weights).tolist()  # five floats are read and checked faster than an array
     # The weights are finite, so a sum is positive or has underflowed to 0.
-    if not (sums.min() if grid else min(sums)) > 0.0:
+    if not min(sums) > 0.0:
+        raise RuntimeError("tilted moments not positive; quadrature failure")
+    return sums, weights
+
+
+def _moment_grid(rule: WeightedQuadrature, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_moment_sums` over a 1-d float array of m values of eta in one
+    product, a column per eta: (5, m) sums and (order, m) weights.  Raises
+    the ValueError of :func:`_checked_eta` unless every eta is in the
+    domain, and the pass's RuntimeError."""
+    if not np.all(np.abs(etas) <= ETA_MAX):
+        raise ValueError(_OUTSIDE)
+    weights = etas * rule.sin2[:, None] - np.maximum(etas, 0.0)
+    np.exp(weights, out=weights)
+    weights *= rule.weights[:, None]
+    sums = rule.moment_rows @ weights
+    if not sums.min() > 0.0:
         raise RuntimeError("tilted moments not positive; quadrature failure")
     return sums, weights
 

@@ -21,16 +21,18 @@ from one rescaled moment pass at the library's one theta order,
 DEFAULT_ORDER, so a fold is cached by (n, k) alone; eta is confined to
 the moment domain |eta| <= ETA_MAX, and the brackets of the fold search
 and of the inversion end at its edge.  One pass gives sigma_k and
-sigma_k' together.  The fold is found by Illinois false-position steps
-on sigma_k' inside its sign bracket, and its last pass also gives the
-curvature sigma_k''(eta^*), cached with it.  alpha is inverted by Newton
-steps on sigma_k - alpha from a seed that curvature and the asymptotic
-slopes place at each root; they run on the lean private pass of the
-moments module, which reads the rule once per call and gives sigma_k and
-the step's slope from one product, and fall back on bisection inside
-the bracket.  A phase diagram evaluates each branch over its whole grid
-in one vector pass, (order x m) weights in one product, and tags the
-grid in one comparison with the cached fold.
+sigma_k' together; sigma_k is the pass's field ``sigma``.  The fold is
+found by Illinois false-position steps on sigma_k' inside its sign
+bracket, and its last pass also gives the curvature sigma_k''(eta^*),
+cached with it.  alpha is inverted by Newton steps on sigma_k - alpha
+from a seed that curvature and the asymptotic slopes place at each root;
+they run on the scalar moment pass of the moments module, on a rule read
+once per call, which gives sigma_k and the step's slope from one product,
+and fall back on bisection inside the bracket.  A phase diagram
+evaluates each branch over its whole grid in the moments module's grid
+pass, (order x m) weights in one product, and tags the grid in one
+comparison with the cached fold.  The branch verdict lives here, beside
+the fold it reads; ``stability`` imports it and its constants.
 """
 
 from __future__ import annotations
@@ -43,18 +45,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .moments import ETA_MAX, TiltedMeasure, _moment_sums, scaled_moments
+from .moments import ETA_MAX, TiltedMeasure, _checked_eta, _intensity, _moment_grid, _moment_sums, scaled_moments
 from .quadrature import DEFAULT_ORDER, SphereParams, WeightedQuadrature, theta_rule
 
-
-def _branch_alpha(tilt: TiltedMeasure) -> float:
-    """sigma_k from the moment pass ``tilt``, which carries (n, k) and s."""
-    return _intensity(tilt.rule.params, tilt.s)
-
-
-def _intensity(params: SphereParams, s):
-    """sigma_k = k (n-k) / (2 s) from s = E[t(1-t)] > 0; elementwise for an array of s."""
-    return params.k * params.complement / (2.0 * s)
+STABLE = "Stable"
+UNSTABLE = "Unstable"
+MARGINAL = "Marginal"
 
 
 def _intensity_rate(params: SphereParams, ds, s):
@@ -67,7 +63,7 @@ def _intensity_rate(params: SphereParams, ds, s):
 def _alpha_at(tilt: TiltedMeasure, alpha: float | None) -> float:
     """alpha, or sigma_k(eta) from the moment pass ``tilt`` when None, as
     ``_checked_alpha`` returns it."""
-    return _checked_alpha(_branch_alpha(tilt) if alpha is None else alpha)
+    return _checked_alpha(tilt.sigma if alpha is None else alpha)
 
 
 def _checked_alpha(alpha: float) -> float:
@@ -98,7 +94,7 @@ def _fold_curvature(tilt: TiltedMeasure) -> float:
 
 def sigma_value(params: SphereParams, eta: float) -> float:
     """Interaction strength alpha = sigma_k(eta) carrying the k-branch."""
-    return _branch_alpha(scaled_moments(params, eta))
+    return scaled_moments(params, eta).sigma
 
 
 def sigma_prime(params: SphereParams, eta: float) -> float:
@@ -111,9 +107,16 @@ def sigma_prime(params: SphereParams, eta: float) -> float:
 
 
 def sigma_prime_fd(params: SphereParams, eta: float) -> float:
-    """Central finite-difference cross-check for :func:`sigma_prime`, step 1e-5."""
+    """Finite-difference cross-check for :func:`sigma_prime`, step 1e-5:
+    central, or second-order one-sided within a step of the domain's edge,
+    so that the stencil stays in the domain."""
     h = 1e-5
-    return (sigma_value(params, eta + h) - sigma_value(params, eta - h)) / (2.0 * h)
+    eta = _checked_eta(eta)
+    if abs(eta) + h <= ETA_MAX:
+        return (sigma_value(params, eta + h) - sigma_value(params, eta - h)) / (2.0 * h)
+    d = math.copysign(h, -eta)  # a step away from the edge
+    near, far = sigma_value(params, eta + d), sigma_value(params, eta + 2.0 * d)
+    return (4.0 * near - far - 3.0 * sigma_value(params, eta)) / (2.0 * d)
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,7 @@ class SigmaSample:
 
 def sample(params: SphereParams, eta: float) -> SigmaSample:
     tilt = scaled_moments(params, eta)
-    return SigmaSample(tilt.eta, _branch_alpha(tilt), _branch_slope(tilt))
+    return SigmaSample(tilt.eta, tilt.sigma, _branch_slope(tilt))
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,7 @@ def _eta_star_cached(n: int, k: int) -> _Fold:
         return _Fold(EtaStar(params, eta, sigma_value(params, eta)), mirror.curvature)
     if 2 * k == n:
         tilt = scaled_moments(params, 0.0)
-        return _Fold(EtaStar(params, 0.0, _branch_alpha(tilt)), _fold_curvature(tilt))
+        return _Fold(EtaStar(params, 0.0, tilt.sigma), _fold_curvature(tilt))
 
     def point(eta: float) -> _Probe:
         tilt = scaled_moments(params, eta)
@@ -214,7 +217,7 @@ def _eta_star_cached(n: int, k: int) -> _Fold:
                 lo_slope *= 0.5
             hi, hi_slope, moved = mid, mid.slope, "hi"
     best = min(lo, hi, key=lambda end: abs(end.slope)).tilt
-    return _Fold(EtaStar(params, best.eta, _branch_alpha(best)), _fold_curvature(best))
+    return _Fold(EtaStar(params, best.eta, best.sigma), _fold_curvature(best))
 
 
 def find_eta_star(params: SphereParams) -> EtaStar:
@@ -235,10 +238,35 @@ def find_eta_star(params: SphereParams) -> EtaStar:
     return _eta_star_cached(params.n, params.k).star
 
 
+#: Verdicts by side of the fold, 2 (|eta - eta^*| <= 1e-9) + (eta > eta^*).
+_BY_SIDE = (UNSTABLE, STABLE, MARGINAL, MARGINAL)
+
+
+def _branch_verdict(params: SphereParams, eta):
+    """The theorem's verdict on the anisotropic k-branch at eta (see
+    ``stability.classify``); for a 1-d array of eta, which the grid moment
+    pass has checked, a tuple of verdicts, one per entry, from one
+    comparison with the cached fold.
+
+    A branch with 2k > n is read as its mirror, the (n - k)-branch at -eta.
+    A float eta outside the moment domain raises the moments' ValueError.
+    """
+    grid = isinstance(eta, np.ndarray)
+    if not grid:
+        eta = _checked_eta(eta)
+    if 2 * params.k > params.n:
+        params, eta = SphereParams(params.n, params.complement), -eta
+    if params.k >= 2:
+        return (UNSTABLE,) * eta.size if grid else UNSTABLE
+    star = find_eta_star(params).eta_star
+    side = 2 * (abs(eta - star) <= 1e-9) + (eta > star)
+    return tuple(_BY_SIDE[i] for i in side.tolist()) if grid else _BY_SIDE[side]
+
+
 def _root(rule: WeightedQuadrature, alpha: float, fold: _Fold, direction: float) -> float:
     """The root of sigma_k = alpha on the side ``direction`` of the fold.
 
-    Newton steps on the lean moment pass start from a seed that the
+    Newton steps on the scalar moment pass start from a seed that the
     quadratic of the fold's curvature and the asymptotic slope (k to the
     right, n - k to the left) place at or inside the root of a convex
     branch.  The bracket runs from the fold to the edge of the domain.  A
@@ -302,10 +330,11 @@ def invert_alpha(params: SphereParams, alpha: float) -> list[float]:
     right and n - k to the left, and found by Newton steps on
     sigma_k - alpha, to 1e-12 + 4 eps |eta|, that bisect the bracket from
     eta^* to the edge of the domain when a step would leave it or would
-    not halve the move before last.  The steps run on a lean moment pass that reads the rule once per call and
-    takes sigma_k and the step's slope from one product; sigma_k has the
-    bits of :func:`sigma_value`.  Each eta costs one pass, about 9 per
-    call for both roots.
+    not halve the move before last.  The steps run on the one scalar
+    moment pass, the one :func:`scaled_moments` wraps, on a rule read once
+    per call, and take sigma_k and the step's slope from one product;
+    sigma_k has the bits of :func:`sigma_value`.  Each eta costs one pass,
+    about 9 per call for both roots.
     """
     alpha = _checked_alpha(alpha)
     fold = _eta_star_cached(params.n, params.k)
@@ -342,13 +371,14 @@ def phase_diagram(n: int, eta_grid=None) -> PhaseDiagram:
     """Sample every branch k = 1 .. n-1 of the (eta, alpha) phase diagram.
 
     Defaults to 401 evenly spaced eta values on [-10, 30].  Each branch is
-    one lean moment pass over the whole grid, whose (order x m) tilted
-    weights give sigma_k, and sigma_k' with its covariance summed centred,
-    for every eta at once; they agree with :func:`sample` to about 1e-15
-    relative, not to the bit.  Tags follow the branch stability rule
-    (stable / unstable / marginal) of ``branch_tag``, row for row, from
-    one comparison of the grid with the cached fold.  A grid value outside
-    the moment domain raises its ValueError.  n is checked by
+    one call of the moments module's grid pass, ``_moment_grid``, over the
+    whole grid, whose (order x m) tilted weights give sigma_k, and
+    sigma_k' with its covariance summed centred, for every eta at once;
+    they agree with :func:`sample` to about 1e-15 relative, not to the
+    bit.  Tags follow the branch stability rule (stable / unstable /
+    marginal) of ``branch_tag``, row for row, from one comparison of the
+    grid with the cached fold.  A grid value outside the moment domain
+    raises the grid pass's ValueError.  n is checked by
     ``SphereParams``: an integral float such as 3.0 is taken as 3, and
     n < 3 or 3.5 raises ValueError.
     """
@@ -358,8 +388,6 @@ def phase_diagram(n: int, eta_grid=None) -> PhaseDiagram:
     grid = np.asarray(eta_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
         raise ValueError("eta_grid must be a non-empty 1-d array of finite values")
-
-    from .stability import _branch_verdict  # deferred: stability imports this module
 
     etas = grid.tolist()
     branches = []
@@ -383,11 +411,11 @@ def _samples(etas: list[float], sigmas: list[float], slopes: list[float]) -> tup
 
 
 def _branch_curve(params: SphereParams, grid: np.ndarray) -> tuple[list[float], list[float]]:
-    """sigma_k and sigma_k' at every eta of ``grid`` from one lean moment
+    """sigma_k and sigma_k' at every eta of ``grid`` from one grid moment
     pass over it: the formulas of :func:`sample` a column at a time, the
     covariance summed centred."""
     rule = theta_rule(params.n, params.k, DEFAULT_ORDER)
-    sums, weights = _moment_sums(rule, grid)
+    sums, weights = _moment_grid(rule, grid)
     a0, mean, s = sums[0], sums[1] / sums[0], sums[2] / sums[0]
     centred_t = weights * (rule.sin2[:, None] - mean)
     cov = np.einsum("ij,ij->j", centred_t, rule.moment_rows[2][:, None] - s) / a0  # row 2: t(1-t)

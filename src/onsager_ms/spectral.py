@@ -54,7 +54,7 @@ from .quadrature import (
     _whole,
     theta_rule,
 )
-from .sigma import _alpha_at, _branch_alpha, find_eta_star
+from .sigma import _alpha_at, find_eta_star
 from .stability import (
     FAMILIES,
     GAMMA_BY_FAMILY,
@@ -179,16 +179,15 @@ def _rank_one_block(
     coefficient: float,
     direction: np.ndarray,
     constraint: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> np.ndarray:
     """diag(diagonal) - coefficient * q q^T, restricted to the null space of
-    ``constraint`` when one is given; also returns that space's orthonormal
-    basis (None when unrestricted), which maps eigenvectors back to the grid."""
+    ``constraint`` when one is given."""
     mat = np.diag(diagonal) - coefficient * np.outer(direction, direction)
     if constraint is None:
-        return mat, None
+        return mat
     # The right singular vectors past the first span the constraint's null space.
     basis = np.linalg.svd(constraint[None, :])[2][1:].T
-    return basis.T @ mat @ basis, basis
+    return basis.T @ mat @ basis
 
 
 def block_spectrum(
@@ -421,7 +420,6 @@ def gap_estimate(params: SphereParams, eta: float, grid_size: int = 64) -> float
         raise ValueError("k = 1 is stable only for eta > eta_1^*, and k = n - 1 only for eta < -eta_1^*")
 
     tilt = scaled_moments(params, eta)
-    alpha = _branch_alpha(tilt)
     a0_scaled = tilt.a0
     w, t = rule.weights, rule.sin2
     decay = np.exp(-eta * t)
@@ -430,9 +428,9 @@ def gap_estimate(params: SphereParams, eta: float, grid_size: int = 64) -> float
     # All quantities carry a uniform factor e^{-eta}; it cancels in the
     # final assembly except where restored explicitly.
     def block_minimum(gamma: int, constraint: np.ndarray | None) -> float:
-        mat, _ = _rank_one_block(
+        mat = _rank_one_block(
             a0_scaled * decay,
-            _rank_one_coefficient(gamma, params) * alpha * np.exp(-eta),
+            _rank_one_coefficient(gamma, params) * tilt.sigma * np.exp(-eta),
             sqw * _profile(gamma, t),
             constraint,
         )

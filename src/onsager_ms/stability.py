@@ -26,7 +26,10 @@ The signs of the three scalars D1, D2, D3 (the downdated directions'
 extreme values) decide stability: the isotropic state is stable exactly
 up to alpha = n(n+2)/2; branches with 2 <= k <= n-2 are always unstable;
 the k = 1 branch is stable exactly for eta above the fold eta_1^*, and
-k = n-1 mirrors it under eta -> -eta.
+k = n-1 mirrors it under eta -> -eta.  That branch rule and the verdict
+constants STABLE, UNSTABLE and MARGINAL live in ``sigma``, beside the
+fold.  Each formula below reads a point's one moment pass, whose field
+``sigma`` is sigma_k(eta).
 
 A perturbation (``PerturbationTop``) is given by its profiles, functions
 of theta.  Their values on the blocks' theta rule form one read-only
@@ -64,7 +67,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .equilibrium import CriticalPointSpec, _validated_points
-from .moments import TiltedMeasure, _checked_eta, _checked_grid, scaled_moments
+from .moments import TiltedMeasure, _checked_eta, scaled_moments
 from .quadrature import (
     SphereParams,
     WeightedQuadrature,
@@ -76,11 +79,7 @@ from .quadrature import (
     surface_area,
     theta_rule,
 )
-from .sigma import _alpha_at, _branch_alpha, _branch_slope, find_eta_star
-
-STABLE = "Stable"
-UNSTABLE = "Unstable"
-MARGINAL = "Marginal"
+from .sigma import MARGINAL, STABLE, UNSTABLE, _alpha_at, _branch_slope, _branch_verdict
 
 OMEGA_A = "Omega_A"
 OMEGA_B = "Omega_B"
@@ -307,7 +306,6 @@ def _block_low(gamma: int, tilt: TiltedMeasure, alpha: float) -> float:
     """
     params, eta, a0 = tilt.rule.params, tilt.eta, tilt.a0
     n, k = params.n, params.k
-    sigma = _branch_alpha(tilt)
     if gamma == 0:
         d = 0.0
     elif gamma == 1:
@@ -315,8 +313,8 @@ def _block_low(gamma: int, tilt: TiltedMeasure, alpha: float) -> float:
     elif gamma == 2:
         d = 2.0 * eta * a0 * tilt.s_cos2 / ((n - k + 2) * tilt.s)
     else:
-        d = eta * a0 * _branch_slope(tilt) / sigma
-    ratio = alpha / sigma
+        d = eta * a0 * _branch_slope(tilt) / tilt.sigma
+    ratio = alpha / tilt.sigma
     return a0 * (1.0 - ratio) + ratio * d
 
 
@@ -706,30 +704,6 @@ class StabilityReport:
     @cached_property
     def witness(self) -> PerturbationTop | None:
         return None if self._gamma is None else _attainer_top(self._tilt, self._gamma)
-
-
-#: Verdicts by side of the fold, 2 (|eta - eta^*| <= 1e-9) + (eta > eta^*).
-_BY_SIDE = (UNSTABLE, STABLE, MARGINAL, MARGINAL)
-
-
-def _branch_verdict(params: SphereParams, eta):
-    """The theorem's verdict on the anisotropic k-branch at eta (see
-    ``classify``); for a 1-d array of eta, a tuple of verdicts, one per
-    entry, from one comparison with the cached fold.
-
-    A branch with 2k > n is read as its mirror, the (n - k)-branch at -eta.
-    Raises the moments' ValueError outside the moment domain, like every
-    verdict the moments would decide there.
-    """
-    grid = isinstance(eta, np.ndarray)
-    eta = _checked_grid(eta) if grid else _checked_eta(eta)
-    if 2 * params.k > params.n:
-        params, eta = SphereParams(params.n, params.complement), -eta
-    if params.k >= 2:
-        return (UNSTABLE,) * eta.size if grid else UNSTABLE
-    star = find_eta_star(params).eta_star
-    side = 2 * (abs(eta - star) <= 1e-9) + (eta > star)
-    return tuple(_BY_SIDE[i] for i in side.tolist()) if grid else _BY_SIDE[side]
 
 
 def classify(

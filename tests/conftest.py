@@ -5,39 +5,38 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import onsager_ms
 from onsager_ms import moments
-from onsager_ms.quadrature import DEFAULT_ORDER
 
 
 @pytest.fixture
 def moment_passes(monkeypatch):
     """The (n, k, eta, order) of every moment pass made while the test runs,
-    one per eta: each ``scaled_moments`` pass and each eta of a lean
-    ``_moment_sums`` pass, counted in every library module that binds the
-    function.  order is the pass's theta order."""
+    one per eta: each scalar ``_moment_sums`` pass, which every
+    ``scaled_moments`` call makes once, and each eta of a ``_moment_grid``
+    pass, counted in every library module that binds the function.  order
+    is the pass's theta order."""
     calls = []
-    original, lean = moments.scaled_moments, moments._moment_sums
+    scalar, grid = moments._moment_sums, moments._moment_grid
 
-    def counted(params, eta, **kwargs):
-        calls.append((params.n, params.k, float(eta), kwargs.get("order", DEFAULT_ORDER)))
-        return original(params, eta, **kwargs)
+    def counted(rule, eta):
+        calls.append((rule.params.n, rule.params.k, float(eta), rule.order))
+        return scalar(rule, eta)
 
-    def counted_lean(rule, eta):
+    def counted_grid(rule, etas):
         params = rule.params
-        calls.extend((params.n, params.k, float(e), rule.order) for e in np.atleast_1d(eta))
-        return lean(rule, eta)
+        calls.extend((params.n, params.k, float(e), rule.order) for e in etas)
+        return grid(rule, etas)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] != "onsager_ms":
             continue
-        if getattr(module, "scaled_moments", None) is original:
-            monkeypatch.setattr(module, "scaled_moments", counted)
-        if getattr(module, "_moment_sums", None) is lean:
-            monkeypatch.setattr(module, "_moment_sums", counted_lean)
+        if getattr(module, "_moment_sums", None) is scalar:
+            monkeypatch.setattr(module, "_moment_sums", counted)
+        if getattr(module, "_moment_grid", None) is grid:
+            monkeypatch.setattr(module, "_moment_grid", counted_grid)
     return calls
 
 

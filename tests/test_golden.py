@@ -1,10 +1,14 @@
 """CLI output as a checked-in fact: the stdout and exit code of a fixed set
-of ``classify`` and ``spectrum`` commands, compared byte for byte.
+of ``classify``, ``spectrum``, ``sigma``, ``phase-diagram`` and ``eta-star``
+commands, compared byte for byte.
 
 The set covers every kind of ``classify`` report (stable, an unstable
 point with an Omega, a Xi and a b witness, the points next to a fold, the
-isotropic point on both sides of n(n+2)/2) and ``spectrum`` on both sides
-of a fold, at k = 2, at n = 3..6 and off the branch.  The expected bytes
+isotropic point on both sides of n(n+2)/2), ``spectrum`` on both sides
+of a fold, at k = 2, at n = 3..6 and off the branch, ``sigma`` inside and
+at both edges of the moment domain, a phase diagram and a grid that
+leaves the domain (exit 2, no output), and the folds of a low, an even,
+a mirrored and a larger branch.  The expected bytes
 live in ``tests/golden/``; ``python tests/test_golden.py`` rewrites them
 from the ``onsager_ms`` on the path, and a change that rewrites them
 states its drift.
@@ -47,6 +51,14 @@ COMMANDS = {
     "spectrum_isotropic": ["spectrum", "--n", "4", "--k", "1", "--eta", "0", "--alpha", "10", "--grid", "16"],
     "spectrum_bulk_kernel": ["spectrum", "--n", "4", "--k", "1", "--eta", "2", "--alpha", "1e9", "--grid", "16"],
     "spectrum_unresolved": ["spectrum", "--n", "3", "--k", "1", "--eta", "600", "--grid", "8"],
+    "sigma_n5_k2": ["sigma", "--n", "5", "--k", "2", "--eta-min", "-10", "--eta-max", "30", "--samples", "21"],
+    "sigma_domain_edges": ["sigma", "--n", "3", "--k", "1", "--eta-min", "-700", "--eta-max", "700", "--samples", "9"],
+    "phase_diagram_n5": ["phase-diagram", "--n", "5", "--samples", "41"],
+    "phase_diagram_outside_domain": ["phase-diagram", "--n", "4", "--eta-min", "-701", "--eta-max", "0", "--samples", "3"],
+    "eta_star_n3_k1": ["eta-star", "--n", "3", "--k", "1"],
+    "eta_star_even": ["eta-star", "--n", "6", "--k", "3"],
+    "eta_star_mirrored": ["eta-star", "--n", "7", "--k", "5"],
+    "eta_star_n12_k5": ["eta-star", "--n", "12", "--k", "5"],
 }
 
 

@@ -12,7 +12,7 @@ import onsager_ms
 from onsager_ms.equilibrium import critical_point
 from onsager_ms.moments import ETA_MAX, moment, recurrence_residual, scaled_moments
 from onsager_ms.quadrature import DEFAULT_ORDER, SphereParams, theta_rule
-from onsager_ms.sigma import sigma_prime, sigma_value
+from onsager_ms.sigma import sigma_prime, sigma_prime_fd, sigma_value
 from onsager_ms.spectral import block_spectrum, full_spectrum
 from onsager_ms.stability import (
     branch_tag,
@@ -218,6 +218,7 @@ def _domain_entry_points():
     return {
         "sigma_value": lambda eta: sigma_value(params, eta),
         "sigma_prime": lambda eta: sigma_prime(params, eta),
+        "sigma_prime_fd": lambda eta: sigma_prime_fd(params, eta),
         "d_quantities": lambda eta: d_quantities(params, eta),
         "classify": lambda eta: classify(params, eta),
         "block_spectrum": lambda eta: block_spectrum(params, eta, "b", grid_size=128),

@@ -75,6 +75,15 @@ def test_derivative_matches_finite_difference(pair, eta):
     assert exact == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
+@pytest.mark.parametrize("eta", [700.0, -700.0, 700.0 - 5e-6, -(700.0 - 5e-6)])
+def test_finite_difference_reaches_the_edge_of_the_domain(eta):
+    """Within a step of an edge the stencil turns one-sided and stays inside
+    the moment domain, matching ``sigma_prime`` at verify's tolerance."""
+    params = SphereParams(4, 1)
+    exact = sigma_prime(params, eta)
+    assert abs(sigma_prime_fd(params, eta) - exact) <= 1e-4 * max(1.0, abs(exact))
+
+
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(3, 7) for k in range(1, n)])
 def test_asymptotic_expansion(n, k):
     """sigma_k(eta) = k*eta + k*n/2 + O(1/eta) as eta -> +inf, mirrored below.

@@ -5,7 +5,7 @@ import pytest
 
 from onsager_ms.moments import moment, scaled_moments
 from onsager_ms.quadrature import SphereParams, theta_rule
-from onsager_ms.sigma import _branch_alpha, find_eta_star, invert_alpha, sigma_value
+from onsager_ms.sigma import find_eta_star, invert_alpha, sigma_value
 from onsager_ms.spectral import (
     _CLOSED_FORM_RTOL,
     _GAMMA_BY_BLOCK,
@@ -59,7 +59,7 @@ def test_rank_one_spectrum_matches_dense_reference(n, k):
         for eta in (-20.0, -1e-3, 1.5, 40.0):
             tilt = scaled_moments(params, eta)
             a0, shift = tilt.a0, tilt.shift
-            alpha = _branch_alpha(tilt)
+            alpha = tilt.sigma
             root_mass = np.sqrt(w * np.exp(eta * t - shift))
             for family, count in family_multiplicities(params).items():
                 if count == 0:
@@ -68,9 +68,7 @@ def test_rank_one_spectrum_matches_dense_reference(n, k):
                 coefficient = _rank_one_coefficient(gamma, params) * alpha
                 direction = root_mass * _profile(gamma, t)
                 constraint = root_mass if gamma == 3 else None
-                mat, basis = _rank_one_block(
-                    np.full(w.size, a0), coefficient, direction, constraint
-                )
+                mat = _rank_one_block(np.full(w.size, a0), coefficient, direction, constraint)
                 dense = np.linalg.eigvalsh(mat)
                 low = _block_low(gamma, tilt, alpha)
                 closed = np.sort(np.concatenate(([low], np.full(dense.size - 1, a0))))
@@ -91,9 +89,10 @@ def test_rank_one_spectrum_matches_dense_reference(n, k):
                 # Back to the grid coordinates the matrix acts on.
                 v = a * (np.sqrt(w) * np.exp(-0.5 * eta * t))[:, None]
                 full = a0 * v - coefficient * np.outer(direction, direction @ v)
-                if basis is not None:
+                if constraint is not None:
                     assert np.max(np.abs(root_mass @ v)) <= 1e-12 * np.linalg.norm(root_mass)
-                    full = basis @ (basis.T @ full)
+                    # Projected back onto the constraint's null space.
+                    full -= np.outer(root_mass, root_mass @ full) / (root_mass @ root_mass)
                 residual = np.linalg.norm(full - v * scaled[None, :], axis=0)
                 assert np.max(residual) <= 1e-12 * a0
     # Only the coarsest grid fails to resolve the weight, at |eta| >= 20.
@@ -107,11 +106,11 @@ def _dense_disagrees(params, eta, grid_size):
     rule = theta_rule(params.n, params.k, grid_size)
     w, t = rule.weights, rule.sin2
     tilt = scaled_moments(params, eta)
-    alpha = _branch_alpha(tilt)
+    alpha = tilt.sigma
     root_mass = np.sqrt(w * np.exp(eta * t - tilt.shift))
     gammas = {_GAMMA_BY_BLOCK[f] for f, count in family_multiplicities(params).items() if count}
     for gamma in gammas:
-        mat, _ = _rank_one_block(
+        mat = _rank_one_block(
             np.full(w.size, tilt.a0),
             _rank_one_coefficient(gamma, params) * alpha,
             root_mass * _profile(gamma, t),

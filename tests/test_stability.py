@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onsager_ms import stability
+from onsager_ms import moments, stability
 from onsager_ms.equilibrium import (
     CriticalPointSpec,
     OrderTensor,
@@ -642,6 +642,35 @@ def test_decomposed_form_makes_one_moment_pass(moment_passes, n, k):
     spec = critical_point(params, 1.0)
     assert quadratic_form_decomposed(spec, top) == want
     assert len(moment_passes) == 1
+
+
+@pytest.mark.parametrize("call", ["classify_root", "classify_isotropic", "full_spectrum"])
+def test_a_report_evaluates_the_intensity_once(monkeypatch, call):
+    """sigma_k is worked out once, in the point's moment pass, however many
+    of the report's formulas read it."""
+    params = SphereParams(20, 7)
+    root = invert_alpha(params, 1.3 * find_eta_star(params).alpha_star)[0]
+    iso_alpha = 0.8 * 20 * 22 / 2.0
+    original, evaluations = moments._intensity, []
+
+    def counted(p, s):
+        evaluations.append(s)
+        return original(p, s)
+
+    monkeypatch.setattr(moments, "_intensity", counted)
+    if call == "classify_root":
+        assert classify(params, root).classification == UNSTABLE
+    elif call == "classify_isotropic":
+        assert classify(SphereParams(20, 1), 0.0, alpha=iso_alpha).classification == STABLE
+    else:
+        full_spectrum(params, root)
+    assert len(evaluations) == 1
+
+
+@pytest.mark.parametrize("eta", [-700.0, -3.0, 0.0, 2.5, 700.0])
+def test_the_pass_carries_sigma_value(eta):
+    params = SphereParams(20, 7)
+    assert scaled_moments(params, eta).sigma.hex() == sigma_value(params, eta).hex()
 
 
 @pytest.mark.parametrize("n,k,eta", [(5, 2, 3.0), (6, 2, -2.0), (4, 1, 0.5)])
