@@ -13,16 +13,18 @@ blocks.  On every call each block's grid eigenvalue is compared, as a
 scalar, with its closed form from the moments (one of the sign scalars
 D1, D2, D3, or exactly zero for the mixed block on an anisotropic
 branch); a disagreement means the grid cannot resolve the exponential
-weight and raises instead of returning garbage.  A block is its
-scalars: its eigenvalue and closed-form arrays, its grid columns and its
-eigenvectors (a complete QR factorization of q, with the constraint as a
-leading column for b) are built on first read.  A ``full_spectrum``
-report is its scalars too: the moment pass, the grid product, the checks
-and the kernel and gap diagnostics run when it is made, while its
-``blocks``, its pooled ``eigenvalues`` and its ``kernel_projection`` are
-built from each block's three scalars on first read.  Which families
-are present at (n, k), their counts and the blocks' rank-one
-coefficients are worked out once per (n, k) and cached.
+weight and raises instead of returning garbage.  The grid product and
+the D_gamma are alpha-free; both low values are affine in alpha, so each
+alpha costs only scalar operations, which ``isotropic_threshold``
+bisects.  A block is its scalars: its eigenvalue and closed-form arrays,
+its grid columns and its eigenvectors (a complete QR factorization of
+q, with the constraint as a leading column for b) are built on first
+read.  A ``full_spectrum`` report is its scalars too: the moment pass,
+the grid product, the checks and the kernel and gap diagnostics run
+when it is made, while its ``blocks``, its pooled ``eigenvalues`` and
+its ``kernel_projection`` are built from each block's three scalars on
+first read.  Which families are present at (n, k), their counts and the
+blocks' rank-one coefficients are worked out once per (n, k) and cached.
 
 Which family feeds which block, and how many slots (the block's
 multiplicity) each has, is listed once, in ``stability``'s docstring.
@@ -40,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -60,10 +62,11 @@ from .stability import (
     GAMMA_BY_FAMILY,
     THETA,
     _attainer,
-    _block_low,
     _limits,
+    _low_at,
     _profile,
     _rank_one_coefficient,
+    _sign_scalar,
 )
 
 BLOCK_FAMILIES = FAMILIES + ("b",)
@@ -210,9 +213,9 @@ def block_spectrum(
         raise ValueError(f"family {family} is empty for (n, k) = ({params.n}, {params.k})")
     tilt = scaled_moments(params, eta)
     alpha = _alpha_at(tilt, alpha)
-    rule, scalars = _block_scalars(tilt, (family,), grid_size, alpha)
+    rule, scalars_at = _block_scalars(tilt, (family,), grid_size)
     gamma = _GAMMA_BY_BLOCK[family]
-    return BlockSpectrum(params, gamma, tilt.eta, alpha, rule, *scalars[gamma])
+    return BlockSpectrum(params, gamma, tilt.eta, alpha, rule, *scalars_at(alpha)[gamma])
 
 
 def _projected_norms(rule: WeightedQuadrature, eta: float, shift: float) -> tuple[float, ...]:
@@ -231,12 +234,14 @@ def _projected_norms(rule: WeightedQuadrature, eta: float, shift: float) -> tupl
 
 
 def _block_scalars(
-    tilt: TiltedMeasure, families: Iterable[str], grid_size: int, alpha: float
-) -> tuple[WeightedQuadrature, dict[int, tuple[float, float, float]]]:
-    """The grid rule and, keyed by gamma, the grid low value, bulk A_0 and
-    closed-form low value in plain units of one block per gamma of
-    ``families``, from the moment pass ``tilt`` and one product on the
-    grid, with alpha resolved; a block whose grid value disagrees with its
+    tilt: TiltedMeasure, families: Iterable[str], grid_size: int
+) -> tuple[WeightedQuadrature, Callable[[float], dict[int, tuple[float, float, float]]]]:
+    """The grid rule and the per-alpha step of one block per gamma of
+    ``families`` at the moment pass ``tilt``.  The alpha-free part runs
+    here, once: one product on the grid for every |Pq_gamma|^2, and each
+    gamma's rank-one coefficient and sign scalar D_gamma.  The step maps
+    alpha to, keyed by gamma, the grid low value, bulk A_0 and closed-form
+    low value in plain units; a block whose grid value disagrees with its
     closed form raises, naming the first of its families."""
     params = tilt.rule.params
     rule = _grid_rule(params, grid_size)
@@ -244,23 +249,29 @@ def _block_scalars(
     eta, a0 = tilt.eta, tilt.a0
     norms = _projected_norms(rule, eta, tilt.shift)
     factor = float(np.exp(tilt.shift))
-    scalars: dict[int, tuple[float, float, float]] = {}
+    pieces = {}
     for family in families:
         gamma = _GAMMA_BY_BLOCK[family]
-        if gamma in scalars:
-            continue
-        grid_low = a0 - coefficients[gamma] * alpha * norms[gamma]
-        low = _block_low(gamma, tilt, alpha)
-        # The grid spectrum (grid_low, A_0, ..., A_0) against the sorted
-        # closed form: only the low entry and, when low > A_0, the top differ.
-        error = max(abs(grid_low - min(low, a0)), abs(a0 - max(low, a0)))
-        if error > _CLOSED_FORM_RTOL * max(a0, abs(low)):
-            raise RuntimeError(
-                f"dense and closed-form spectra disagree for {family} at eta = {eta:g}; "
-                "increase grid_size"
-            )
-        scalars[gamma] = grid_low * factor, a0 * factor, low * factor
-    return rule, scalars
+        if gamma not in pieces:
+            pieces[gamma] = family, coefficients[gamma], norms[gamma], _sign_scalar(gamma, tilt)
+
+    def at(alpha: float) -> dict[int, tuple[float, float, float]]:
+        scalars = {}
+        for gamma, (family, coefficient, norm, d) in pieces.items():
+            grid_low = a0 - coefficient * alpha * norm
+            low = _low_at(tilt, alpha, d)
+            # The grid spectrum (grid_low, A_0, ..., A_0) against the sorted
+            # closed form: only the low entry and, when low > A_0, the top differ.
+            error = max(abs(grid_low - min(low, a0)), abs(a0 - max(low, a0)))
+            if error > _CLOSED_FORM_RTOL * max(a0, abs(low)):
+                raise RuntimeError(
+                    f"dense and closed-form spectra disagree for {family} at eta = {eta:g}; "
+                    "increase grid_size"
+                )
+            scalars[gamma] = grid_low * factor, a0 * factor, low * factor
+        return scalars
+
+    return rule, at
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,7 +371,8 @@ def full_spectrum(
     alpha = _alpha_at(tilt, alpha)
     counts = family_multiplicities(params)
     present = [family for family, count in counts.items() if count]
-    rule, scalars = _block_scalars(tilt, present, grid_size, alpha)
+    rule, scalars_at = _block_scalars(tilt, present, grid_size)
+    scalars = scalars_at(alpha)
     pairs: list[tuple[float, int]] = []
     for family in present:
         gamma, count = _GAMMA_BY_BLOCK[family], counts[family]
@@ -458,9 +470,12 @@ def gap_estimate(params: SphereParams, eta: float, grid_size: int = 64) -> float
 def isotropic_threshold(n: int, tol: float = 1e-8, grid_size: int = 32) -> float:
     """Interaction strength where the isotropic state loses stability.
 
-    Bisects on alpha for the sign change of the smallest eigenvalue of
-    the discretized second variation at eta = 0.  The exact crossing is
-    n (n + 2) / 2 for every n.
+    Bisects on alpha over [1, 2 n (n + 2)] for the sign change of
+    ``full_spectrum``'s smallest value at eta = 0, to the bit: one moment
+    pass and one grid product, then scalar operations per step.  It stops
+    once the bracket is no wider than tol or its ends are adjacent floats
+    (tol below their spacing), and returns its midpoint.  The exact
+    crossing is n (n + 2) / 2 for every n.
     """
     n = _whole("n", n)
     if n < 3:
@@ -468,9 +483,11 @@ def isotropic_threshold(n: int, tol: float = 1e-8, grid_size: int = 32) -> float
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
     params = SphereParams(n, 1)
+    present = [family for family, count in family_multiplicities(params).items() if count]
+    scalars_at = _block_scalars(scaled_moments(params, 0.0), present, grid_size)[1]
 
     def smallest(alpha: float) -> float:
-        return full_spectrum(params, 0.0, grid_size, alpha)._values[0]
+        return min(min(low, bulk) for low, bulk, _ in scalars_at(alpha).values())
 
     lo, hi = 1.0, 2.0 * n * (n + 2)
     if not (smallest(lo) > 0.0 > smallest(hi)):

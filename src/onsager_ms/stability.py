@@ -292,30 +292,33 @@ def _rank_one_coefficient(gamma: int, params: SphereParams) -> float:
     return numerator / _slot_denominator(gamma, params)
 
 
-def _block_low(gamma: int, tilt: TiltedMeasure, alpha: float) -> float:
-    """Closed-form lowest eigenvalue of block gamma at the scale of the
-    moment pass ``tilt``, which carries (n, k).
-
-    On the branch it is the sign scalar D_gamma: D_0 = 0 (the rotation
-    modes), D_1 = -2 eta A_0 E[t^2(1-t)]/((k+2)s),
-    D_2 = 2 eta A_0 E[t(1-t)^2]/((n-k+2)s) and D_3 = eta A_0 sigma'/sigma.
-    The value is affine in alpha and A_0 at alpha = 0, so off the branch
-    it is A_0 (1 - alpha/sigma) + (alpha/sigma) D_gamma, which equals
-    A_0 - c_gamma alpha N_gamma (c_gamma the rank-one coefficient,
-    N_gamma the squared profile norm).
-    """
+def _sign_scalar(gamma: int, tilt: TiltedMeasure) -> float:
+    """The sign scalar D_gamma, alpha-free, at the scale of the moment pass
+    ``tilt``, which carries (n, k): D_0 = 0 (the rotation modes),
+    D_1 = -2 eta A_0 E[t^2(1-t)]/((k+2)s), D_2 = 2 eta A_0 E[t(1-t)^2]/((n-k+2)s)
+    and D_3 = eta A_0 sigma'/sigma."""
     params, eta, a0 = tilt.rule.params, tilt.eta, tilt.a0
-    n, k = params.n, params.k
     if gamma == 0:
-        d = 0.0
-    elif gamma == 1:
-        d = -2.0 * eta * a0 * tilt.s_sin2 / ((k + 2) * tilt.s)
-    elif gamma == 2:
-        d = 2.0 * eta * a0 * tilt.s_cos2 / ((n - k + 2) * tilt.s)
-    else:
-        d = eta * a0 * _branch_slope(tilt) / tilt.sigma
+        return 0.0
+    if gamma == 1:
+        return -2.0 * eta * a0 * tilt.s_sin2 / ((params.k + 2) * tilt.s)
+    if gamma == 2:
+        return 2.0 * eta * a0 * tilt.s_cos2 / ((params.n - params.k + 2) * tilt.s)
+    return eta * a0 * _branch_slope(tilt) / tilt.sigma
+
+
+def _low_at(tilt: TiltedMeasure, alpha: float, d: float) -> float:
+    """The closed-form low value of a block with sign scalar d: D_gamma on
+    the branch, and affine in alpha with A_0 at alpha = 0, so
+    A_0 (1 - alpha/sigma) + (alpha/sigma) D_gamma = A_0 - c_gamma alpha N_gamma
+    (c_gamma the rank-one coefficient, N_gamma the squared profile norm)."""
     ratio = alpha / tilt.sigma
-    return a0 * (1.0 - ratio) + ratio * d
+    return tilt.a0 * (1.0 - ratio) + ratio * d
+
+
+def _block_low(gamma: int, tilt: TiltedMeasure, alpha: float) -> float:
+    """Closed-form lowest eigenvalue of block gamma at alpha, at ``tilt``'s scale."""
+    return _low_at(tilt, alpha, _sign_scalar(gamma, tilt))
 
 
 def functional_I(
@@ -367,7 +370,7 @@ def d_quantities(
 
     On the branch (alpha = sigma_k(eta), the default) D1 has the sign of
     -eta, D2 that of eta and D3 (mean-zero block) that of eta (eta - eta_k^*),
-    each by its formula (see ``_block_low``).  eta must lie in the moment
+    each by its formula (see ``_sign_scalar``).  eta must lie in the moment
     domain |eta| <= ETA_MAX, inside which the values stay finite.
     """
     return _d_values(scaled_moments(params, eta), alpha)

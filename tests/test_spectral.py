@@ -572,6 +572,99 @@ def test_isotropic_threshold(n):
             isotropic_threshold(bad)
     with pytest.raises(ValueError, match="n must be at least 3"):
         isotropic_threshold(n - 2)
+    with pytest.raises(ValueError, match="^grid_size must be at least 8$"):
+        isotropic_threshold(n, grid_size=7)
+    for bad in (7.5, np.nan):
+        with pytest.raises(ValueError, match=f"^grid_size must be an integer, got {bad}$"):
+            isotropic_threshold(n, grid_size=bad)
+
+
+# full_spectrum's block scalars (grid low value, bulk A_0, closed-form low
+# value, by gamma) on a 64-point grid, as float.hex, recorded before the
+# blocks' alpha-free pieces were split from the per-alpha step: at the
+# right roots of (4, 1) (stable) and (5, 2) (unstable) at 1.3 alpha^*, at
+# eta = +-300 on (4, 1), and at the isotropic point of (4, 1) on either
+# side of n (n + 2) / 2 = 12.
+_RECORDED_SCALARS = {
+    ((4, 1), "0x1.20bfcf334494fp+3", None): {
+        0: ("-0x1.0338666701677p-44", "0x1.2d8421bea462ep+7", "0x0.0p+0"),
+        2: ("0x1.12974804805f7p+7", "0x1.2d8421bea462ep+7", "0x1.12974804805fap+7"),
+        3: ("0x1.7e2e213335623p+6", "0x1.2d8421bea462ep+7", "0x1.7e2e213335624p+6"),
+    },
+    ((5, 2), "0x1.cacc94ef45e06p+2", None): {
+        0: ("0x1.1bfb65ac9f85ap-45", "0x1.de56ab3d5d816p+4", "0x0.0p+0"),
+        1: ("-0x1.359c09d85b957p+6", "0x1.de56ab3d5d816p+4", "-0x1.359c09d85b95dp+6"),
+        2: ("0x1.7ce1fcd458ca6p+4", "0x1.de56ab3d5d816p+4", "0x1.7ce1fcd458ca5p+4"),
+        3: ("0x1.e565ee6da36fbp+3", "0x1.de56ab3d5d816p+4", "0x1.e565ee6da36f2p+3"),
+    },
+    ((4, 1), "0x1.2c00000000000p+8", None): {
+        0: ("0x1.84cfd10e5710ap+373", "0x1.3a020880ac666p+419", "0x0.0p+0"),
+        2: ("0x1.397ab3532bd93p+419", "0x1.3a020880ac666p+419", "0x1.397ab3532bd75p+419"),
+        3: ("0x1.37e4b29aeda99p+419", "0x1.3a020880ac666p+419", "0x1.37e4b29aeda6fp+419"),
+    },
+    ((4, 1), "-0x1.2c00000000000p+8", None): {
+        0: ("-0x1.4000000000000p-52", "0x1.a2ce0cfbad0e4p-5", "0x0.0p+0"),
+        2: ("-0x1.86ad20bccb609p+2", "0x1.a2ce0cfbad0e4p-5", "-0x1.86ad20bccb5fdp+2"),
+        3: ("0x1.a000e9780d4bcp-5", "0x1.a2ce0cfbad0e4p-5", "0x1.a000e9780d502p-5"),
+    },
+    ((4, 1), "0x0.0p+0", 10.0): {
+        0: ("0x1.0c152382d738cp-3", "0x1.921fb54442d20p-1", "0x1.0c152382d7386p-3"),
+        2: ("0x1.0c152382d7380p-3", "0x1.921fb54442d20p-1", "0x1.0c152382d7386p-3"),
+        3: ("0x1.0c152382d7380p-3", "0x1.921fb54442d20p-1", "0x1.0c152382d7386p-3"),
+    },
+    ((4, 1), "0x0.0p+0", 14.0): {
+        0: ("-0x1.0c152382d733cp-3", "0x1.921fb54442d20p-1", "-0x1.0c152382d7341p-3"),
+        2: ("-0x1.0c152382d7350p-3", "0x1.921fb54442d20p-1", "-0x1.0c152382d7341p-3"),
+        3: ("-0x1.0c152382d734cp-3", "0x1.921fb54442d20p-1", "-0x1.0c152382d7341p-3"),
+    },
+}
+
+
+def test_isotropic_threshold_bisects_the_full_spectrum():
+    """The threshold's scalar bisection lands, to the bit, where a
+    bisection over ``full_spectrum``'s smallest value does, and the block
+    scalars it reads are the recorded ones."""
+
+    def reference(n: int, tol: float, grid_size: int) -> float:
+        def smallest(alpha):
+            return full_spectrum(SphereParams(n, 1), 0.0, grid_size, alpha)._values[0]
+
+        lo, hi = 1.0, 2.0 * n * (n + 2)
+        assert smallest(lo) > 0.0 > smallest(hi)
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            lo, hi = (mid, hi) if smallest(mid) > 0.0 else (lo, mid)
+        return 0.5 * (lo + hi)
+
+    for n in (*range(3, 13), 20, 38):
+        for tol in (1e-4, 1e-8, 1e-20):
+            for grid_size in (16, 32, 64):
+                got = isotropic_threshold(n, tol=tol, grid_size=grid_size)
+                assert got.hex() == reference(n, tol, grid_size).hex(), (n, tol, grid_size)
+    for ((n, k), eta, alpha), recorded in _RECORDED_SCALARS.items():
+        report = full_spectrum(SphereParams(n, k), float.fromhex(eta), 64, alpha)
+        assert {gamma: tuple(_hex(values)) for gamma, values in report._scalars.items()} == recorded
+
+
+def test_isotropic_threshold_makes_one_moment_pass(monkeypatch):
+    """One moment pass and one grid product serve every bisection step."""
+    from onsager_ms import spectral
+
+    calls = {"scaled_moments": 0, "_projected_norms": 0}
+    for name in calls:
+        original = getattr(spectral, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(spectral, name, counted)
+    for tol in (1e-4, 1e-20):
+        isotropic_threshold(8, tol=tol, grid_size=16)
+        assert calls == {"scaled_moments": 1, "_projected_norms": 1}, tol
+        calls.update(scaled_moments=0, _projected_norms=0)
 
 
 def _hex(values) -> list[str]:
