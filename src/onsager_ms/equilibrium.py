@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .moments import TiltedMeasure, scaled_moments
-from .quadrature import SphereParams, _area_product, _freeze, _whole, bromwich_rule
+from .quadrature import SphereParams, _area_product, _freeze, _real, _whole, bromwich_rule
 from .sigma import _alpha_at, _checked_alpha
 
 #: Largest n at which ``bingham_second_moments`` keeps 1e-10 relative
@@ -78,7 +78,7 @@ class OrderTensor:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.entries, dtype=float)
+        a = _real("entries", self.entries)
         if a.shape != (self.n, self.n):
             raise ValueError(f"entries must be {self.n}x{self.n}, got {a.shape}")
         if not np.all(np.isfinite(a)):
@@ -167,7 +167,7 @@ class CriticalPointSpec:
         if self.rotation is None:
             rot = _identity(n)
         else:
-            rot = np.asarray(self.rotation, float)
+            rot = _real("rotation", self.rotation)
             if rot.shape != (n, n):
                 raise ValueError(f"rotation must be {n}x{n}, got {rot.shape}")
             if not float(np.linalg.norm(rot.T @ rot - np.eye(n))) <= 1e-12:
@@ -197,7 +197,7 @@ def isotropic_point(n: int, alpha: float) -> CriticalPointSpec:
 
 def _validated_points(n: int, m) -> tuple[np.ndarray, bool]:
     """Points m as an (N, n) array of unit rows, and whether m was one vector."""
-    pts = np.asarray(m, dtype=float)
+    pts = _real("points", m)
     single = pts.ndim == 1
     mat = np.atleast_2d(pts)
     if mat.ndim != 2 or mat.shape[1] != n:
@@ -239,7 +239,7 @@ def bingham_second_moments(lam) -> np.ndarray:
     on ``bromwich_rule``.  Accurate to 1e-10 relative for n <= 20; larger
     n raises ValueError.
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = _real("eigenvalues", lam)
     if lam.ndim != 1 or not 1 <= lam.size <= MAX_CONTOUR_DIM:
         raise ValueError(
             f"Bingham moments on the contour support 1 <= n <= {MAX_CONTOUR_DIM}, "

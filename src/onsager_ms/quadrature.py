@@ -237,6 +237,16 @@ def _whole(name: str, value) -> int:
     return whole
 
 
+def _real(name: str, values) -> np.ndarray:
+    """``values`` as a float array; ValueError naming them when they are
+    complex, where the float cast would drop the imaginary part with only
+    a ComplexWarning."""
+    values = np.asarray(values)
+    if values.dtype.kind == "c":
+        raise ValueError(f"{name} must be real")
+    return values.astype(float, copy=False)
+
+
 def _freeze(*arrays: np.ndarray) -> None:
     for a in arrays:
         a.flags.writeable = False
@@ -426,7 +436,7 @@ def integrate_mu(rule: WeightedQuadrature, f) -> float:
     ``f`` is evaluated vectorized on the rule's nodes.  A non-finite value
     at any node raises ValueError rather than propagating NaN.
     """
-    vals = np.asarray(f(rule.nodes), dtype=float)
+    vals = _real("integrand values", f(rule.nodes))
     if vals.ndim == 0:
         vals = np.full(rule.nodes.shape, float(vals))
     if vals.shape != rule.nodes.shape:

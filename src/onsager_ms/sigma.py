@@ -21,14 +21,16 @@ from one rescaled moment pass at the library's one theta order,
 DEFAULT_ORDER, so a fold is cached by (n, k) alone; eta is confined to
 the moment domain |eta| <= ETA_MAX, and the brackets of the fold search
 and of the inversion end at its edge.  One pass gives sigma_k and
-sigma_k' together; sigma_k is the pass's field ``sigma``.  The fold is
-found by Illinois false-position steps on sigma_k' inside its sign
-bracket, and its last pass also gives the curvature sigma_k''(eta^*),
-cached with it.  alpha is inverted by Newton steps on sigma_k - alpha
-from a seed that curvature and the asymptotic slopes place at each root;
-they run on the scalar moment pass of the moments module, on a rule read
-once per call, which gives sigma_k and the step's slope from one product,
-and fall back on bisection inside the bracket.  A phase diagram
+sigma_k' together; sigma_k is the pass's field ``sigma``.  The fold and
+the roots of sigma_k = alpha are found by one search, ``_newton``:
+Newton steps that fall back on bisection inside a bracket running from
+the fold side to the domain's edge, one pass per eta.  The fold is the
+zero of s' = Cov(t, t(1-t)), stepped with s'', and its pass at eta^*
+gives the curvature sigma_k''(eta^*), cached with it.  Each root of
+sigma_k = alpha starts from a seed that curvature and the asymptotic
+slopes place at it; its steps run on the scalar moment pass of the
+moments module, on a rule read once per call, which gives sigma_k and
+the step's slope from one product.  A phase diagram
 evaluates each branch over its whole grid in the moments module's grid
 pass, (order x m) weights in one product, and tags the grid in one
 comparison with the cached fold.  The branch verdict lives here, beside
@@ -46,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .moments import ETA_MAX, TiltedMeasure, _checked_eta, _intensity, _moment_grid, _moment_sums, scaled_moments
-from .quadrature import DEFAULT_ORDER, SphereParams, WeightedQuadrature, theta_rule
+from .quadrature import DEFAULT_ORDER, SphereParams, WeightedQuadrature, _real, theta_rule
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
@@ -74,22 +76,18 @@ def _checked_alpha(alpha: float) -> float:
     return alpha
 
 
-def _branch_slope(tilt: TiltedMeasure) -> float:
-    """sigma_k' = -k (n-k) Cov(t, t(1-t)) / (2 s^2) from ``tilt``, the covariance as a centred sum."""
+def _slope_sum(tilt: TiltedMeasure) -> tuple[float, np.ndarray, np.ndarray]:
+    """s' = Cov(t, u), u = t(1-t), summed centred from ``tilt``, with its
+    factors: the weights times t - E t, and u - s."""
     rule = tilt.rule
     centred_t = tilt.weights * (rule.sin2 - tilt.mean)
-    cov = float(centred_t @ (rule.moment_rows[2] - tilt.s)) / tilt.a0  # row 2: t(1-t)
-    return _intensity_rate(rule.params, cov, tilt.s)
+    centred_u = rule.moment_rows[2] - tilt.s  # row 2: t(1-t)
+    return float(centred_t @ centred_u) / tilt.a0, centred_t, centred_u
 
 
-def _fold_curvature(tilt: TiltedMeasure) -> float:
-    """sigma_k'' at a zero of sigma_k', from the moment pass ``tilt`` there:
-    with u = t(1-t), s'' = E[(t - E t)^2 (u - s)], a third moment summed
-    centred."""
-    rule = tilt.rule
-    centred = tilt.weights * (rule.sin2 - tilt.mean) ** 2
-    third = float(centred @ (rule.moment_rows[2] - tilt.s)) / tilt.a0  # row 2: t(1-t)
-    return _intensity_rate(rule.params, third, tilt.s)
+def _branch_slope(tilt: TiltedMeasure) -> float:
+    """sigma_k' = -k (n-k) Cov(t, t(1-t)) / (2 s^2) from ``tilt``, the covariance as a centred sum."""
+    return _intensity_rate(tilt.rule.params, _slope_sum(tilt)[0], tilt.s)
 
 
 def sigma_value(params: SphereParams, eta: float) -> float:
@@ -142,27 +140,48 @@ class EtaStar:
     alpha_star: float
 
 
-def _outward(origin: float, direction: float):
-    """Bracket ends origin + direction * span for span = 8, 16, ..., clamped
-    to the moment domain and ending with the first end on its edge."""
-    span = 8.0
-    while True:
-        end = min(max(origin + direction * span, -ETA_MAX), ETA_MAX)
-        yield end
-        if abs(end) == ETA_MAX:
-            return
-        span *= 2.0
-
-
 _RTOL = 4 * np.finfo(float).eps  # the searches stop at Brent's tolerance, xtol + _RTOL |eta|
 
 
-class _Probe(NamedTuple):
-    """One step of the fold search: eta, sigma_k'(eta) and the moment pass there."""
+def _newton(evaluate, inner: float, edge: float, eta: float, xtol: float, outside) -> float:
+    """The zero of f between ``inner``, where f < 0, and ``edge``, to
+    xtol + 4 eps |eta|, from the seed ``eta``; ``evaluate(eta)`` gives f and
+    f' from one moment pass, once per eta.
 
-    eta: float
-    slope: float
-    tilt: TiltedMeasure
+    Newton steps, as in Numerical Recipes' rtsafe: a step that would not
+    land strictly inside the bracket, or that does not halve the move
+    before last, bisects it instead; next to a zero with a tiny slope,
+    rounding in f moves the zero by more than the tolerance, and Newton
+    steps alone would cycle.  While no eta with f >= 0 is known, the
+    bracket runs to ``edge`` and a step that would leave it goes there,
+    where f < 0 raises ValueError(outside()).
+    """
+    outer = None  # an eta with f >= 0, once one is seen
+    last = before_last = math.inf  # the last two moves
+    for _ in range(100):
+        value, slope = evaluate(eta)
+        if value >= 0.0:
+            outer = eta
+        elif eta == edge:
+            raise ValueError(outside())
+        else:
+            inner = eta
+        newton = eta - value / slope if slope else math.nan
+        far = edge if outer is None else outer
+        lo, hi = (inner, far) if inner < far else (far, inner)
+        if lo <= newton <= hi and abs(newton - eta) <= xtol + _RTOL * abs(newton):
+            return newton
+        if outer is None:
+            step = newton if lo < newton < hi else edge
+        elif lo < newton < hi and abs(newton - eta) <= 0.5 * before_last:
+            step = newton
+        else:
+            step = 0.5 * (inner + outer)
+            if abs(step - eta) <= xtol + _RTOL * abs(step):
+                return step
+        last, before_last = abs(step - eta), last
+        eta = step
+    raise RuntimeError("the Newton search did not converge in 100 steps")
 
 
 class _Fold(NamedTuple):
@@ -181,56 +200,37 @@ def _eta_star_cached(n: int, k: int) -> _Fold:
         mirror = _eta_star_cached(n, n - k)
         eta = -mirror.star.eta_star
         return _Fold(EtaStar(params, eta, sigma_value(params, eta)), mirror.curvature)
-    if 2 * k == n:
-        tilt = scaled_moments(params, 0.0)
-        return _Fold(EtaStar(params, 0.0, tilt.sigma), _fold_curvature(tilt))
+    # One pass per eta: the search often returns the eta it evaluated last.
+    passes = lru_cache(maxsize=None)(lambda eta: scaled_moments(params, eta))
 
-    def point(eta: float) -> _Probe:
-        tilt = scaled_moments(params, eta)
-        return _Probe(tilt.eta, _branch_slope(tilt), tilt)
+    def step(eta: float) -> tuple[float, float]:
+        """-s', negative before the fold, and its derivative -s'', with
+        s'' = E[(t - E t)^2 (u - s)] summed centred."""
+        tilt = passes(eta)
+        ds, centred_t, centred_u = _slope_sum(tilt)
+        return -ds, -float((centred_t * (tilt.rule.sin2 - tilt.mean)) @ centred_u) / tilt.a0
 
-    # sigma'(0) < 0: under Beta(k/2, (n-k)/2), Cov(t, t(1-t)) has the sign
-    # of n - 2k.  sigma' tends to k > 0, so its one sign change is past 0.
-    lo = point(0.0)
-    for end in _outward(0.0, 1.0):
-        hi = point(end)
-        if hi.slope >= 0:
-            break
-        lo = hi
-    else:
-        raise ValueError(f"the fold of the intensity curve lies outside the moment domain |eta| <= {ETA_MAX}")
-    # Illinois false position: the secant of the bracket ends, with the
-    # slope at an end that stays put for a second step in a row halved, so
-    # both ends close in.  A step stays half the stopping width inside the
-    # bracket, so a root next to one end is bracketed by the following step.
-    lo_slope, hi_slope, moved = lo.slope, hi.slope, None
-    while hi.eta - lo.eta > (width := 1e-13 + _RTOL * hi.eta):
-        eta = (lo.eta * hi_slope - hi.eta * lo_slope) / (hi_slope - lo_slope)
-        eta = min(max(eta, lo.eta + 0.5 * width), hi.eta - 0.5 * width)
-        mid = point(eta)
-        if mid.slope < 0:
-            if moved == "lo":
-                hi_slope *= 0.5
-            lo, lo_slope, moved = mid, mid.slope, "lo"
-        else:
-            if moved == "hi":
-                lo_slope *= 0.5
-            hi, hi_slope, moved = mid, mid.slope, "hi"
-    best = min(lo, hi, key=lambda end: abs(end.slope)).tilt
-    return _Fold(EtaStar(params, best.eta, best.sigma), _fold_curvature(best))
+    # sigma' = 0 where s' = 0; sigma'(0) < 0 for 2k < n: under
+    # Beta(k/2, (n-k)/2), Cov(t, t(1-t)) has the sign of n - 2k.  sigma'
+    # tends to k > 0, so its one sign change is past 0.  At 2k = n the
+    # reflection puts it at 0.
+    eta = 0.0 if 2 * k == n else _newton(step, 0.0, ETA_MAX, 8.0, 1e-13, lambda: (
+        f"the fold of the intensity curve lies outside the moment domain |eta| <= {ETA_MAX}"))
+    tilt = passes(eta)
+    return _Fold(EtaStar(params, eta, tilt.sigma), _intensity_rate(params, -step(eta)[1], tilt.s))
 
 
 def find_eta_star(params: SphereParams) -> EtaStar:
-    """Locate the unique zero of sigma_k' by Illinois false-position steps
-    in a sign bracket doubled outward from 8 to the edge of the moment
-    domain, down to a width of 1e-13 + 4 eps |eta|; the fold is the end
-    with the smaller |sigma_k'|.  Each eta costs one moment pass; a cold
-    fold takes about 12 of them.
+    """Locate the unique zero of sigma_k', where s' = Cov(t, t(1-t)) = 0, by
+    the Newton search of :func:`_newton` on s' with slope
+    s'' = E[(t - E t)^2 (t(1-t) - s)], over [0, ETA_MAX] from the seed 8, to
+    1e-13 + 4 eps |eta|.  Each eta costs one moment pass; a cold fold takes
+    about 8 of them, the pass at eta^* included.
 
     Only 2k < n is searched: for 2k > n the fold is exactly -eta_{n-k}^*,
     and on the even branch k = n/2 exactly 0; alpha^* is sigma_k(eta^*)
-    from the branch's own moment pass.  The fold's last pass also gives
-    the curvature sigma_k''(eta^*), which is cached with it to seed
+    from the branch's own moment pass.  That pass's s'' also gives the
+    curvature sigma_k''(eta^*), which is cached with the fold to seed
     :func:`invert_alpha`; a mirrored fold shares its mirror's.  Folds are
     cached by (n, k), least recently used first out, up to 1,224 of them:
     every branch with n <= 50.
@@ -264,56 +264,30 @@ def _branch_verdict(params: SphereParams, eta):
 
 
 def _root(rule: WeightedQuadrature, alpha: float, fold: _Fold, direction: float) -> float:
-    """The root of sigma_k = alpha on the side ``direction`` of the fold.
-
-    Newton steps on the scalar moment pass start from a seed that the
-    quadratic of the fold's curvature and the asymptotic slope (k to the
-    right, n - k to the left) place at or inside the root of a convex
-    branch.  The bracket runs from the fold to the edge of the domain.  A
-    step that would not land strictly inside it, or that does not halve
-    the move before last, bisects it instead, as in Numerical Recipes'
-    rtsafe: just above the fold the slope is so small that rounding in
-    sigma_k moves the root by more than the tolerance, and Newton steps
-    alone would cycle.  While no eta with sigma_k >= alpha is known, a
-    step that would leave goes to the edge, where sigma_k < alpha raises
-    ValueError.
+    """The root of sigma_k = alpha on the side ``direction`` of the fold, by
+    :func:`_newton` on sigma_k - alpha over the bracket from the fold to the
+    edge of the domain, to 1e-12 + 4 eps |eta|; just above the fold its
+    slope is tiny and the search bisects.  The seed, from the quadratic of
+    the fold's curvature and the asymptotic slope (k to the right, n - k
+    to the left), lies at or inside the root of a convex branch.  A root
+    past the edge raises ValueError.
     """
     params, star = rule.params, fold.star
     lift = alpha - star.alpha_star
     asymptote = params.k if direction > 0 else params.complement
     seed = max(math.sqrt(2.0 * lift / fold.curvature), lift / asymptote)
     edge = direction * ETA_MAX
-    inner, outer = star.eta_star, None  # outer: an eta with sigma_k >= alpha, once one is seen
     eta = star.eta_star + direction * seed if seed < ETA_MAX - direction * star.eta_star else edge
-    last = before_last = math.inf  # the last two moves
-    for _ in range(100):
+
+    def excess(eta: float) -> tuple[float, float]:
+        """sigma_k - alpha, with the bits of sigma_value, and sigma_k' from the
+        same sums, uncentred: a Newton step needs no more."""
         (a0, t, s, s_sin2, _), _ = _moment_sums(rule, eta)
         mean, s = t / a0, s / a0
-        excess = _intensity(params, s) - alpha  # sigma_k with the bits of sigma_value
-        if excess >= 0.0:
-            outer = eta
-        elif eta == edge:
-            raise ValueError(f"alpha = {alpha} needs an intensity root outside the moment domain "
-                             f"|eta| <= {ETA_MAX}")
-        else:
-            inner = eta
-        # sigma_k' from the same sums, uncentred: a Newton step needs no more.
-        slope = _intensity_rate(params, s_sin2 / a0 - mean * s, s)
-        newton = eta - excess / slope if slope else math.nan
-        lo, hi = sorted((inner, edge if outer is None else outer))
-        if lo <= newton <= hi and abs(newton - eta) <= 1e-12 + _RTOL * abs(newton):
-            return newton
-        if outer is None:
-            step = newton if lo < newton < hi else edge
-        elif lo < newton < hi and abs(newton - eta) <= 0.5 * before_last:
-            step = newton
-        else:
-            step = 0.5 * (inner + outer)
-            if abs(step - eta) <= 1e-12 + _RTOL * abs(step):
-                return step
-        last, before_last = abs(step - eta), last
-        eta = step
-    raise RuntimeError(f"the intensity root for alpha = {alpha} did not converge in 100 steps")
+        return _intensity(params, s) - alpha, _intensity_rate(params, s_sin2 / a0 - mean * s, s)
+
+    return _newton(excess, star.eta_star, edge, eta, 1e-12, lambda: (
+        f"alpha = {alpha} needs an intensity root outside the moment domain |eta| <= {ETA_MAX}"))
 
 
 def invert_alpha(params: SphereParams, alpha: float) -> list[float]:
@@ -327,14 +301,14 @@ def invert_alpha(params: SphereParams, alpha: float) -> list[float]:
 
     With lift = alpha - alpha^*, each root is seeded at eta^* plus or minus
     max(sqrt(2 lift / sigma_k''(eta^*)), lift / slope), the slope k to the
-    right and n - k to the left, and found by Newton steps on
-    sigma_k - alpha, to 1e-12 + 4 eps |eta|, that bisect the bracket from
-    eta^* to the edge of the domain when a step would leave it or would
-    not halve the move before last.  The steps run on the one scalar
-    moment pass, the one :func:`scaled_moments` wraps, on a rule read once
-    per call, and take sigma_k and the step's slope from one product;
-    sigma_k has the bits of :func:`sigma_value`.  Each eta costs one pass,
-    about 9 per call for both roots.
+    right and n - k to the left, and found by the fold's Newton search,
+    :func:`_newton`, on sigma_k - alpha, to 1e-12 + 4 eps |eta|: it
+    bisects the bracket from eta^* to the edge of the domain when a step
+    would leave it or would not halve the move before last.  The steps run
+    on the one scalar moment pass, the one :func:`scaled_moments` wraps, on
+    a rule read once per call, and take sigma_k and the step's slope from
+    one product; sigma_k has the bits of :func:`sigma_value`.  Each eta
+    costs one pass, about 9 per call for both roots.
     """
     alpha = _checked_alpha(alpha)
     fold = _eta_star_cached(params.n, params.k)
@@ -385,7 +359,7 @@ def phase_diagram(n: int, eta_grid=None) -> PhaseDiagram:
     n = SphereParams(n, 1).n
     if eta_grid is None:
         eta_grid = np.linspace(-10.0, 30.0, 401)
-    grid = np.asarray(eta_grid, dtype=float)
+    grid = _real("eta_grid", eta_grid)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
         raise ValueError("eta_grid must be a non-empty 1-d array of finite values")
 

@@ -74,6 +74,7 @@ from .quadrature import (
     _area_product,
     _degree5_nodes,
     _freeze,
+    _real,
     _whole,
     polar_rule,
     surface_area,
@@ -193,8 +194,8 @@ def _basis_values(idx: BasisIndex, omega: np.ndarray, xi: np.ndarray) -> np.ndar
 
 def basis_eval(idx: BasisIndex, omega, xi):
     """Evaluate a basis element at unit vectors omega (R^k) and xi (R^{n-k})."""
-    omega = np.asarray(omega, dtype=float)
-    xi = np.asarray(xi, dtype=float)
+    omega = _real("omega", omega)
+    xi = _real("xi", xi)
     params = SphereParams(omega.shape[-1] + xi.shape[-1], omega.shape[-1])
     _check_ranges(idx, params)
     for name, vec in (("omega", omega), ("xi", xi)):
@@ -441,17 +442,12 @@ def _grid_values(values, rule: WeightedQuadrature, name: Callable[[int], str]) -
     When the check fails, the first bad row is found and ``name(row)``
     names it."""
     try:
-        arr = np.asarray(values)
-        # The float cast would drop an imaginary part: complex rows are found below.
-        arr = None if arr.dtype.kind == "c" else arr.astype(float, copy=False)
-    except ValueError:  # rows of unequal shapes or not numbers: found below
+        arr = _real("values", values)
+    except ValueError:  # complex rows, rows of unequal shapes or not numbers: found below
         arr = None
     if arr is None or arr.shape != (len(values), rule.weights.size) or not np.isfinite(arr).all():
         for row, vals in enumerate(values):
-            vals = np.asarray(vals)
-            if vals.dtype.kind == "c":
-                raise ValueError(f"{name(row)} must be real")
-            vals = vals.astype(float, copy=False)
+            vals = _real(name(row), vals)
             if vals.shape != rule.weights.shape:
                 raise ValueError(f"{name(row)} do not match the grid")
             if not np.all(np.isfinite(vals)):
@@ -556,7 +552,7 @@ def assemble_sphere_function(p: PerturbationTop) -> Callable:
         theta, s, c = _polar_angles(coords, k)
         # Profiles depend on theta alone: evaluate each once per distinct value.
         distinct, where = _distinct(theta)
-        values = [np.asarray(vals, dtype=float) for vals in _profile_values(profiles, distinct)]
+        values = [_real("profile values", vals) for vals in _profile_values(profiles, distinct)]
         out = np.zeros(theta.shape)
         # Cache-sized blocks keep the per-slot passes out of main memory.
         for start in range(0, theta.size, _PHI_BLOCK):
@@ -633,7 +629,7 @@ def quadratic_form_direct(spec: CriticalPointSpec, phi: Callable) -> float:
     canonical, w = rule.points, rule.weights
     identity = np.array_equal(spec.rotation, np.eye(n))
     pts = canonical if identity else canonical @ spec.rotation
-    vals = np.asarray(phi(pts), dtype=float)
+    vals = _real("phi values", phi(pts))
     if vals.shape != w.shape:
         raise ValueError("phi must return one value per quadrature point")
     if not np.all(np.isfinite(vals)):

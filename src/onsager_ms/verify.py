@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .equilibrium import (
     solve_fixed_point,
 )
 from .moments import moment, recurrence_residual, scaled_moments
-from .quadrature import DEFAULT_ORDER, SphereParams, sphere_rule, surface_area, theta_rule
+from .quadrature import DEFAULT_ORDER, SphereParams, _degree5_nodes, polar_rule, surface_area, theta_rule
 from .sigma import find_eta_star, sigma_prime, sigma_prime_fd, sigma_value
 from .spectral import full_spectrum
 from .stability import (
@@ -49,6 +50,7 @@ from .stability import (
     quadratic_form_direct,
     random_smooth_perturbation,
     wx_functionals,
+    _DIRECT_THETA_ORDER,
     _basis_values,
 )
 
@@ -113,16 +115,29 @@ def _check_quadrature_mass(cfg: VerifyConfig) -> CheckResult:
     return _result("quadrature_mass", cfg, worst, 1e-12)
 
 
+def _sphere_rules() -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(d, points, weights) of the rules on S^(d-1) the library integrates
+    with: the degree-5 rules for d = 1..6 and the direct form's polar rule
+    at (n, k) = (5, 2)."""
+    rules = [(d, *_degree5_nodes(d)) for d in range(1, 7)]
+    polar = polar_rule(5, 2, _DIRECT_THETA_ORDER)
+    return rules + [(5, polar.points, polar.weights)]
+
+
 def _check_quadrature_structure(cfg: VerifyConfig) -> CheckResult:
+    """Theta nodes inside (0, pi/2) with positive weights; sphere rules'
+    points on the unit sphere; the polar rule's first-k block norm sin(theta)
+    strictly inside (0, 1), so that omega and xi are defined at every node."""
     rule = theta_rule(5, 2, cfg.quad_order)
     ok = (
         bool(np.all(rule.nodes > 0.0))
         and bool(np.all(rule.nodes < 0.5 * np.pi))
         and bool(np.all(rule.weights > 0.0))
     )
-    sphere = sphere_rule(4, 6)
-    ok = ok and bool(np.min(np.abs(sphere.points)) > 0.0)
-    ok = ok and abs(float(np.sum(sphere.weights)) - surface_area(4)) < 1e-10
+    for _, points, _ in _sphere_rules():
+        ok = ok and bool(np.all(np.abs(np.linalg.norm(points, axis=1) - 1.0) <= 1e-14))
+    block = np.linalg.norm(polar_rule(5, 2, _DIRECT_THETA_ORDER).points[:, :2], axis=1)
+    ok = ok and bool(np.all(block > 0.0)) and bool(np.all(block < 1.0))
     return CheckResult("quadrature_structure", ok, 0.0 if ok else 1.0, 0.5)
 
 
@@ -142,20 +157,24 @@ def _check_polynomial_exactness(cfg: VerifyConfig) -> CheckResult:
 
 
 def _check_sphere_moments(cfg: VerifyConfig) -> CheckResult:
-    worst = 0.0
-    for d in (3, 4):
-        rule = sphere_rule(d, 6)
+    """Every monomial x^a of degree |a| <= 5 on each sphere rule against
+    2 prod_i Gamma((a_i + 1)/2) / Gamma((|a| + d)/2), or 0 when an a_i is
+    odd: relative to the exact value, or to the area where it is 0."""
+    worst, where = 0.0, ""
+    for d, points, weights in _sphere_rules():
         area = surface_area(d)
-        w, x = rule.weights, rule.points
-        probes = (
-            (float(np.sum(w)), area),
-            (float(np.sum(w * x[:, 0] ** 2)), area / d),
-            (float(np.sum(w * x[:, 0] ** 4)), 3.0 * area / (d * (d + 2))),
-            (float(np.sum(w * x[:, 0] ** 2 * x[:, 1] ** 2)), area / (d * (d + 2))),
-        )
-        for approx, exact in probes:
-            worst = max(worst, abs(approx - exact) / exact)
-    return _result("sphere_moments", cfg, worst, 1e-12)
+        for degree in range(6):
+            for axes in combinations_with_replacement(range(d), degree):
+                a = np.bincount(np.array(axes, dtype=int), minlength=d)
+                approx = float(weights @ np.prod(points[:, list(axes)], axis=1))
+                if np.any(a % 2):
+                    rel = abs(approx) / area
+                else:
+                    exact = 2.0 * math.prod(math.gamma(0.5 * (ai + 1)) for ai in a) / math.gamma(0.5 * (degree + d))
+                    rel = abs(approx - exact) / exact
+                if rel > worst:
+                    worst, where = rel, f"worst at d = {d}, a = {tuple(a.tolist())}"
+    return _result("sphere_moments", cfg, worst, 1e-12, where)
 
 
 def _check_moments_zero_field(cfg: VerifyConfig) -> CheckResult:
@@ -267,16 +286,17 @@ def _check_gram_consistency(cfg: VerifyConfig) -> CheckResult:
 def _check_wx_table(cfg: VerifyConfig) -> CheckResult:
     params = SphereParams(5, 2)
     table = wx_functionals(params)
-    rules = (sphere_rule(params.k, 12), sphere_rule(params.complement, 12))
+    # Degree-4 integrands: the degree-5 rules of the factor spheres are exact.
+    rules = (_degree5_nodes(params.k), _degree5_nodes(params.complement))
     scale = max(float(np.max(np.abs(v))) for v in table.values())
     worst = 0.0
     for idx, vec in table.items():
         # Omega slots (gamma = 1) live on the first factor sphere, xi slots on the second.
         side = GAMMA_BY_FAMILY[idx.family] - 1
-        rule, d = rules[side], vec.size
-        vals = _basis_values(idx, rules[0].points, rules[1].points)  # reads its own factor only
+        (points, weights), d = rules[side], vec.size
+        vals = _basis_values(idx, rules[0][0], rules[1][0])  # reads its own factor only
         for i in range(d):
-            quad = float(np.sum(rule.weights * (rule.points[:, i] ** 2 - 1.0 / d) * vals))
+            quad = float(np.sum(weights * (points[:, i] ** 2 - 1.0 / d) * vals))
             worst = max(worst, abs(quad - vec[i]) / scale)
     return _result("wx_table", cfg, worst, 1e-10)
 

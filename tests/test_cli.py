@@ -455,17 +455,18 @@ def test_stdout_when_no_out(capsys):
 
 def test_cli_runs_with_numpy_alone():
     """The CI step "CLI with numpy alone", run here from the workflow's own
-    text: every subcommand exits 0 in a process where scipy and mpmath,
-    which the tests install, cannot be imported, so numpy, the one runtime
-    dependency, is enough."""
+    text: every subcommand exits 0, with every warning an error, in a
+    process where scipy and mpmath, which the tests install, cannot be
+    imported, so numpy, the one runtime dependency, is enough."""
     root = Path(__file__).resolve().parents[1]
     workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
     step = workflow.split("- name: CLI with numpy alone\n", 1)[1]
+    assert "PYTHONPATH=src python -W error - <<'EOF'\n" in step
     script = textwrap.dedent(step.split("<<'EOF'\n", 1)[1].split("EOF\n", 1)[0])
     assert 'for name in ("scipy", "mpmath"):\n    sys.modules[name] = None' in script
     assert set(re.findall(r'^    \["([a-z-]+)"', script, re.MULTILINE)) == set(SUBCOMMANDS)
     src = str(Path(onsager_ms.__file__).resolve().parents[1])
     child = subprocess.run(
-        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True
+        [sys.executable, "-W", "error", "-c", script], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True
     )
     assert child.returncode == 0, child.stderr

@@ -10,6 +10,7 @@ from onsager_ms import moments, stability
 from onsager_ms.equilibrium import (
     CriticalPointSpec,
     OrderTensor,
+    bingham_second_moments,
     critical_point,
     density,
     euler_lagrange_residual,
@@ -23,12 +24,13 @@ from onsager_ms.quadrature import (
     SphereParams,
     build_sphere_quadrature,
     build_weighted_quadrature,
+    integrate_mu,
     polar_rule,
     sphere_rule,
     surface_area,
     theta_rule,
 )
-from onsager_ms.sigma import find_eta_star, invert_alpha, sigma_prime, sigma_value
+from onsager_ms.sigma import find_eta_star, invert_alpha, phase_diagram, sigma_prime, sigma_value
 from onsager_ms.spectral import block_spectrum, full_spectrum
 from onsager_ms.stability import (
     FAMILIES,
@@ -463,6 +465,62 @@ def test_complex_profile_values_are_refused():
         PerturbationTop(params, {theta_slot: np.ones_like, xi_slot: lambda th: np.full(th.shape, 1j)})
     with pytest.raises(ValueError, match="coefficient values must be real"):
         functional_I(1, params, 1.0, theta_rule(4, 1).nodes + 1j)
+
+
+def _complex_rotation():
+    rotation = np.eye(4, dtype=complex)
+    rotation[0, 0] = 1.0 + 1.0j
+    return critical_point(SphereParams(4, 1), 2.0, rotation=rotation)
+
+
+def _phi_with_complex_profile_off_the_grid():
+    """The assembled phi of a profile that is real on the theta rule's
+    nodes, where the table checks it, and complex at the points' angles."""
+    params = SphereParams(4, 1)
+    nodes = theta_rule(4, 1).nodes
+    profile = lambda th: np.cos(2.0 * th) * (1.0 if th.shape == nodes.shape else 1.0 + 1.0j)
+    phi = assemble_sphere_function(PerturbationTop(params, {BasisIndex("Theta", (1, 1)): profile}))
+    return phi(np.array([[0.6, 0.8, 0.0, 0.0]]))
+
+
+_POINT = np.array([0.6, 0.8j, 0.0, 0.0])
+_REAL_PHI = assemble_sphere_function(
+    PerturbationTop(SphereParams(4, 1), {BasisIndex("Theta", (1, 1)): lambda th: np.cos(2.0 * th)})
+)
+
+COMPLEX_INPUTS = {
+    "integrate_mu": (lambda: integrate_mu(theta_rule(4, 1), lambda th: np.sin(th) ** 2 * (1 + 1j)), "integrand values"),
+    "quadratic_form_direct": (
+        lambda: quadratic_form_direct(critical_point(SphereParams(4, 1), 2.0), lambda p: _REAL_PHI(p) * (1 + 1e3j)),
+        "phi values",
+    ),
+    "density": (lambda: density(critical_point(SphereParams(4, 1), 2.0), _POINT), "points"),
+    "log_density": (lambda: log_density(critical_point(SphereParams(4, 1), 2.0), _POINT), "points"),
+    "assembled phi points": (lambda: _REAL_PHI(_POINT), "points"),
+    "assembled phi profile values": (_phi_with_complex_profile_off_the_grid, "profile values"),
+    "basis_eval omega": (lambda: basis_eval(BasisIndex("Theta", (1, 1)), [1.0 + 0j], [0.6, 0.8j, 0.0]), "omega"),
+    "basis_eval xi": (lambda: basis_eval(BasisIndex("Theta", (1, 1)), [1.0], [0.6, 0.8, 1e-3j]), "xi"),
+    "OrderTensor": (lambda: OrderTensor(2, np.array([[0.0, 1.0j], [1.0j, 0.0]])), "entries"),
+    "CriticalPointSpec rotation": (_complex_rotation, "rotation"),
+    "bingham_second_moments": (lambda: bingham_second_moments([1.0 + 1.0j, 0.0, 0.0]), "eigenvalues"),
+    "phase_diagram": (lambda: phase_diagram(4, np.array([0.0, 1.0j])), "eta_grid"),
+    "profile table": (
+        lambda: PerturbationTop(SphereParams(4, 1), {BasisIndex("Theta", (1, 1)): lambda th: np.cos(2.0 * th) + 1j}),
+        r"values for BasisIndex\(family='Theta'.*",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COMPLEX_INPUTS))
+def test_complex_input_is_refused(entry):
+    """Each entry point that casts outside input to float refuses a complex
+    input, where the cast would drop the imaginary part and return the real
+    part's answer with only a ComplexWarning; the error names the input."""
+    call, name = COMPLEX_INPUTS[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be real$"):
+            call()
 
 
 @pytest.mark.parametrize("amplitude", [1.0, 1e-6, 1e-11, 1e-300])
